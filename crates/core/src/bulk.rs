@@ -327,6 +327,38 @@ mod tests {
         assert!(audit.no_leaks(), "allocate/link race leaked slabs: {audit:?}");
     }
 
+    /// A bulk build activates about as many super blocks as its slabs fill
+    /// at the allocator's 3/4 growth gate, not every super block some
+    /// warp's probes happened to miss in.
+    #[test]
+    fn bulk_build_footprint_tracks_occupancy() {
+        let n = 1u32 << 18;
+        let pairs: Vec<(u32, u32)> = (0..n).map(|k| (k, k ^ 0x5555_5555)).collect();
+        let t = SlabHash::<KeyValue>::for_expected_elements(n as usize, 0.85, 7);
+        t.bulk_build(&pairs, &Grid::new(4));
+        let alloc = t.allocator();
+        let blocks = u64::from(alloc.config().blocks_per_super);
+        let per_super = blocks * 1024;
+        let needed = (alloc.allocated_slabs() as f64 / (0.75 * per_super as f64)).ceil() as u32;
+        assert!(
+            alloc.active_super_blocks() <= needed + 1,
+            "{} super blocks active for {} slabs in {per_super}-slab super blocks",
+            alloc.active_super_blocks(),
+            alloc.allocated_slabs()
+        );
+        // Committed memory is what the active super blocks hold: bitmaps,
+        // slabs and tags.
+        let audit = t.audit().unwrap();
+        let per_super_bytes = blocks * (128 + 1024 * (128 + 32));
+        assert!(audit.committed_bytes >= audit.allocator_slabs * 128);
+        assert!(
+            audit.committed_bytes <= u64::from(alloc.active_super_blocks()) * per_super_bytes,
+            "{} bytes committed by {} active super blocks",
+            audit.committed_bytes,
+            alloc.active_super_blocks()
+        );
+    }
+
     #[test]
     fn bulk_build_duplicate_keys_keep_uniqueness() {
         // The same key inserted from many threads concurrently: REPLACE

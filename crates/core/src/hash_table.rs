@@ -137,9 +137,10 @@ impl<L: EntryLayout> SlabHash<L, SlabAlloc> {
     /// generously relative to the bucket count.
     pub fn new(config: SlabHashConfig) -> Self {
         // Capacity for up to ~16 chained slabs per bucket across all super
-        // blocks; start with two active super blocks and let the allocator's
-        // growth mechanism activate the rest under pressure, so a lightly
-        // chained table never pays for (or zeroes) memory it won't touch.
+        // blocks; start with one active super block and let the allocator
+        // activate the rest as its occupancy climbs (`GROWTH_OCCUPANCY`, or
+        // the low-free watermark), so a table commits (and fill-writes)
+        // about as many super blocks as its chains need.
         // Clamp: even a fully chained table rarely needs more slabs than
         // buckets, and the contiguous (light) address space caps at 4 GB.
         let want_slabs = (config.num_buckets as u64)
@@ -148,7 +149,7 @@ impl<L: EntryLayout> SlabHash<L, SlabAlloc> {
         let blocks_per_super = want_slabs.div_ceil(32 * 1024).clamp(4, 512) as u32;
         let alloc = SlabAlloc::new(SlabAllocConfig {
             blocks_per_super,
-            initial_active: 2,
+            initial_active: 1,
             fill: EMPTY_KEY,
             low_free_watermark: 1024,
             ..SlabAllocConfig::default()
@@ -258,6 +259,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
 
     /// Device bytes the table occupies: base slabs + every slab the
     /// allocator has handed out (the denominator of memory utilization).
+    ///
+    /// This is the paper's §III-C accounting, not the footprint: it leaves
+    /// out the fingerprint-tag sidecar and every slab the allocator has
+    /// committed but not handed out. For what the allocator holds, see
+    /// [`SlabAllocator::committed_bytes`].
     pub fn device_bytes(&self) -> u64 {
         (self.base.bytes() as u64) + self.alloc.allocated_slabs() * 128
     }

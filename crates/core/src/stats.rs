@@ -28,6 +28,11 @@ pub struct AuditReport {
     /// Slabs the allocator reports as handed out. Equal to
     /// `chained_slabs` iff nothing leaked (every allocation is reachable).
     pub allocator_slabs: u64,
+    /// Bytes the allocator has committed
+    /// ([`SlabAllocator::committed_bytes`]): every materialized slab, handed
+    /// out or not, with tags and bitmaps. The memory the chains actually
+    /// cost, where `allocator_slabs` counts only what they use.
+    pub committed_bytes: u64,
     /// Longest bucket chain (in slabs, counting the base slab).
     pub max_chain: usize,
     /// Data lanes holding [`FROZEN_KEY`], i.e. mid-retirement by an
@@ -258,6 +263,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             tombstones,
             chained_slabs: chained,
             allocator_slabs: self.allocator().allocated_slabs(),
+            committed_bytes: self.allocator().committed_bytes(),
             max_chain,
             frozen_lanes: frozen,
             retired_slabs: self.retired_slab_count(),

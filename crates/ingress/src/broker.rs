@@ -448,6 +448,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
         m.alloc_free.set(alloc.free_slabs());
         m.alloc_allocated.set(alloc.allocated_slabs());
         m.alloc_capacity.set(alloc.capacity_slabs());
+        m.alloc_committed.set(alloc.committed_bytes());
         if let Some(pool) = self.grid.pool_stats() {
             m.pool_workers_alive.set(pool.workers_alive as u64);
             m.pool_launches.set(pool.launches);

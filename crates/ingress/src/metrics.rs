@@ -79,6 +79,9 @@ pub(crate) struct IngressMetrics {
     pub alloc_allocated: GaugeMetric,
     /// Allocator capacity in slabs (moves when the allocator grows).
     pub alloc_capacity: GaugeMetric,
+    /// Bytes the allocator has committed (materialized slabs, tags and
+    /// bitmaps; moves when the allocator grows).
+    pub alloc_committed: GaugeMetric,
     /// Executor-pool workers still alive.
     pub pool_workers_alive: GaugeMetric,
     /// Pooled launches run by the grid's executor pool.
@@ -199,6 +202,10 @@ impl IngressMetrics {
             alloc_capacity: registry.gauge(
                 "slab_alloc_capacity_slabs",
                 "Allocator capacity in slabs (grows under pressure)",
+            ),
+            alloc_committed: registry.gauge(
+                "slab_alloc_committed_bytes",
+                "Allocator bytes committed: materialized slabs, tags and bitmaps",
             ),
             pool_workers_alive: registry.gauge(
                 "slab_pool_workers_alive",

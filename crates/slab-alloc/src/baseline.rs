@@ -127,6 +127,10 @@ impl SlabAllocator for SerialHeapSim {
     fn metadata_bytes(&self) -> u64 {
         64 // a heap header; irrelevant, the lock dominates
     }
+
+    fn committed_bytes(&self) -> u64 {
+        (self.storage.bytes() + self.storage.tag_bytes()) as u64 + self.metadata_bytes()
+    }
 }
 
 /// A Halloc-style allocator: slabs live in hashed memory pools; a thread
@@ -287,6 +291,10 @@ impl SlabAllocator for HallocSim {
 
     fn metadata_bytes(&self) -> u64 {
         self.pools.len() as u64 * (self.slabs_per_pool as u64 / 8)
+    }
+
+    fn committed_bytes(&self) -> u64 {
+        (self.storage.bytes() + self.storage.tag_bytes()) as u64 + self.metadata_bytes()
     }
 }
 

@@ -6,9 +6,16 @@
 //! registers (one 32-bit word per lane). An allocation is, in the common
 //! case, a single `atomicCAS` on one bitmap word; when the resident block
 //! fills up the warp re-hashes to a new one (a "resident change", one
-//! coalesced bitmap read), and after a threshold of resident changes the
-//! allocator activates additional super blocks — the probing/growth scheme
-//! that lets the design scale to ~1 TB without CPU intervention.
+//! coalesced bitmap read). After `resident_threshold` resident changes the
+//! allocator activates an additional super block — the probing/growth
+//! scheme that lets the design scale to ~1 TB without CPU intervention —
+//! but only once the active super blocks are [`GROWTH_OCCUPANCY`] full.
+//! Below that, a run of full blocks only means the warp hashed into a dense
+//! region, so it keeps re-hashing over the active set. Growth therefore
+//! tracks how many slabs are handed out, not how unlucky one warp's probes
+//! were, and a bulk build commits about as many super blocks as its slabs
+//! need. If probing still comes up empty, the allocator activates a reserve
+//! super block before it reports [`AllocError::OutOfSlabs`].
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -34,8 +41,10 @@ pub struct SlabAllocConfig {
     /// Value every lane of a fresh slab is initialized to (the owning data
     /// structure's EMPTY sentinel).
     pub fill: u32,
-    /// Resident changes a warp tolerates before the allocator activates an
-    /// additional super block.
+    /// Resident changes a warp tolerates before it asks for an additional
+    /// super block. The request is granted only when the active super
+    /// blocks are at least [`GROWTH_OCCUPANCY`] full; below that the warp
+    /// re-hashes to another block instead.
     pub resident_threshold: u32,
     /// SlabAlloc-light (§V): all super blocks behave as one contiguous
     /// array with a single globally known base pointer, so address decoding
@@ -104,6 +113,18 @@ impl SlabAllocConfig {
         assert!(self.resident_threshold >= 1);
     }
 }
+
+/// Occupancy of the active super blocks (slabs handed out over active
+/// capacity, as numerator / denominator) at or above which a warp that has
+/// churned through `resident_threshold` full resident blocks activates
+/// another super block: 3/4.
+///
+/// Failed probes alone are no sign of pressure: a bulk build's warps meet
+/// full blocks long before the active super blocks fill, and growing on
+/// each such run would activate (and fill-write) every reserve super block
+/// where a third of them hold the slabs (DESIGN.md, "Allocator growth and
+/// watermarks").
+pub const GROWTH_OCCUPANCY: (u64, u64) = (3, 4);
 
 /// Warp-private allocator state: the resident memory block and the
 /// register-cached copy of its bitmap.
@@ -224,9 +245,10 @@ impl SlabAlloc {
     }
 
     /// Activates one more super block if the configuration allows. Called
-    /// when a warp has churned through `resident_threshold` resident blocks
-    /// without finding space, and proactively by the low-free watermark.
-    /// Returns whether another super block actually came online.
+    /// when a warp has churned through `resident_threshold` full resident
+    /// blocks at [`GROWTH_OCCUPANCY`] or above, as a last resort before
+    /// `OutOfSlabs`, and proactively by the low-free watermark. Returns
+    /// whether another super block actually came online.
     fn grow(&self) -> bool {
         self.active_supers
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |active| {
@@ -235,13 +257,26 @@ impl SlabAlloc {
             .is_ok()
     }
 
+    /// Units across the active super blocks.
+    fn active_capacity(&self) -> u64 {
+        self.active_supers.load(Ordering::Acquire) as u64
+            * self.config.blocks_per_super as u64
+            * UNITS_PER_BLOCK as u64
+    }
+
     /// Free units across the active super blocks (the growth headroom the
     /// resident-selection hash can actually reach).
     fn active_free_units(&self) -> u64 {
-        let active_capacity = self.active_supers.load(Ordering::Acquire) as u64
-            * self.config.blocks_per_super as u64
-            * UNITS_PER_BLOCK as u64;
-        active_capacity.saturating_sub(self.outstanding.value())
+        self.active_capacity()
+            .saturating_sub(self.outstanding.value())
+    }
+
+    /// Whether the active super blocks are full enough
+    /// ([`GROWTH_OCCUPANCY`]) that failed probes mean they are running out
+    /// of room rather than that the warp hashed into a full block.
+    fn occupancy_warrants_growth(&self) -> bool {
+        let (num, den) = GROWTH_OCCUPANCY;
+        self.outstanding.value() * den >= self.active_capacity() * num
     }
 
     /// Re-derives the free-headroom gauge after an outstanding-count change
@@ -310,8 +345,8 @@ impl SlabAllocator for SlabAlloc {
         if simt::chaos::should_fail_alloc() {
             return Err(AllocError::Injected);
         }
-        // Bound: every resident block visited twice over the full hierarchy
-        // without success means the allocator is genuinely exhausted.
+        // Bound: twice as many failed probes as the whole hierarchy has
+        // blocks means the active super blocks are exhausted.
         let max_attempts = 2 * self.config.super_blocks * self.config.blocks_per_super;
         let mut failures = 0u32;
         let resident_before = ctx.counters.resident_changes;
@@ -331,14 +366,21 @@ impl SlabAllocator for SlabAlloc {
                 state.valid = false;
                 state.attempts = state.attempts.wrapping_add(1);
                 failures += 1;
-                if failures.is_multiple_of(self.config.resident_threshold) {
+                if failures.is_multiple_of(self.config.resident_threshold)
+                    && self.occupancy_warrants_growth()
+                {
                     self.grow();
                 }
                 if failures > max_attempts {
-                    return Err(AllocError::OutOfSlabs {
-                        allocated: self.allocated_slabs(),
-                        capacity: self.capacity_slabs(),
-                    });
+                    // Last resort: never refuse while a reserve super
+                    // block could still serve the request.
+                    if !self.grow() {
+                        return Err(AllocError::OutOfSlabs {
+                            allocated: self.allocated_slabs(),
+                            capacity: self.capacity_slabs(),
+                        });
+                    }
+                    failures = 0;
                 }
                 continue;
             };
@@ -430,6 +472,15 @@ impl SlabAllocator for SlabAlloc {
     fn metadata_bytes(&self) -> u64 {
         // One 1024-bit bitmap per memory block across active supers.
         self.active_super_blocks() as u64 * self.config.blocks_per_super as u64 * 128
+    }
+
+    fn committed_bytes(&self) -> u64 {
+        // Super blocks materialize on first residency, fully fill-written.
+        self.supers
+            .iter()
+            .filter_map(|s| s.get())
+            .map(|sb| sb.bytes() as u64)
+            .sum()
     }
 }
 
@@ -550,20 +601,45 @@ mod tests {
 
     #[test]
     fn growth_activates_more_super_blocks_under_pressure() {
+        // Four 1024-unit blocks per super block; every failed probe asks
+        // for growth.
         let alloc = SlabAlloc::new(SlabAllocConfig {
             initial_active: 1,
             resident_threshold: 1,
-            ..SlabAllocConfig::small(4, 1)
+            ..SlabAllocConfig::small(4, 4)
         });
         assert_eq!(alloc.active_super_blocks(), 1);
         let mut ctx = WarpCtx::for_test(0);
         let mut st = alloc.new_warp_state();
-        // Drain past the first super block's 1024 units; growth must kick in.
-        for _ in 0..2000 {
+        // Below the 3/4 gate: the warp fills two blocks and meets full
+        // resident blocks, but re-hashes instead of growing.
+        for _ in 0..2048 {
+            alloc.allocate(&mut st, &mut ctx);
+        }
+        assert!(ctx.counters.resident_changes > 2, "no failed probe seen");
+        assert_eq!(alloc.active_super_blocks(), 1, "grew below the gate");
+        // At the gate (3072 of 4096): the next full block grows, and the
+        // drain runs past the first super block.
+        for _ in 2048..5000 {
             alloc.allocate(&mut st, &mut ctx);
         }
         assert!(alloc.active_super_blocks() > 1);
-        assert_eq!(alloc.allocated_slabs(), 2000);
+        assert_eq!(alloc.allocated_slabs(), 5000);
+
+        // Last resort: with the probe trigger out of reach and every active
+        // block full, a reserve super block still serves the request.
+        let alloc = SlabAlloc::new(SlabAllocConfig {
+            initial_active: 1,
+            resident_threshold: u32::MAX,
+            ..SlabAllocConfig::small(2, 1)
+        });
+        for _ in 0..1024 {
+            alloc.allocate(&mut st, &mut ctx);
+        }
+        assert_eq!(alloc.active_super_blocks(), 1);
+        assert!(alloc.try_allocate(&mut st, &mut ctx).is_ok());
+        assert_eq!(alloc.active_super_blocks(), 2);
+        assert_eq!(alloc.allocated_slabs(), 1025);
     }
 
     #[test]
@@ -775,18 +851,21 @@ mod probing_tests {
     }
 
     /// Lazily initialized super blocks: capacity configured but untouched
-    /// memory is never materialized.
+    /// memory is never materialized, and never counted as committed.
     #[test]
     fn untouched_super_blocks_stay_uninitialized() {
         let alloc = SlabAlloc::new(SlabAllocConfig {
             initial_active: 1,
             ..SlabAllocConfig::small(8, 4)
         });
+        assert_eq!(alloc.committed_bytes(), 0);
         let mut ctx = WarpCtx::for_test(0);
         let mut st = alloc.new_warp_state();
         alloc.allocate(&mut st, &mut ctx);
         let initialized = alloc.supers.iter().filter(|s| s.get().is_some()).count();
         assert_eq!(initialized, 1, "only the resident super block materializes");
+        // 4 blocks × (128 B bitmap + 1024 × (128 B slab + 32 B tags)).
+        assert_eq!(alloc.committed_bytes(), 4 * (128 + 1024 * 160));
     }
 
     /// Deallocations from a *different* warp than the allocator ("any warp

@@ -48,9 +48,10 @@ impl SuperBlock {
         (self.bitmaps.len() / BITMAP_WORDS) as u32
     }
 
-    /// Device bytes held (bitmaps + slabs).
+    /// Device bytes held: bitmaps, slabs and the slabs' fingerprint-tag
+    /// sidecar.
     pub fn bytes(&self) -> usize {
-        self.bitmaps.len() * 4 + self.slabs.bytes()
+        self.bitmaps.len() * 4 + self.slabs.bytes() + self.slabs.tag_bytes()
     }
 
     #[inline]

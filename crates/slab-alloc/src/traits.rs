@@ -141,4 +141,10 @@ pub trait SlabAllocator: Sync {
     /// Bytes of allocator metadata the hot path touches (bitmaps); feeds the
     /// roofline model's working-set estimate for allocation-heavy kernels.
     fn metadata_bytes(&self) -> u64;
+
+    /// Bytes the allocator has committed (host-side statistic): every slab
+    /// it has materialized, handed out or not, with the slabs' fingerprint
+    /// tag sidecar and the allocator's metadata. This, not
+    /// `allocated_slabs() * 128`, is what the allocator costs in memory.
+    fn committed_bytes(&self) -> u64;
 }

@@ -250,6 +250,10 @@ impl SlabAllocator for KillSwitchAlloc {
     fn metadata_bytes(&self) -> u64 {
         self.inner.metadata_bytes()
     }
+
+    fn committed_bytes(&self) -> u64 {
+        self.inner.committed_bytes()
+    }
 }
 
 #[test]
