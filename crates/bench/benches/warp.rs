@@ -1,14 +1,12 @@
-//! Criterion: warp-primitive round cost, scalar oracle vs bitmask (wide).
+//! Criterion: warp-primitive round cost.
 //!
-//! Audits the tentpole claim that the wide primitives delete the per-lane
-//! 32-iteration loop: a "warp round" here is the primitive mix one slab
-//! visit performs (ballot_eq over the lane vector, ffs on the mask, plus a
-//! byte_eq_mask tag scan), and `match_any` is the heavy case — 32 scalar
-//! ballots (1024 branchy compares) against 32 vectorized subtractions.
-//! Both module paths compile unconditionally, so one binary measures both.
+//! A "warp round" here is the primitive mix one slab visit performs
+//! (is-empty ballot and key ballot_eq over the lane vector, ffs on the
+//! mask), and `match_any` is the heavy case — 32 vectorized equality
+//! ballots.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use simt::warp::{scalar, wide, WARP_SIZE};
+use simt::warp::{ballot, ballot_eq, ffs, match_any, WARP_SIZE};
 
 fn lane_vector(seed: u32) -> [u32; WARP_SIZE] {
     let mut v = [0u32; WARP_SIZE];
@@ -23,51 +21,26 @@ fn lane_vector(seed: u32) -> [u32; WARP_SIZE] {
     v
 }
 
-fn tag_words(seed: u32) -> [u64; 4] {
-    let mut w = [0u64; 4];
-    for (i, slot) in w.iter_mut().enumerate() {
-        let mut x = (seed as u64) ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        *slot = x;
-    }
-    w
-}
-
 fn bench_warp_round(c: &mut Criterion) {
     let lanes = lane_vector(0xBEEF);
-    let tags = tag_words(0xF00D);
 
     let mut group = c.benchmark_group("warp_round");
-    // One slab visit's primitive mix: is-empty ballot, key ballot_eq,
-    // leader election via ffs, and the 32-byte tag scan.
-    group.bench_with_input(BenchmarkId::new("scalar", "round"), &lanes, |b, v| {
+    // One slab visit's primitive mix: is-empty ballot, key ballot_eq, and
+    // leader election via ffs.
+    group.bench_with_input(BenchmarkId::new("bitmask", "round"), &lanes, |b, v| {
         b.iter(|| {
-            let empties = scalar::ballot(black_box(v), |x| x == u32::MAX);
-            let hits = scalar::ballot_eq(black_box(v), black_box(7));
-            let lead = scalar::ffs(hits | empties).map_or(0, |l| l as u32);
-            let tag_hits = scalar::byte_eq_mask(black_box(&tags), black_box(0x5A));
-            black_box(empties ^ hits ^ lead ^ tag_hits)
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("wide", "round"), &lanes, |b, v| {
-        b.iter(|| {
-            let empties = wide::ballot(black_box(v), |x| x == u32::MAX);
-            let hits = wide::ballot_eq(black_box(v), black_box(7));
-            let lead = wide::ffs(hits | empties).map_or(0, |l| l as u32);
-            let tag_hits = wide::byte_eq_mask(black_box(&tags), black_box(0x5A));
-            black_box(empties ^ hits ^ lead ^ tag_hits)
+            let empties = ballot(black_box(v), |x| x == u32::MAX);
+            let hits = ballot_eq(black_box(v), black_box(7));
+            let lead = ffs(hits | empties).map_or(0, |l| l as u32);
+            black_box(empties ^ hits ^ lead)
         })
     });
     group.finish();
 
     let mut group = c.benchmark_group("match_any");
-    // The all-lanes conflict census: 32 scalar ballots vs 32 SWAR passes.
-    group.bench_with_input(BenchmarkId::new("scalar", "census"), &lanes, |b, v| {
-        b.iter(|| black_box(scalar::match_any(black_box(v))))
-    });
-    group.bench_with_input(BenchmarkId::new("wide", "census"), &lanes, |b, v| {
-        b.iter(|| black_box(wide::match_any(black_box(v))))
+    // The all-lanes conflict census: 32 packed equality ballots.
+    group.bench_with_input(BenchmarkId::new("bitmask", "census"), &lanes, |b, v| {
+        b.iter(|| black_box(match_any(black_box(v))))
     });
     group.finish();
 }

@@ -9,12 +9,11 @@
 //! * `fig4` (no subcommand) — all three.
 //!
 //! Flags: `--n <log2>` (default 22), `--quick` (n = 2¹⁸), `--csv <dir>`,
-//! `--threads N`, `--trials T` (default 1), `--no-tags` (ablate the
-//! fingerprint-tag filter; see DESIGN.md §16).
+//! `--threads N`, `--trials T` (default 1).
 
 use gpu_baselines::{CuckooConfig, CuckooHash};
 use slab_bench::{
-    build_slab_hash_ablated, geomean, mops, paper_model, queries_all_exist, queries_none_exist,
+    build_slab_hash_at, geomean, mops, paper_model, queries_all_exist, queries_none_exist,
     random_pairs, Args, Measurement, Table, UTILIZATION_SWEEP,
 };
 use slab_hash::{buckets_for_utilization, KeyValue, SlabHash, SlabHashConfig};
@@ -27,25 +26,18 @@ fn main() {
     let n = 1usize << log_n;
     let trials: usize = args.value("trials").unwrap_or(1);
     let csv = args.csv_dir();
-    // `--no-tags` ablates the fingerprint-tag filter: every slab visit goes
-    // back to the full 128 B read, isolating the tag prong's contribution.
-    let use_tags = !args.flag("no-tags");
 
     println!("Figure 4 reproduction: n = 2^{log_n} = {n} elements, {trials} trial(s)");
-    println!(
-        "model: {}, tag filter: {}",
-        model.name,
-        if use_tags { "on" } else { "off (--no-tags)" }
-    );
+    println!("model: {}", model.name);
 
     match args.subcommand() {
-        Some("a") => fig4a(n, trials, &grid, &model, csv.as_deref(), use_tags),
-        Some("b") => fig4b(n, trials, &grid, &model, csv.as_deref(), use_tags),
-        Some("c") => fig4c(n, &grid, csv.as_deref(), use_tags),
+        Some("a") => fig4a(n, trials, &grid, &model, csv.as_deref()),
+        Some("b") => fig4b(n, trials, &grid, &model, csv.as_deref()),
+        Some("c") => fig4c(n, &grid, csv.as_deref()),
         None => {
-            fig4a(n, trials, &grid, &model, csv.as_deref(), use_tags);
-            fig4b(n, trials, &grid, &model, csv.as_deref(), use_tags);
-            fig4c(n, &grid, csv.as_deref(), use_tags);
+            fig4a(n, trials, &grid, &model, csv.as_deref());
+            fig4b(n, trials, &grid, &model, csv.as_deref());
+            fig4c(n, &grid, csv.as_deref());
         }
         Some(other) => {
             eprintln!("unknown subcommand {other:?}; expected a, b or c");
@@ -80,7 +72,6 @@ fn fig4a(
     grid: &simt::Grid,
     model: &simt::GpuModel,
     csv: Option<&std::path::Path>,
-    use_tags: bool,
 ) {
     let mut table = Table::new(
         "Fig 4a build rate vs memory utilization",
@@ -101,7 +92,7 @@ fn fig4a(
         for trial in 0..trials {
             let pairs = random_pairs(n, 0);
             let _ = trial;
-            let (_t, m) = build_slab_hash_ablated(&pairs, util, grid, model, use_tags);
+            let (_t, m) = build_slab_hash_at(&pairs, util, grid, model);
             slab_sim.push(m.sim_mops);
             slab_cpu.push(m.cpu_mops);
             bound = m.bound;
@@ -148,7 +139,6 @@ fn fig4b(
     grid: &simt::Grid,
     model: &simt::GpuModel,
     csv: Option<&std::path::Path>,
-    use_tags: bool,
 ) {
     let mut table = Table::new(
         "Fig 4b search rate vs memory utilization",
@@ -172,7 +162,7 @@ fn fig4b(
             let q_all = queries_all_exist(&keys, n, 0xA11 + trial as u64);
             let q_none = queries_none_exist(n);
 
-            let (slab, _) = build_slab_hash_ablated(&pairs, util, grid, model, use_tags);
+            let (slab, _) = build_slab_hash_at(&pairs, util, grid, model);
             let (_, r) = slab.bulk_search(&q_all, grid);
             let m_all = Measurement::from_report(&r, model, slab.device_bytes());
             let (_, r) = slab.bulk_search(&q_none, grid);
@@ -218,7 +208,7 @@ fn fig4b(
     );
 }
 
-fn fig4c(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use_tags: bool) {
+fn fig4c(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     // The paper's bucket counts, scaled from its n = 2^22 to ours.
     let paper_buckets: [u32; 10] = [
         2_796_203, 1_398_101, 699_051, 466_034, 279_620, 186_414, 139_810, 93_207, 69_905, 55_924,
@@ -231,13 +221,10 @@ fn fig4c(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use_tags: b
     for &pb in &paper_buckets {
         let b = ((pb as f64 * scale).round() as u32).max(1);
         let pairs = random_pairs(n, 0);
-        let t = SlabHash::<KeyValue>::new(
-            SlabHashConfig {
-                seed: 0x4c,
-                ..SlabHashConfig::with_buckets(b)
-            }
-            .with_tags(use_tags),
-        );
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig {
+            seed: 0x4c,
+            ..SlabHashConfig::with_buckets(b)
+        });
         t.bulk_build(&pairs, grid);
         table.row(vec![
             format!("{b}"),

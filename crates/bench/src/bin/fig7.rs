@@ -10,8 +10,7 @@
 //!   (key-only): M ops/s vs number of buckets, 1 M operations;
 //! * `fig7` — both.
 //!
-//! Flags: `--ops <n>` (default 2²⁰), `--quick`, `--csv <dir>`, `--threads N`,
-//! `--no-tags` (ablate the fingerprint-tag filter; see DESIGN.md §16).
+//! Flags: `--ops <n>` (default 2²⁰), `--quick`, `--csv <dir>`, `--threads N`.
 
 use gpu_baselines::{MisraHash, MisraOp};
 use simt::PerfCounters;
@@ -36,21 +35,16 @@ fn main() {
         .value("ops")
         .unwrap_or(if args.flag("quick") { 1 << 17 } else { 1 << 20 });
     let csv = args.csv_dir();
-    let use_tags = !args.flag("no-tags");
 
     println!("Figure 7 reproduction: {total_ops} concurrent operations per point");
-    println!(
-        "model: {}, tag filter: {}",
-        paper_model().name,
-        if use_tags { "on" } else { "off (--no-tags)" }
-    );
+    println!("model: {}", paper_model().name);
 
     match args.subcommand() {
-        Some("a") => fig7a(total_ops, &grid, csv.as_deref(), use_tags),
-        Some("b") => fig7b(total_ops, &grid, csv.as_deref(), use_tags),
+        Some("a") => fig7a(total_ops, &grid, csv.as_deref()),
+        Some("b") => fig7b(total_ops, &grid, csv.as_deref()),
         None => {
-            fig7a(total_ops, &grid, csv.as_deref(), use_tags);
-            fig7b(total_ops, &grid, csv.as_deref(), use_tags);
+            fig7a(total_ops, &grid, csv.as_deref());
+            fig7b(total_ops, &grid, csv.as_deref());
         }
         Some(other) => {
             eprintln!("unknown subcommand {other:?}; expected a or b");
@@ -77,7 +71,7 @@ fn run_slab_kv(
     (counters, wall)
 }
 
-fn fig7a(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use_tags: bool) {
+fn fig7a(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     let model = paper_model();
     let initial = total_ops; // table as large as the op stream, like Fig 7a
     let batch_size = 1 << 15;
@@ -99,9 +93,7 @@ fn fig7a(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use
         let mut roofline_last = String::new();
         for gamma in gammas() {
             let w = concurrent_workload(initial, gamma, batch_size, num_batches, 0x7A + util as u64);
-            let t = SlabHash::<KeyValue>::for_expected_elements_with_tags(
-                initial, util, 0x7A7, use_tags,
-            );
+            let t = SlabHash::<KeyValue>::for_expected_elements(initial, util, 0x7A7);
             let pairs: Vec<(u32, u32)> = w.initial_keys.iter().map(|&k| (k, k)).collect();
             t.bulk_build(&pairs, grid);
             let (counters, wall) = run_slab_kv(&t, &w.batches, grid);
@@ -121,7 +113,7 @@ fn fig7a(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use
     );
 }
 
-fn fig7b(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use_tags: bool) {
+fn fig7b(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     let model = paper_model();
     let initial = total_ops / 2;
     let batch_size = 1 << 15;
@@ -146,13 +138,10 @@ fn fig7b(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>, use
             let w = concurrent_workload(initial, gamma, batch_size, num_batches, 0x7B + gi as u64);
 
             // Slab hash, key-only, same bucket count as Misra.
-            let slab = SlabHash::<KeyOnly>::new(
-                SlabHashConfig {
-                    seed: 0x7B7,
-                    ..SlabHashConfig::with_buckets(buckets)
-                }
-                .with_tags(use_tags),
-            );
+            let slab = SlabHash::<KeyOnly>::new(SlabHashConfig {
+                seed: 0x7B7,
+                ..SlabHashConfig::with_buckets(buckets)
+            });
             slab.bulk_build_keys(&w.initial_keys, grid);
             let mut slab_counters = PerfCounters::default();
             for batch in &w.batches {

@@ -35,12 +35,6 @@
 //! `--threads N`, `--reps R` (best-of, default 5, quick 3),
 //! `--out <path>` (default `BENCH_8.json`).
 //!
-//! The `single-op` subcommand is a separate bench with its own baseline:
-//! raw one-operation-at-a-time latency/throughput with the fingerprint-tag
-//! filter on vs off, the fig4-style read-heavy bulk workload with predicted
-//! (roofline) and measured speedups side by side, and the scalar-vs-wide
-//! warp-primitive microbench. Emits `BENCH_10.json` (see [`single_op`]).
-//!
 //! On a single-core host a width-1 grid runs both dispatch strategies
 //! through the same inline path; pass `--threads 2` or more to exercise
 //! the pool. `host_threads` in the output records the machine's real
@@ -62,14 +56,6 @@ const HOT_YIELD_P: f64 = 0.2;
 
 fn main() {
     let args = Args::parse();
-    match args.subcommand() {
-        Some("single-op") => return single_op::run(&args),
-        Some(other) => {
-            eprintln!("unknown subcommand {other:?}; expected `single-op` or no subcommand");
-            std::process::exit(2);
-        }
-        None => {}
-    }
     let quick = args.flag("quick");
     let log_n: u32 = args.value("n").unwrap_or(if quick { 14 } else { 17 });
     let n = 1usize << log_n;
@@ -451,335 +437,4 @@ fn concurrent_mops_mode(
         start.elapsed().as_secs_f64()
     });
     (batch_size * num_batches) as f64 / secs / 1e6
-}
-
-/// The `perf single-op` bench: raw single-operation speed with the
-/// fingerprint-tag filter ablated on/off, plus the scalar-vs-wide warp
-/// primitive microbench. Emits `BENCH_10.json`.
-///
-/// Sections:
-/// * `single_op` — one-op-at-a-time REPLACE / SEARCH(hit) / SEARCH(miss) /
-///   DELETE through a `WarpDriver`, tagged vs untagged tables of the same
-///   geometry. The `*_mops` headlines are *modeled* (roofline) throughputs —
-///   deterministic for a sequentially built table, so the bench gate can
-///   hold them to tight tolerances; `*_ns_per_op` are host wall times.
-/// * `read_heavy` — the fig4-style bulk search-all workload, reporting the
-///   roofline prediction, the measured memory-stream ratio from the
-///   executed transaction counters, and the host wall ratio side by side.
-/// * `tag_filter` — hit/false-positive rates observed by the tagged runs.
-/// * `warp_round` — scalar-oracle vs wide bitmask cost of the warp-round
-///   primitive mix (eq-ballot, ffs, 2 tag scans, conflict census), the
-///   `simd_vs_scalar` ratio the CI smoke gates at >= 1.
-///
-/// Flags: `--quick`, `--n <log2>` (default 16, quick 13), `--reps R`,
-/// `--out <path>`. Every section runs on the sequential grid so the
-/// modeled headlines reproduce bit-for-bit.
-mod single_op {
-    use std::time::Instant;
-
-    use simt::warp::{scalar, wide};
-    use simt::{Grid, PerfCounters};
-    use slab_bench::{paper_model, queries_all_exist, queries_none_exist, random_pairs, Args};
-    use slab_hash::{KeyValue, SlabHash, WarpDriver};
-
-    use super::best_secs;
-
-    /// One single-op section: modeled throughput (deterministic headline)
-    /// and host wall time per operation, tagged vs untagged.
-    struct OpPoint {
-        sim_mops: f64,
-        ns_per_op: f64,
-        counters: PerfCounters,
-    }
-
-    /// Table utilization for every section — deliberately high (longer
-    /// chains than the paper's standard 60 %) so the tag filter faces the
-    /// chain-walk regime it exists for.
-    const UTIL: f64 = 0.85;
-
-    fn table(n: usize, tags: bool) -> SlabHash<KeyValue> {
-        SlabHash::<KeyValue>::for_expected_elements_with_tags(n, UTIL, 1, tags)
-    }
-
-    /// Measures one-at-a-time searches (hits or misses) on a pre-built
-    /// table. Counters come from a dedicated pass; timing is best-of-reps.
-    fn search_point(n: usize, pairs: &[(u32, u32)], queries: &[u32], tags: bool, reps: usize) -> OpPoint {
-        let seq = Grid::sequential();
-        let t = table(n, tags);
-        t.bulk_build(pairs, &seq);
-        let mut w = WarpDriver::new(&t);
-        w.reset_counters();
-        for &k in queries {
-            std::hint::black_box(w.search(k));
-        }
-        let counters = *w.counters();
-        let sim_mops = paper_model().ops_per_sec(&counters, t.device_bytes()) / 1e6;
-        let secs = best_secs(reps, || {
-            let start = Instant::now();
-            for &k in queries {
-                std::hint::black_box(w.search(k));
-            }
-            start.elapsed().as_secs_f64()
-        });
-        OpPoint {
-            sim_mops,
-            ns_per_op: secs * 1e9 / queries.len() as f64,
-            counters,
-        }
-    }
-
-    /// Measures one-at-a-time REPLACE builds into a fresh table (rebuilt
-    /// every rep — inserts mutate), or the DELETE pass over a fresh build.
-    fn mutate_point(n: usize, pairs: &[(u32, u32)], tags: bool, reps: usize, delete: bool) -> OpPoint {
-        let seq = Grid::sequential();
-        let mut counters = PerfCounters::default();
-        let mut sim_mops = 0.0;
-        let secs = best_secs(reps, || {
-            let t = table(n, tags);
-            if delete {
-                t.bulk_build(pairs, &seq);
-            }
-            let mut w = WarpDriver::new(&t);
-            let start = Instant::now();
-            if delete {
-                for &(k, _) in pairs {
-                    std::hint::black_box(w.delete(k));
-                }
-            } else {
-                for &(k, v) in pairs {
-                    std::hint::black_box(w.replace(k, v));
-                }
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            counters = *w.counters();
-            sim_mops = paper_model().ops_per_sec(&counters, t.device_bytes()) / 1e6;
-            elapsed
-        });
-        OpPoint {
-            sim_mops,
-            ns_per_op: secs * 1e9 / pairs.len() as f64,
-            counters,
-        }
-    }
-
-    /// The fig4-style read-heavy bulk workload: all-hit searches over a
-    /// table at [`UTIL`], tagged vs untagged. Reports the roofline
-    /// *prediction* next to the *measured* transaction stream:
-    ///
-    /// * `predicted_speedup` — modeled-throughput ratio. On the K40c
-    ///   calibration searches are **issue-bound** (one warp round per slab
-    ///   visit costs more than its 128 B of coalesced traffic), so the
-    ///   roofline honestly predicts ~1.0x: shrinking memory cannot move an
-    ///   issue bound.
-    /// * `measured_memory_speedup` — the memory-demand ratio of the two
-    ///   *executed* transaction streams (coalesced + scattered seconds from
-    ///   the run's counters). This is where the filter's win lives: it is
-    ///   the speedup realized wherever bandwidth binds — lower-end parts,
-    ///   contended mixed workloads, tables past L2.
-    /// * `host_wall_speedup` — CPU wall ratio, informational only: a 128 B
-    ///   slab is two cache lines on the host, so the byte savings the model
-    ///   counts are invisible to host timing (expected ~1.0, noisy).
-    fn read_heavy(n: usize, reps: usize) -> String {
-        let model = paper_model();
-        let seq = Grid::sequential();
-        let pairs = random_pairs(n, 0);
-        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let queries = queries_all_exist(&keys, n, 0xA11);
-        let mut sim = [0.0f64; 2];
-        let mut mem_s = [0.0f64; 2];
-        let mut wall = [0.0f64; 2];
-        for (i, tags) in [true, false].into_iter().enumerate() {
-            let t = table(n, tags);
-            t.bulk_build(&pairs, &seq);
-            // Counter pass on the sequential grid: the modeled numbers and
-            // the memory-stream ratio are then fully deterministic.
-            let (_, report) = t.bulk_search(&queries, &seq);
-            let est = model.estimate(&report.counters, t.device_bytes());
-            sim[i] = est.mops();
-            mem_s[i] = est.breakdown.coalesced_s + est.breakdown.scattered_s;
-            let secs = best_secs(reps + 4, || {
-                let start = Instant::now();
-                std::hint::black_box(t.bulk_search(&queries, &seq));
-                start.elapsed().as_secs_f64()
-            });
-            wall[i] = queries.len() as f64 / secs / 1e6;
-        }
-        let predicted = sim[0] / sim[1];
-        let measured_mem = mem_s[1] / mem_s[0].max(f64::MIN_POSITIVE);
-        let host_wall = wall[0] / wall[1];
-        println!(
-            "read-heavy bulk:  tagged {:.1} M ops/s sim / {:.1} cpu, untagged {:.1} sim / {:.1} cpu",
-            sim[0], wall[0], sim[1], wall[1]
-        );
-        println!(
-            "tag speedup:      predicted roofline {predicted:.2}x (issue-bound), measured \
-             memory-stream {measured_mem:.2}x, host wall {host_wall:.2}x (cache-line parity)"
-        );
-        format!(
-            "{{\"tagged_mops\": {:.3}, \"untagged_mops\": {:.3}, \
-             \"tagged_cpu_ns_per_op\": {:.1}, \"untagged_cpu_ns_per_op\": {:.1}, \
-             \"predicted_speedup\": {predicted:.3}, \
-             \"measured_memory_speedup\": {measured_mem:.3}, \
-             \"host_wall_speedup\": {host_wall:.3}}}",
-            sim[0],
-            sim[1],
-            1e3 / wall[0],
-            1e3 / wall[1],
-        )
-    }
-
-    /// Times `iters` warp rounds of the given primitive mix. The round is
-    /// the per-slab-visit sequence the tag-filtered ops layer issues: an
-    /// eq-ballot over the lane vector, two 32-byte tag scans (fingerprint +
-    /// WILD), the ffs leader pick, and the conflict census (`match_any`,
-    /// the `__match_any_sync` model) that groups same-key lanes. Inputs
-    /// rotate through a pool so branches see realistic key diversity.
-    fn round_ns(iters: usize, reps: usize, wide_path: bool) -> f64 {
-        const POOL: usize = 64;
-        let mut mix = 0x5EED_u64;
-        let mut next = || {
-            mix = mix.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = mix;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^ (z >> 27)
-        };
-        let lanes: Vec<[u32; 32]> = (0..POOL)
-            .map(|_| core::array::from_fn(|_| next() as u32 % 97))
-            .collect();
-        let tags: Vec<[u64; 4]> = (0..POOL)
-            .map(|_| core::array::from_fn(|_| next()))
-            .collect();
-        let targets: Vec<u32> = (0..POOL).map(|_| next() as u32 % 97).collect();
-        let needles: Vec<u8> = (0..POOL).map(|_| (next() % 254) as u8).collect();
-        let secs = best_secs(reps, || {
-            let mut acc = 0u32;
-            let start = Instant::now();
-            for i in 0..iters {
-                let p = i % POOL;
-                let (l, t) = (std::hint::black_box(&lanes[p]), std::hint::black_box(&tags[p]));
-                acc ^= if wide_path {
-                    let hits = wide::ballot_eq(l, targets[p]);
-                    let cand = wide::byte_eq_mask(t, needles[p]) | wide::byte_eq_mask(t, 0xFE);
-                    let census = wide::match_any(l);
-                    hits ^ cand
-                        ^ wide::ffs(hits | cand).unwrap_or(32) as u32
-                        ^ census[i % 32]
-                } else {
-                    let hits = scalar::ballot_eq(l, targets[p]);
-                    let cand = scalar::byte_eq_mask(t, needles[p]) | scalar::byte_eq_mask(t, 0xFE);
-                    let census = scalar::match_any(l);
-                    hits ^ cand
-                        ^ scalar::ffs(hits | cand).unwrap_or(32) as u32
-                        ^ census[i % 32]
-                };
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            std::hint::black_box(acc);
-            elapsed
-        });
-        secs * 1e9 / iters as f64
-    }
-
-    pub fn run(args: &Args) {
-        let quick = args.flag("quick");
-        let log_n: u32 = args.value("n").unwrap_or(if quick { 13 } else { 16 });
-        let n = 1usize << log_n;
-        let reps: usize = args.value("reps").unwrap_or(if quick { 3 } else { 5 });
-        let out: String = args.value("out").unwrap_or_else(|| "BENCH_10.json".into());
-        let wide_on = cfg!(feature = "wide");
-        println!(
-            "Single-op tag-filter bench: n = 2^{log_n}, best of {reps}, \
-             wide feature {}",
-            if wide_on { "on" } else { "OFF (scalar fallback)" }
-        );
-
-        let pairs = random_pairs(n, 0);
-        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let hits = queries_all_exist(&keys, n, 0x517);
-        let misses = queries_none_exist(n);
-
-        let mut sections = Vec::new();
-        let mut tagged_hit = None;
-        let mut tagged_miss = None;
-        for (name, kind) in [
-            ("search_hit", 0),
-            ("search_miss", 1),
-            ("replace", 2),
-            ("delete", 3),
-        ] {
-            let point = |tags: bool| match kind {
-                0 => search_point(n, &pairs, &hits, tags, reps),
-                1 => search_point(n, &pairs, &misses, tags, reps),
-                2 => mutate_point(n, &pairs, tags, reps, false),
-                _ => mutate_point(n, &pairs, tags, reps, true),
-            };
-            let tagged = point(true);
-            let untagged = point(false);
-            println!(
-                "{name:<12} tagged {:>7.1} M ops/s sim ({:>6.0} ns/op host), \
-                 untagged {:>7.1} sim ({:>6.0} ns/op), sim speedup {:.2}x",
-                tagged.sim_mops,
-                tagged.ns_per_op,
-                untagged.sim_mops,
-                untagged.ns_per_op,
-                tagged.sim_mops / untagged.sim_mops
-            );
-            sections.push(format!(
-                "\"{name}\": {{\"tagged_mops\": {:.3}, \"untagged_mops\": {:.3}, \
-                 \"tagged_ns_per_op\": {:.1}, \"untagged_ns_per_op\": {:.1}}}",
-                tagged.sim_mops, untagged.sim_mops, tagged.ns_per_op, untagged.ns_per_op
-            ));
-            match kind {
-                0 => tagged_hit = Some(tagged.counters),
-                1 => tagged_miss = Some(tagged.counters),
-                _ => {}
-            }
-        }
-        let (hit_c, miss_c) = (tagged_hit.unwrap(), tagged_miss.unwrap());
-        // Hit rate over the hit workload: fraction of tag-vector probes
-        // where the filter fired (candidates found). False-positive rate
-        // over the miss workload: verified-then-rejected candidates per
-        // probe (the residual traffic the 8-bit fingerprint lets through;
-        // expectation ~ live-lanes/254 per slab).
-        let tag_hit_rate = hit_c.tag_hits as f64 / hit_c.tag_reads.max(1) as f64;
-        let false_positive_rate =
-            miss_c.tag_false_positives as f64 / miss_c.tag_reads.max(1) as f64;
-        println!(
-            "tag filter:       hit rate {tag_hit_rate:.3} (hit workload), \
-             false positives/probe {false_positive_rate:.4} (miss workload)"
-        );
-
-        let read_heavy = read_heavy(n, reps);
-
-        let iters = if quick { 200_000 } else { 1_000_000 };
-        let scalar_ns = round_ns(iters, reps, false);
-        let wide_ns = round_ns(iters, reps, true);
-        let simd_vs_scalar = scalar_ns / wide_ns;
-        println!(
-            "warp round:       scalar oracle {scalar_ns:.1} ns, wide bitmask {wide_ns:.1} ns \
-             ({simd_vs_scalar:.2}x)"
-        );
-
-        let json = format!(
-            "{{\n  \
-             \"bench\": \"single_op_tag_filtered\",\n  \
-             \"issue\": 10,\n  \
-             \"n\": {n},\n  \
-             \"reps\": {reps},\n  \
-             \"wide_feature\": {wide_on},\n  \
-             \"single_op\": {{{}}},\n  \
-             \"tag_filter\": {{\"tag_hit_rate\": {tag_hit_rate:.4}, \
-             \"false_positive_rate\": {false_positive_rate:.4}, \
-             \"tag_reads_hit_workload\": {}, \"tag_reads_miss_workload\": {}}},\n  \
-             \"read_heavy\": {read_heavy},\n  \
-             \"warp_round\": {{\"scalar_ns\": {scalar_ns:.2}, \"wide_ns\": {wide_ns:.2}, \
-             \"simd_vs_scalar\": {simd_vs_scalar:.3}}}\n\
-             }}\n",
-            sections.join(", "),
-            hit_c.tag_reads,
-            miss_c.tag_reads,
-        );
-        std::fs::write(&out, json).expect("write bench json");
-        println!("wrote {out}");
-    }
 }

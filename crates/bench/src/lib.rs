@@ -49,24 +49,7 @@ pub fn build_slab_hash_at(
     grid: &Grid,
     model: &GpuModel,
 ) -> (SlabHash<KeyValue>, Measurement) {
-    build_slab_hash_ablated(pairs, utilization, grid, model, true)
-}
-
-/// [`build_slab_hash_at`] with the fingerprint-tag filter toggled — the
-/// `--no-tags` ablation path of the figure binaries.
-pub fn build_slab_hash_ablated(
-    pairs: &[(u32, u32)],
-    utilization: f64,
-    grid: &Grid,
-    model: &GpuModel,
-    use_tags: bool,
-) -> (SlabHash<KeyValue>, Measurement) {
-    let table = SlabHash::<KeyValue>::for_expected_elements_with_tags(
-        pairs.len(),
-        utilization,
-        0x5eed,
-        use_tags,
-    );
+    let table = SlabHash::<KeyValue>::for_expected_elements(pairs.len(), utilization, 0x5eed);
     let report = table.bulk_build(pairs, grid);
     let m = Measurement::from_report(&report, model, table.device_bytes());
     (table, m)

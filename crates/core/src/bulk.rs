@@ -346,10 +346,10 @@ mod tests {
             alloc.active_super_blocks(),
             alloc.allocated_slabs()
         );
-        // Committed memory is what the active super blocks hold: bitmaps,
-        // slabs and tags.
+        // Committed memory is what the active super blocks hold: bitmaps
+        // and slabs.
         let audit = t.audit().unwrap();
-        let per_super_bytes = blocks * (128 + 1024 * (128 + 32));
+        let per_super_bytes = blocks * (128 + 1024 * 128);
         assert!(audit.committed_bytes >= audit.allocator_slabs * 128);
         assert!(
             audit.committed_bytes <= u64::from(alloc.active_super_blocks()) * per_super_bytes,

@@ -253,10 +253,8 @@ mod tests {
         let mut w = WarpDriver::new(&t);
         w.replace(1, 2);
         w.search(1);
-        // The replace reads the slab coalesced; the tag-filtered search
-        // reads the tag vector instead.
-        assert!(w.counters().slab_reads >= 1);
-        assert!(w.counters().tag_reads >= 1);
+        // The replace and the search each read the slab coalesced.
+        assert!(w.counters().slab_reads >= 2);
         assert!(w.counters().ops >= 2);
         w.reset_counters();
         assert_eq!(*w.counters(), PerfCounters::default());

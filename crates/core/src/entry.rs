@@ -124,24 +124,6 @@ impl EntryLayout for KeyOnly {
     }
 }
 
-/// One-byte fingerprint of a key for the slab's tag vector, in
-/// `0x00..=0xFD` (the two top values are the [`simt::TAG_EMPTY`] /
-/// [`simt::TAG_WILD`] sentinels). Mixes all 32 key bits — the bucket hash
-/// uses the universal-hash family over the *whole* key, so the fingerprint
-/// stays usefully independent of bucket placement — then folds onto 254
-/// values. With one byte per lane a non-matching live lane passes the
-/// filter with probability ≈ 1/254 (§DESIGN.md 16 for the full math).
-#[inline]
-pub fn fingerprint(key: u32) -> u8 {
-    let mut x = key;
-    x ^= x >> 16;
-    x = x.wrapping_mul(0x7feb_352d);
-    x ^= x >> 15;
-    x = x.wrapping_mul(0x846c_a68b);
-    x ^= x >> 16;
-    (x % 254) as u8
-}
-
 /// Checks a user key against the reserved range, panicking with a clear
 /// message on misuse.
 #[inline]
@@ -215,19 +197,5 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn reserved_key_is_rejected() {
         validate_key(EMPTY_KEY);
-    }
-
-    #[test]
-    fn fingerprints_avoid_tag_sentinels_and_spread() {
-        let mut seen = [0u32; 256];
-        for k in 0..200_000u32 {
-            let fp = fingerprint(k.wrapping_mul(2_654_435_761));
-            assert!(fp < simt::TAG_WILD, "fingerprint hit a tag sentinel");
-            seen[fp as usize] += 1;
-        }
-        assert_eq!(seen[simt::TAG_EMPTY as usize], 0);
-        assert_eq!(seen[simt::TAG_WILD as usize], 0);
-        let used = seen.iter().filter(|&&c| c > 0).count();
-        assert_eq!(used, 254, "all 254 fingerprint values reachable");
     }
 }

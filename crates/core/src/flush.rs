@@ -20,9 +20,7 @@ use simt::warp::WARP_SIZE;
 use simt::{Grid, WarpCtx};
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
-use crate::entry::{
-    fingerprint, EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY,
-};
+use crate::entry::{EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
 use crate::error::TableError;
 use crate::hash_table::SlabHash;
 use crate::maintenance::RetiredSlab;
@@ -122,13 +120,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     );
                 } else {
                     loc.storage.write_lane(loc.slab, lane, k, &mut ctx.counters);
-                }
-                if self.tags_enabled() {
-                    // clear_slab above scrubbed the tag vector; republish the
-                    // fingerprint of every compacted key. Exclusive phase, so
-                    // no reader can observe the gap between key and tag.
-                    loc.storage
-                        .publish_tag(loc.slab, lane, fingerprint(k), &mut ctx.counters);
                 }
             }
             let next_ptr = if slab_i < needed_chained {

@@ -27,11 +27,6 @@ pub struct SlabHashConfig {
     /// failing with [`TableError::RetryBudgetExhausted`](crate::TableError).
     /// Defaults to [`RETRY_BUDGET`](crate::ops::RETRY_BUDGET).
     pub retry_budget: u32,
-    /// Whether the table maintains the per-slab fingerprint tag vector and
-    /// routes SEARCH / DELETE through the tag-filtered fast path (one 32 B
-    /// tag read instead of a 128 B slab read per chain hop; see DESIGN.md
-    /// §16). Defaults to `true`; disable for the no-tag ablation.
-    pub use_tags: bool,
 }
 
 impl SlabHashConfig {
@@ -41,16 +36,7 @@ impl SlabHashConfig {
             num_buckets,
             seed: 0x5eed_cafe,
             retry_budget: crate::ops::RETRY_BUDGET,
-            use_tags: true,
         }
-    }
-
-    /// Enables or disables the fingerprint tag vector (see
-    /// [`use_tags`](Self::use_tags)). The no-tag ablation of fig4/fig7 and
-    /// the transaction-count tests build tables with `with_tags(false)`.
-    pub fn with_tags(mut self, use_tags: bool) -> Self {
-        self.use_tags = use_tags;
-        self
     }
 
     /// Overrides the per-operation CAS retry budget (see
@@ -127,7 +113,6 @@ pub struct SlabHash<L: EntryLayout, A: SlabAllocator = SlabAlloc> {
     alloc: A,
     hash: UniversalHash,
     retry_budget: u32,
-    use_tags: bool,
     pub(crate) maint: crate::maintenance::MaintenanceState,
     _layout: PhantomData<fn() -> L>,
 }
@@ -160,26 +145,11 @@ impl<L: EntryLayout> SlabHash<L, SlabAlloc> {
     /// A table sized so that inserting `n` elements lands at
     /// `target_utilization` (paper §VI-A's sweep methodology).
     pub fn for_expected_elements(n: usize, target_utilization: f64, seed: u64) -> Self {
-        Self::for_expected_elements_with_tags(n, target_utilization, seed, true)
-    }
-
-    /// [`Self::for_expected_elements`] with the fingerprint-tag filter
-    /// toggled explicitly — the ablation constructor the experiment
-    /// binaries use for their `--no-tags` runs.
-    pub fn for_expected_elements_with_tags(
-        n: usize,
-        target_utilization: f64,
-        seed: u64,
-        use_tags: bool,
-    ) -> Self {
         let num_buckets = buckets_for_utilization::<L>(n, target_utilization);
-        Self::new(
-            SlabHashConfig {
-                seed,
-                ..SlabHashConfig::with_buckets(num_buckets)
-            }
-            .with_tags(use_tags),
-        )
+        Self::new(SlabHashConfig {
+            seed,
+            ..SlabHashConfig::with_buckets(num_buckets)
+        })
     }
 }
 
@@ -193,17 +163,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             alloc,
             hash: UniversalHash::new(config.seed, config.num_buckets),
             retry_budget: config.retry_budget,
-            use_tags: config.use_tags,
             maint: crate::maintenance::MaintenanceState::new(),
             _layout: PhantomData,
         }
-    }
-
-    /// Whether this table maintains (and filters through) the per-slab
-    /// fingerprint tag vector (see [`SlabHashConfig::use_tags`]).
-    #[inline]
-    pub fn tags_enabled(&self) -> bool {
-        self.use_tags
     }
 
     /// The per-operation CAS retry budget this table was built with.
@@ -261,9 +223,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// allocator has handed out (the denominator of memory utilization).
     ///
     /// This is the paper's §III-C accounting, not the footprint: it leaves
-    /// out the fingerprint-tag sidecar and every slab the allocator has
-    /// committed but not handed out. For what the allocator holds, see
-    /// [`SlabAllocator::committed_bytes`].
+    /// out every slab the allocator has committed but not handed out. For
+    /// what the allocator holds, see [`SlabAllocator::committed_bytes`].
     pub fn device_bytes(&self) -> u64 {
         (self.base.bytes() as u64) + self.alloc.allocated_slabs() * 128
     }

@@ -15,13 +15,11 @@
 
 use simt::memory::{pack_pair, unpack_pair};
 use simt::telemetry::EventKind;
-use simt::warp::{ballot, ballot_eq, byte_eq_mask, ffs, WARP_SIZE};
+use simt::warp::{ballot, ballot_eq, ffs, WARP_SIZE};
 use simt::WarpCtx;
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
-use crate::entry::{
-    fingerprint, validate_key, EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY,
-};
+use crate::entry::{validate_key, EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY};
 use crate::error::TableError;
 use crate::hash_table::SlabHash;
 
@@ -427,312 +425,296 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             // restarted from the bucket head; billed to the retry budget so
             // a wedged flusher can't induce an unbounded restart loop.
             let mut frozen_restart = false;
-            // Tag-filtered fast path (DESIGN.md §16): on a tagged table
-            // SEARCH and DELETE scan the slab's 32 B fingerprint vector
-            // instead of reading the whole 128 B slab, and touch key lanes
-            // only on a tag hit.
-            if self.tags_enabled()
-                && matches!(
-                    kinds[src_lane],
-                    OpKind::Search | OpKind::Delete | OpKind::DeleteAll
-                )
-            {
-                if let Some(result) = self.tag_round(
-                    ctx,
-                    kinds[src_lane],
-                    src_bucket,
-                    src_key,
-                    &mut next,
-                    &mut deleted_count[src_lane],
-                ) {
-                    finish(reqs, &mut active, ctx, retries[src_lane], result);
+            let read_data = self.read_slab(src_bucket, next, ctx);
+            match kinds[src_lane] {
+                OpKind::Search => {
+                    let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
+                    if let Some(lane) = ffs(found) {
+                        let value = read_data[L::value_lane(lane)];
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(value));
+                    } else if at_end(read_data[ADDRESS_LANE]) {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
+                    } else {
+                        next = read_data[ADDRESS_LANE];
+                    }
                 }
-            } else {
-                let read_data = self.read_slab(src_bucket, next, ctx);
-                match kinds[src_lane] {
-                    OpKind::Search => {
-                        let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                        if let Some(lane) = ffs(found) {
-                            let value = read_data[L::value_lane(lane)];
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(value));
-                        } else if at_end(read_data[ADDRESS_LANE]) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
-                        } else {
-                            next = read_data[ADDRESS_LANE];
-                        }
-                    }
 
-                    OpKind::SearchAll => {
-                        let mut found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                        while let Some(lane) = ffs(found) {
-                            found_all[src_lane].push(read_data[L::value_lane(lane)]);
-                            found &= !(1 << lane);
-                        }
-                        if at_end(read_data[ADDRESS_LANE]) {
-                            let values = std::mem::take(&mut found_all[src_lane]);
-                            let result = if values.is_empty() {
-                                OpResult::NotFound
-                            } else {
-                                OpResult::FoundAll(values)
-                            };
+                OpKind::SearchAll => {
+                    let mut found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
+                    while let Some(lane) = ffs(found) {
+                        found_all[src_lane].push(read_data[L::value_lane(lane)]);
+                        found &= !(1 << lane);
+                    }
+                    if at_end(read_data[ADDRESS_LANE]) {
+                        let values = std::mem::take(&mut found_all[src_lane]);
+                        let result = if values.is_empty() {
+                            OpResult::NotFound
+                        } else {
+                            OpResult::FoundAll(values)
+                        };
+                        finish(reqs, &mut active, ctx, retries[src_lane],result);
+                    } else {
+                        next = read_data[ADDRESS_LANE];
+                    }
+                }
+
+                OpKind::Replace => {
+                    // "dest_lane ← ffs(ballot(read_data == EMPTY ||
+                    //                         read_data == myKey))"
+                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
+                        | ballot_eq(&read_data, src_key))
+                        & L::KEY_LANES;
+                    if let Some(dest) = ffs(candidates) {
+                        if let Some(result) = self.try_claim_slot(
+                            ctx,
+                            src_bucket,
+                            next,
+                            dest,
+                            &read_data,
+                            src_key,
+                            values[src_lane],
+                            /* reuse_deleted = */ false,
+                        ) {
                             finish(reqs, &mut active, ctx, retries[src_lane],result);
-                        } else {
-                            next = read_data[ADDRESS_LANE];
                         }
+                        // CAS lost: retry — re-read the same slab next round.
+                    } else if let Err(e) =
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                    {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
                     }
+                }
 
-                    OpKind::Replace => {
-                        // "dest_lane ← ffs(ballot(read_data == EMPTY ||
-                        //                         read_data == myKey))"
-                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                            | ballot_eq(&read_data, src_key))
-                            & L::KEY_LANES;
-                        if let Some(dest) = ffs(candidates) {
-                            if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ false,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],result);
-                            }
-                            // CAS lost: retry — re-read the same slab next round.
-                        } else if let Err(e) =
-                            self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                        {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                        }
-                    }
-
-                    OpKind::ReplaceStrict => {
-                        if !strict_inserting[src_lane] {
-                            // Phase 1: scan the entire list for the key.
-                            let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                            if let Some(dest) = ffs(found) {
-                                if let Some(result) = self.try_claim_slot(
-                                    ctx,
-                                    src_bucket,
-                                    next,
-                                    dest,
-                                    &read_data,
-                                    src_key,
-                                    values[src_lane],
-                                    /* reuse_deleted = */ false,
-                                ) {
-                                    finish(reqs, &mut active, ctx, retries[src_lane],result);
-                                }
-                                // CAS lost: re-read this slab and retry the scan.
-                            } else if at_end(read_data[ADDRESS_LANE]) {
-                                // Key nowhere in the list: switch to inserting
-                                // "starting from the tail" — we are at the tail.
-                                strict_inserting[src_lane] = true;
-                            } else {
-                                next = read_data[ADDRESS_LANE];
-                            }
-                        } else {
-                            // Phase 2: INSERT from the tail into an empty slot.
-                            let candidates = ballot_eq(&read_data, EMPTY_KEY) & L::KEY_LANES;
-                            if let Some(dest) = ffs(candidates) {
-                                if let Some(result) = self.try_claim_slot(
-                                    ctx,
-                                    src_bucket,
-                                    next,
-                                    dest,
-                                    &read_data,
-                                    src_key,
-                                    values[src_lane],
-                                    /* reuse_deleted = */ false,
-                                ) {
-                                    finish(reqs, &mut active, ctx, retries[src_lane],result);
-                                }
-                            } else if let Err(e) = self.follow_or_allocate(
-                                ctx,
-                                alloc_state,
-                                src_bucket,
-                                &mut next,
-                                &read_data,
-                                &mut frozen_restart,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                            }
-                        }
-                    }
-
-                    OpKind::Insert => {
-                        // Duplicates allowed: any empty *or tombstoned* slot will
-                        // do ("later insertions can potentially find these empty
-                        // spots down the list and insert new items in them").
-                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                            | ballot_eq(&read_data, DELETED_KEY))
-                            & L::KEY_LANES;
-                        if let Some(dest) = ffs(candidates) {
-                            if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ true,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],result);
-                            }
-                        } else if let Err(e) =
-                            self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                        {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                        }
-                    }
-
-                    OpKind::InsertTail => {
-                        // §III-C extension: like INSERT, but from the base slab
-                        // jump straight to the tail hint stored in its aux lane
-                        // (skipping full middle slabs and any reusable
-                        // tombstones there).
-                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                            | ballot_eq(&read_data, DELETED_KEY))
-                            & L::KEY_LANES;
-                        if let Some(dest) = ffs(candidates) {
-                            if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ true,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],result);
-                            }
-                        } else if next == BASE_SLAB
-                            && slab_alloc::is_allocated_ptr(read_data[crate::entry::AUX_LANE])
-                        {
-                            // Shuffle the tail hint from the aux lane and jump.
-                            next = read_data[crate::entry::AUX_LANE];
-                        } else if let Err(e) =
-                            self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                        {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                        }
-                    }
-
-                    OpKind::TryInsert => {
-                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                            | ballot_eq(&read_data, src_key))
-                            & L::KEY_LANES;
-                        if let Some(dest) = ffs(candidates) {
-                            if read_data[dest] == src_key {
-                                // Already present: report, never overwrite.
-                                let existing = read_data[L::value_lane(dest)];
-                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(existing));
-                            } else if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ false,
-                            ) {
-                                // A concurrent same-key insert racing into the
-                                // same slot surfaces as Replaced (key-only
-                                // layout); for TryInsert that means "already
-                                // present".
-                                let mapped = match result {
-                                    OpResult::Replaced(v) => OpResult::Found(v),
-                                    other => other,
-                                };
-                                finish(reqs, &mut active, ctx, retries[src_lane],mapped);
-                            }
-                            // CAS lost: re-read and retry.
-                        } else if let Err(e) =
-                            self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                        {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                        }
-                    }
-
-                    OpKind::CompareExchange => {
-                        assert!(
-                            L::HAS_VALUES,
-                            "CompareExchange requires the key-value layout"
-                        );
+                OpKind::ReplaceStrict => {
+                    if !strict_inserting[src_lane] {
+                        // Phase 1: scan the entire list for the key.
                         let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
                         if let Some(dest) = ffs(found) {
-                            let observed = read_data[L::value_lane(dest)];
-                            if observed != expecteds[src_lane] {
-                                // Comparand mismatch: fail with the actual value.
-                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(observed));
-                            } else if simt::chaos::should_fail_cas() {
-                                // Injected loss: treated as a race, re-evaluated
-                                // next round.
+                            if let Some(result) = self.try_claim_slot(
+                                ctx,
+                                src_bucket,
+                                next,
+                                dest,
+                                &read_data,
+                                src_key,
+                                values[src_lane],
+                                /* reuse_deleted = */ false,
+                            ) {
+                                finish(reqs, &mut active, ctx, retries[src_lane],result);
+                            }
+                            // CAS lost: re-read this slab and retry the scan.
+                        } else if at_end(read_data[ADDRESS_LANE]) {
+                            // Key nowhere in the list: switch to inserting
+                            // "starting from the tail" — we are at the tail.
+                            strict_inserting[src_lane] = true;
+                        } else {
+                            next = read_data[ADDRESS_LANE];
+                        }
+                    } else {
+                        // Phase 2: INSERT from the tail into an empty slot.
+                        // A concurrent inserter of the same key may have
+                        // landed in the tail since the scan passed it, so
+                        // the key's own lane is a candidate too (then this
+                        // is a replace), exactly as in the fast path.
+                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
+                            | ballot_eq(&read_data, src_key))
+                            & L::KEY_LANES;
+                        if let Some(dest) = ffs(candidates) {
+                            if let Some(result) = self.try_claim_slot(
+                                ctx,
+                                src_bucket,
+                                next,
+                                dest,
+                                &read_data,
+                                src_key,
+                                values[src_lane],
+                                /* reuse_deleted = */ false,
+                            ) {
+                                finish(reqs, &mut active, ctx, retries[src_lane],result);
+                            }
+                        } else if let Err(e) = self.follow_or_allocate(
+                            ctx,
+                            alloc_state,
+                            src_bucket,
+                            &mut next,
+                            &read_data,
+                            &mut frozen_restart,
+                        ) {
+                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                        }
+                    }
+                }
+
+                OpKind::Insert => {
+                    // Duplicates allowed: any empty *or tombstoned* slot will
+                    // do ("later insertions can potentially find these empty
+                    // spots down the list and insert new items in them").
+                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
+                        | ballot_eq(&read_data, DELETED_KEY))
+                        & L::KEY_LANES;
+                    if let Some(dest) = ffs(candidates) {
+                        if let Some(result) = self.try_claim_slot(
+                            ctx,
+                            src_bucket,
+                            next,
+                            dest,
+                            &read_data,
+                            src_key,
+                            values[src_lane],
+                            /* reuse_deleted = */ true,
+                        ) {
+                            finish(reqs, &mut active, ctx, retries[src_lane],result);
+                        }
+                    } else if let Err(e) =
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                    {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                    }
+                }
+
+                OpKind::InsertTail => {
+                    // §III-C extension: like INSERT, but from the base slab
+                    // jump straight to the tail hint stored in its aux lane
+                    // (skipping full middle slabs and any reusable
+                    // tombstones there).
+                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
+                        | ballot_eq(&read_data, DELETED_KEY))
+                        & L::KEY_LANES;
+                    if let Some(dest) = ffs(candidates) {
+                        if let Some(result) = self.try_claim_slot(
+                            ctx,
+                            src_bucket,
+                            next,
+                            dest,
+                            &read_data,
+                            src_key,
+                            values[src_lane],
+                            /* reuse_deleted = */ true,
+                        ) {
+                            finish(reqs, &mut active, ctx, retries[src_lane],result);
+                        }
+                    } else if next == BASE_SLAB
+                        && slab_alloc::is_allocated_ptr(read_data[crate::entry::AUX_LANE])
+                    {
+                        // Shuffle the tail hint from the aux lane and jump.
+                        next = read_data[crate::entry::AUX_LANE];
+                    } else if let Err(e) =
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                    {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                    }
+                }
+
+                OpKind::TryInsert => {
+                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
+                        | ballot_eq(&read_data, src_key))
+                        & L::KEY_LANES;
+                    if let Some(dest) = ffs(candidates) {
+                        if read_data[dest] == src_key {
+                            // Already present: report, never overwrite.
+                            let existing = read_data[L::value_lane(dest)];
+                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(existing));
+                        } else if let Some(result) = self.try_claim_slot(
+                            ctx,
+                            src_bucket,
+                            next,
+                            dest,
+                            &read_data,
+                            src_key,
+                            values[src_lane],
+                            /* reuse_deleted = */ false,
+                        ) {
+                            // A concurrent same-key insert racing into the
+                            // same slot surfaces as Replaced (key-only
+                            // layout); for TryInsert that means "already
+                            // present".
+                            let mapped = match result {
+                                OpResult::Replaced(v) => OpResult::Found(v),
+                                other => other,
+                            };
+                            finish(reqs, &mut active, ctx, retries[src_lane],mapped);
+                        }
+                        // CAS lost: re-read and retry.
+                    } else if let Err(e) =
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                    {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                    }
+                }
+
+                OpKind::CompareExchange => {
+                    assert!(
+                        L::HAS_VALUES,
+                        "CompareExchange requires the key-value layout"
+                    );
+                    let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
+                    if let Some(dest) = ffs(found) {
+                        let observed = read_data[L::value_lane(dest)];
+                        if observed != expecteds[src_lane] {
+                            // Comparand mismatch: fail with the actual value.
+                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(observed));
+                        } else if simt::chaos::should_fail_cas() {
+                            // Injected loss: treated as a race, re-evaluated
+                            // next round.
+                            ctx.counters.cas_failures += 1;
+                        } else {
+                            let loc = self.slab_loc(src_bucket, next, ctx);
+                            let expected_pair = pack_pair(src_key, observed);
+                            let desired = pack_pair(src_key, values[src_lane]);
+                            let old = loc.storage.cas_pair(
+                                loc.slab,
+                                dest / 2,
+                                expected_pair,
+                                desired,
+                                &mut ctx.counters,
+                            );
+                            if old == expected_pair {
+                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Replaced(observed));
+                            } else {
+                                // Raced: re-read and re-evaluate the comparand.
                                 ctx.counters.cas_failures += 1;
-                            } else {
-                                let loc = self.slab_loc(src_bucket, next, ctx);
-                                let expected_pair = pack_pair(src_key, observed);
-                                let desired = pack_pair(src_key, values[src_lane]);
-                                let old = loc.storage.cas_pair(
-                                    loc.slab,
-                                    dest / 2,
-                                    expected_pair,
-                                    desired,
-                                    &mut ctx.counters,
-                                );
-                                if old == expected_pair {
-                                    finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Replaced(observed));
-                                } else {
-                                    // Raced: re-read and re-evaluate the comparand.
-                                    ctx.counters.cas_failures += 1;
-                                }
                             }
-                        } else if at_end(read_data[ADDRESS_LANE]) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
-                        } else {
-                            next = read_data[ADDRESS_LANE];
                         }
+                    } else if at_end(read_data[ADDRESS_LANE]) {
+                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
+                    } else {
+                        next = read_data[ADDRESS_LANE];
                     }
-
-                    OpKind::Delete | OpKind::DeleteAll => {
-                        let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                        if let Some(dest) = ffs(found) {
-                            if let Some(old_value) = self.try_tombstone(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                read_data[L::value_lane(dest)],
-                                src_key,
-                            ) {
-                                if kinds[src_lane] == OpKind::Delete {
-                                    finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Deleted(old_value));
-                                } else {
-                                    deleted_count[src_lane] += 1;
-                                    // Re-read this slab: more matches may remain.
-                                }
-                            }
-                            // CAS lost: re-read and retry.
-                        } else if at_end(read_data[ADDRESS_LANE]) {
-                            // End of list: "the operation terminates successfully".
-                            let result = if kinds[src_lane] == OpKind::Delete {
-                                OpResult::NotFound
-                            } else {
-                                OpResult::DeletedCount(deleted_count[src_lane])
-                            };
-                            finish(reqs, &mut active, ctx, retries[src_lane],result);
-                        } else {
-                            next = read_data[ADDRESS_LANE];
-                        }
-                    }
-
-                    OpKind::None => unreachable!("idle lanes never enter the work queue"),
                 }
+
+                OpKind::Delete | OpKind::DeleteAll => {
+                    let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
+                    if let Some(dest) = ffs(found) {
+                        if let Some(old_value) = self.try_tombstone(
+                            ctx,
+                            src_bucket,
+                            next,
+                            dest,
+                            read_data[L::value_lane(dest)],
+                            src_key,
+                        ) {
+                            if kinds[src_lane] == OpKind::Delete {
+                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Deleted(old_value));
+                            } else {
+                                deleted_count[src_lane] += 1;
+                                // Re-read this slab: more matches may remain.
+                            }
+                        }
+                        // CAS lost: re-read and retry.
+                    } else if at_end(read_data[ADDRESS_LANE]) {
+                        // End of list: "the operation terminates successfully".
+                        let result = if kinds[src_lane] == OpKind::Delete {
+                            OpResult::NotFound
+                        } else {
+                            OpResult::DeletedCount(deleted_count[src_lane])
+                        };
+                        finish(reqs, &mut active, ctx, retries[src_lane],result);
+                    } else {
+                        next = read_data[ADDRESS_LANE];
+                    }
+                }
+
+                OpKind::None => unreachable!("idle lanes never enter the work queue"),
             }
 
             // One slab-chain hop was taken this round on behalf of the
@@ -769,92 +751,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         }
     }
 
-    /// One tag-filtered round of SEARCH / DELETE / DELETEALL on the slab at
-    /// (bucket, `*next`): read the 32 B tag vector, build the candidate-lane
-    /// mask with one O(1) byte compare per needle, and verify candidates
-    /// through 32 B pair sectors — the whole 128 B slab is never read.
-    ///
-    /// Returns the finished result; `None` means the traversal continues
-    /// (chain hop applied to `*next`, or same-slab re-read after a lost
-    /// tombstone CAS / a DELETEALL match).
-    fn tag_round(
-        &self,
-        ctx: &mut WarpCtx,
-        kind: OpKind,
-        bucket: u32,
-        key: u32,
-        next: &mut u32,
-        deleted_count: &mut u32,
-    ) -> Option<OpResult> {
-        // Resolve the slab address once per visit (one shared-memory
-        // lookup, like the full-slab path); the tag scan, candidate
-        // verifies, and link read all reuse it.
-        let loc = self.slab_loc(bucket, *next, ctx);
-        let tags = loc.storage.read_tags(loc.slab, &mut ctx.counters);
-        // Wildcarded lanes absorbed conflicting fingerprints; they must
-        // always be verified.
-        let mut candidates = (byte_eq_mask(&tags, fingerprint(key))
-            | byte_eq_mask(&tags, simt::TAG_WILD))
-            & L::KEY_LANES;
-        if candidates != 0 {
-            ctx.counters.tag_hits += 1;
-        }
-        while let Some(lane) = ffs(candidates) {
-            candidates &= !(1 << lane);
-            let pair = loc.storage.read_pair(loc.slab, lane / 2, &mut ctx.counters);
-            let (lo, hi) = unpack_pair(pair);
-            let observed_key = if lane % 2 == 0 { lo } else { hi };
-            if observed_key != key {
-                // Fingerprint collision, or the tag of a tombstoned /
-                // not-yet-visible key: the key lane disagrees.
-                ctx.counters.tag_false_positives += 1;
-                continue;
-            }
-            // Key-value keys sit on even lanes, so `hi` is the sibling
-            // value; key-only values are the key itself.
-            let observed_value = if L::HAS_VALUES { hi } else { observed_key };
-            match kind {
-                OpKind::Search => return Some(OpResult::Found(observed_value)),
-                OpKind::Delete | OpKind::DeleteAll => {
-                    return match self.try_tombstone(
-                        ctx,
-                        bucket,
-                        *next,
-                        lane,
-                        observed_value,
-                        key,
-                    ) {
-                        Some(old) if kind == OpKind::Delete => Some(OpResult::Deleted(old)),
-                        Some(_) => {
-                            *deleted_count += 1;
-                            // Re-scan this slab: more instances may remain.
-                            None
-                        }
-                        // Lost the CAS: re-read this slab next round.
-                        None => None,
-                    };
-                }
-                _ => unreachable!("tag rounds serve search/delete only"),
-            }
-        }
-        // No verified match in this slab: follow the chain through the
-        // address lane's 32 B sector instead of a full slab read.
-        let link_pair = loc
-            .storage
-            .read_pair(loc.slab, ADDRESS_LANE / 2, &mut ctx.counters);
-        let link = unpack_pair(link_pair).1;
-        if at_end(link) {
-            Some(match kind {
-                OpKind::Delete | OpKind::Search => OpResult::NotFound,
-                OpKind::DeleteAll => OpResult::DeletedCount(*deleted_count),
-                _ => unreachable!("tag rounds serve search/delete only"),
-            })
-        } else {
-            *next = link;
-            None
-        }
-    }
-
     /// The source lane's insertion CAS into `dest` of the slab at
     /// (bucket, ptr). Returns the finished result, or `None` when the CAS
     /// lost and the operation must retry.
@@ -887,14 +783,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 || (reuse_deleted && observed_key == DELETED_KEY)
         );
         let loc = self.slab_loc(bucket, ptr, ctx);
-        if self.tags_enabled() {
-            // Publish the fingerprint BEFORE the key CAS: a tag can then only
-            // be missing for a key that is not yet visible, so the tag filter
-            // produces false positives, never false negatives. Re-publishing
-            // an already-set tag is a no-op (the tag lattice is monotone).
-            loc.storage
-                .publish_tag(loc.slab, dest, fingerprint(key), &mut ctx.counters);
-        }
         if L::HAS_VALUES {
             let observed_value = read_data[L::value_lane(dest)];
             let expected = pack_pair(observed_key, observed_value);
@@ -1308,33 +1196,16 @@ mod tests {
 
     #[test]
     fn search_transaction_count_single_slab() {
-        // Paper accounting (tags off): a hit in the base slab costs exactly
-        // one coalesced slab read.
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(8).with_tags(false));
-        let mut w = WarpDriver::new(&t);
-        w.replace(1, 5);
-        w.reset_counters();
-        w.search(1);
-        assert_eq!(w.counters().slab_reads, 1);
-        assert_eq!(w.counters().tag_reads, 0, "no tag traffic with tags off");
-        assert_eq!(w.counters().atomics, 0);
-        assert_eq!(w.counters().warp_rounds, 1);
-    }
-
-    #[test]
-    fn tag_filtered_search_transaction_count_single_slab() {
-        // Tagged accounting (DESIGN.md §16): the same hit costs one 32 B tag
-        // read plus one 32 B pair sector to verify the candidate — the
-        // 128 B slab is never read.
+        // Paper accounting (§IV): on a default table a hit in the base slab
+        // costs exactly one coalesced 128 B slab read and nothing else.
         let t = kv_table(8);
         let mut w = WarpDriver::new(&t);
         w.replace(1, 5);
         w.reset_counters();
         assert_eq!(w.search(1), Some(5));
-        assert_eq!(w.counters().slab_reads, 0, "tag path skips the slab read");
-        assert_eq!(w.counters().tag_reads, 1);
-        assert_eq!(w.counters().tag_hits, 1);
-        assert_eq!(w.counters().sector_reads, 1, "one pair verify");
+        assert_eq!(w.counters().slab_reads, 1);
+        assert_eq!(w.counters().tag_reads, 0, "no tag vector to read");
+        assert_eq!(w.counters().sector_reads, 0);
         assert_eq!(w.counters().atomics, 0);
         assert_eq!(w.counters().warp_rounds, 1);
     }
@@ -1353,41 +1224,17 @@ mod tests {
 
     #[test]
     fn unsuccessful_search_walks_whole_chain() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1).with_tags(false));
-        let mut w = WarpDriver::new(&t);
-        for k in 0..45 {
-            w.replace(k, k); // 3 slabs
-        }
-        w.reset_counters();
-        w.search(999);
-        assert_eq!(
-            w.counters().slab_reads,
-            t.bucket_slab_count(0) as u64,
-            "a miss reads every slab in the chain"
-        );
-    }
-
-    #[test]
-    fn tag_filtered_miss_reads_tags_not_slabs() {
         let t = kv_table(1);
         let mut w = WarpDriver::new(&t);
         for k in 0..45 {
             w.replace(k, k); // 3 slabs
         }
-        let chain = t.bucket_slab_count(0) as u64;
         w.reset_counters();
         assert_eq!(w.search(999), None);
-        assert_eq!(w.counters().slab_reads, 0);
         assert_eq!(
-            w.counters().tag_reads,
-            chain,
-            "a tagged miss reads one 32 B tag vector per chain slab"
-        );
-        // Per slab: the link sector, plus one verify per false positive.
-        assert_eq!(
-            w.counters().sector_reads,
-            chain + w.counters().tag_false_positives,
-            "link hops + false-positive verifies only"
+            w.counters().slab_reads,
+            t.bucket_slab_count(0) as u64,
+            "a miss reads every slab in the chain"
         );
     }
 

@@ -13,7 +13,7 @@
 use simt::WarpCtx;
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
-use crate::entry::{fingerprint, validate_key, EntryLayout, ADDRESS_LANE, EMPTY_KEY};
+use crate::entry::{validate_key, EntryLayout, ADDRESS_LANE, EMPTY_KEY};
 use crate::error::TableError;
 use crate::hash_table::SlabHash;
 use crate::ops::{OpKind, OpResult, Request};
@@ -112,12 +112,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     }
                     let loc = self.slab_loc(bucket, ptr, ctx);
                     ctx.counters.divergent_steps += 1;
-                    if self.tags_enabled() {
-                        // Same tag-before-CAS protocol as the warp path, so
-                        // per-thread inserts keep the tag filter sound.
-                        loc.storage
-                            .publish_tag(loc.slab, lane, fingerprint(key), &mut ctx.counters);
-                    }
                     if L::HAS_VALUES {
                         let observed_value =
                             loc.storage
@@ -310,9 +304,8 @@ mod tests {
         let mut searches2: Vec<Request> = (0..32).map(Request::search).collect();
         t.process_warp(&mut ctx2, &mut st2, &mut searches2);
         assert_eq!(ctx2.counters.divergent_steps, 0);
-        // Coalesced traffic: whole slabs, or 32 B tag vectors on the
-        // tag-filtered search path.
-        assert!(ctx2.counters.slab_reads + ctx2.counters.tag_reads > 0);
+        // Coalesced traffic: whole slabs.
+        assert!(ctx2.counters.slab_reads > 0);
         // Same answers either way.
         for (a, b) in searches.iter().zip(&searches2) {
             assert_eq!(a.result, b.result);

@@ -11,9 +11,7 @@ use simt::telemetry::{BucketStat, Heatmap, Trace};
 use simt::WarpCtx;
 use slab_alloc::{is_allocated_ptr, SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
-use crate::entry::{
-    fingerprint, EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY,
-};
+use crate::entry::{EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
 use crate::hash_table::SlabHash;
 
 /// Summary of a structural audit (see [`SlabHash::audit`]).
@@ -30,7 +28,7 @@ pub struct AuditReport {
     pub allocator_slabs: u64,
     /// Bytes the allocator has committed
     /// ([`SlabAllocator::committed_bytes`]): every materialized slab, handed
-    /// out or not, with tags and bitmaps. The memory the chains actually
+    /// out or not, with bitmaps. The memory the chains actually
     /// cost, where `allocator_slabs` counts only what they use.
     pub committed_bytes: u64,
     /// Longest bucket chain (in slabs, counting the base slab).
@@ -44,14 +42,6 @@ pub struct AuditReport {
     pub retired_slabs: u64,
     /// Double frees the allocator refused (host-side total).
     pub double_frees: u64,
-    /// Live key lanes whose fingerprint tag was recomputed and compared
-    /// during the walk (zero on a table built with `use_tags = false`).
-    pub tag_lanes_checked: u64,
-    /// Live key lanes whose stored tag is neither the key's fingerprint nor
-    /// the wildcard — each one is a potential tag-filter false *negative*
-    /// (a searchable key the fast path could miss). Must be zero; the
-    /// tag-before-CAS publish protocol makes any other value a bug.
-    pub tag_mismatches: u64,
     /// Per-bucket occupancy observed during the walk, in bucket order.
     /// Feeds [`SlabHash::contention_heatmap`].
     pub bucket_stats: Vec<BucketStat>,
@@ -64,10 +54,10 @@ impl AuditReport {
         self.chained_slabs + self.retired_slabs == self.allocator_slabs
     }
 
-    /// True when every live key's stored tag is its fingerprint or the
-    /// wildcard (vacuously true with tags disabled).
+    /// Always true: slabs carry no fingerprint tags (DESIGN.md §16). Kept
+    /// because the benchmark's kernel audit calls it.
     pub fn tags_consistent(&self) -> bool {
-        self.tag_mismatches == 0
+        true
     }
 }
 
@@ -178,8 +168,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let mut tombstones = 0u64;
         let mut frozen = 0u64;
         let mut chained = 0u64;
-        let mut tag_lanes_checked = 0u64;
-        let mut tag_mismatches = 0u64;
         let mut max_chain = 0usize;
         let mut bucket_stats = Vec::with_capacity(self.num_buckets() as usize);
         for b in 0..self.num_buckets() {
@@ -210,31 +198,12 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 } else {
                     base_aux = data[AUX_LANE];
                 }
-                // Tag integrity: every live key's stored tag must be its
-                // recomputed fingerprint or the wildcard. Safe against
-                // concurrent traffic: tags publish before the key CAS and
-                // only ever ascend the fp → wildcard lattice, so a key seen
-                // in `data` already carries a covering tag.
-                let mut tag_ctx = WarpCtx::for_test(usize::MAX);
-                let tag_loc = self
-                    .tags_enabled()
-                    .then(|| self.slab_loc(b, ptr, &mut tag_ctx));
                 for e in 0..L::ELEMS_PER_SLAB as usize {
-                    let lane = L::key_lane(e);
-                    match data[lane] {
+                    match data[L::key_lane(e)] {
                         EMPTY_KEY => {}
                         DELETED_KEY => bucket_tombstones += 1,
                         FROZEN_KEY => frozen += 1,
-                        k => {
-                            bucket_live += 1;
-                            if let Some(loc) = &tag_loc {
-                                tag_lanes_checked += 1;
-                                let tag = loc.storage.peek_tag(loc.slab, lane);
-                                if tag != fingerprint(k) && tag != simt::TAG_WILD {
-                                    tag_mismatches += 1;
-                                }
-                            }
-                        }
+                        _ => bucket_live += 1,
                     }
                 }
             });
@@ -268,8 +237,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             frozen_lanes: frozen,
             retired_slabs: self.retired_slab_count(),
             double_frees: self.allocator().double_frees(),
-            tag_lanes_checked,
-            tag_mismatches,
             bucket_stats,
         })
     }

@@ -79,7 +79,7 @@ pub(crate) struct IngressMetrics {
     pub alloc_allocated: GaugeMetric,
     /// Allocator capacity in slabs (moves when the allocator grows).
     pub alloc_capacity: GaugeMetric,
-    /// Bytes the allocator has committed (materialized slabs, tags and
+    /// Bytes the allocator has committed (materialized slabs and
     /// bitmaps; moves when the allocator grows).
     pub alloc_committed: GaugeMetric,
     /// Executor-pool workers still alive.
@@ -205,7 +205,7 @@ impl IngressMetrics {
             ),
             alloc_committed: registry.gauge(
                 "slab_alloc_committed_bytes",
-                "Allocator bytes committed: materialized slabs, tags and bitmaps",
+                "Allocator bytes committed: materialized slabs and bitmaps",
             ),
             pool_workers_alive: registry.gauge(
                 "slab_pool_workers_alive",

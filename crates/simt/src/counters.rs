@@ -67,19 +67,10 @@ pub struct PerfCounters {
     /// Circuit-breaker transitions into the open state (each one is a
     /// sustained-failure episode, not a single failed request).
     pub breaker_open: u64,
-    /// Coalesced 32-byte reads of a slab's fingerprint-tag vector (the tag
-    /// filter's probe: one quarter of a 128 B slab transaction).
+    /// Always 0: nothing in the workspace reads a per-slab tag vector any
+    /// more (DESIGN.md §16). Kept because the benchmark's
+    /// `slab.tag_reads_per_op` reads it.
     pub tag_reads: u64,
-    /// Scattered 32-byte tag-byte publishes (monotone tag CAS on insert and
-    /// tag rebuilds during flush).
-    pub tag_writes: u64,
-    /// Tag probes that produced at least one candidate lane (the filter let
-    /// the op touch key lanes). `tag_hits / tag_reads` is the tag hit rate.
-    pub tag_hits: u64,
-    /// Candidate lanes whose key verification failed — fingerprint
-    /// collisions and stale tags of deleted keys. Extra 32 B reads, never
-    /// missed keys.
-    pub tag_false_positives: u64,
 }
 
 impl PerfCounters {
@@ -111,9 +102,6 @@ impl PerfCounters {
             timed_out,
             breaker_open,
             tag_reads,
-            tag_writes,
-            tag_hits,
-            tag_false_positives,
         } = *other;
         self.slab_reads += slab_reads;
         self.sector_reads += sector_reads;
@@ -135,9 +123,6 @@ impl PerfCounters {
         self.timed_out += timed_out;
         self.breaker_open += breaker_open;
         self.tag_reads += tag_reads;
-        self.tag_writes += tag_writes;
-        self.tag_hits += tag_hits;
-        self.tag_false_positives += tag_false_positives;
     }
 
     /// Total bytes moved through the memory system under the transaction
@@ -148,9 +133,7 @@ impl PerfCounters {
             + (self.sector_reads
                 + self.sector_writes
                 + self.atomics
-                + self.atomic_exchanges
-                + self.tag_reads
-                + self.tag_writes)
+                + self.atomic_exchanges)
                 * 32
     }
 
@@ -162,8 +145,6 @@ impl PerfCounters {
             + self.sector_writes
             + self.atomics
             + self.atomic_exchanges
-            + self.tag_reads
-            + self.tag_writes
     }
 
     /// Average coalesced slab reads per retired operation.
@@ -230,9 +211,6 @@ mod tests {
             timed_out: 18,
             breaker_open: 19,
             tag_reads: 20,
-            tag_writes: 21,
-            tag_hits: 22,
-            tag_false_positives: 23,
         };
         let doubled = a + a;
         // Exhaustive by construction: both the input literal above and this
@@ -260,9 +238,6 @@ mod tests {
             timed_out: 36,
             breaker_open: 38,
             tag_reads: 40,
-            tag_writes: 42,
-            tag_hits: 44,
-            tag_false_positives: 46,
         };
         assert_eq!(doubled, expected);
     }
@@ -278,13 +253,6 @@ mod tests {
         };
         assert_eq!(c.bytes_moved(), 2 * 128 + 3 * 32);
         assert_eq!(c.transactions(), 5);
-        let t = PerfCounters {
-            tag_reads: 3,
-            tag_writes: 2,
-            ..Default::default()
-        };
-        assert_eq!(t.bytes_moved(), 5 * 32);
-        assert_eq!(t.transactions(), 5);
     }
 
     #[test]

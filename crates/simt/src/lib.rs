@@ -9,9 +9,8 @@
 //! pseudocode:
 //!
 //! * [`warp`] — lockstep lane state with `ballot` / `shfl` / `ffs` /
-//!   `match_any`, each in two bit-identical flavors: a scalar per-lane
-//!   oracle and branchless u64/u32 bitmask arithmetic (default `wide`
-//!   feature);
+//!   `match_any` as branchless u32 bitmask arithmetic, property-tested
+//!   against a scalar per-lane oracle;
 //! * [`memory`] — device global memory as 128-byte slabs of atomic words
 //!   with 32-/64-bit `atomicCAS`;
 //! * [`grid`] — a warp scheduler that runs simulated warps concurrently
@@ -66,7 +65,4 @@ pub use pool::PoolStats;
 pub use memory::{pack_pair, unpack_pair, SlabStorage, SLAB_BYTES, WORDS_PER_SLAB};
 pub use shard::{ShardMap, ShardPlan};
 pub use model::{GpuEstimate, GpuModel, ResourceBreakdown};
-pub use memory::{TAG_EMPTY, TAG_WILD, TAG_WORDS_PER_SLAB};
-pub use warp::{
-    ballot, ballot_eq, byte_eq_mask, ffs, lanes_below, match_any, popc, shfl, Lane, WARP_SIZE,
-};
+pub use warp::{ballot, ballot_eq, ffs, lanes_below, match_any, popc, shfl, Lane, WARP_SIZE};

@@ -22,20 +22,6 @@ pub const WORDS_PER_SLAB: usize = WARP_SIZE / 2;
 /// architectures).
 pub const SLAB_BYTES: usize = 128;
 
-/// Number of 64-bit words in a slab's fingerprint-tag region (one byte per
-/// lane, 32 bytes per slab).
-pub const TAG_WORDS_PER_SLAB: usize = WARP_SIZE / 8;
-
-/// Tag byte of a lane no publisher has ever claimed. Storage is initialized
-/// (and scrubbed) to this value.
-pub const TAG_EMPTY: u8 = 0xFF;
-
-/// Wildcard tag: racing publishers with different fingerprints escalate the
-/// byte here, and it then matches every probe. Absorbing — once wild, a lane
-/// stays wild until an exclusive scrub — so delayed publishes can never
-/// shrink what a tag covers.
-pub const TAG_WILD: u8 = 0xFE;
-
 /// Splits a lane index into (word index, `true` if the lane is the high half).
 #[inline]
 fn lane_word(lane: usize) -> (usize, bool) {
@@ -83,29 +69,18 @@ pub fn unpack_pair(word: u64) -> (u32, u32) {
 /// CUDA's default-scope atomics give the original implementation.
 pub struct SlabStorage {
     words: Box<[AtomicU64]>,
-    /// Fingerprint-tag sidecar: one byte per lane ([`TAG_WORDS_PER_SLAB`]
-    /// u64 words per slab), initialized to [`TAG_EMPTY`]. A 32-byte tag
-    /// vector read costs a quarter of a slab transaction, which is the whole
-    /// point: SEARCH/DELETE probe tags first and only touch key lanes on a
-    /// candidate match.
-    tags: Box<[AtomicU64]>,
 }
 
 impl SlabStorage {
     /// Allocates `num_slabs` slabs with every lane initialized to `fill`
-    /// (typically the data structure's `EMPTY_KEY` sentinel) and every tag
-    /// byte to [`TAG_EMPTY`].
+    /// (typically the data structure's `EMPTY_KEY` sentinel).
     pub fn new(num_slabs: usize, fill: u32) -> Self {
         let word = pack_pair(fill, fill);
         let words = (0..num_slabs * WORDS_PER_SLAB)
             .map(|_| AtomicU64::new(word))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let tags = (0..num_slabs * TAG_WORDS_PER_SLAB)
-            .map(|_| AtomicU64::new(u64::MAX))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self { words, tags }
+        Self { words }
     }
 
     /// Number of slabs in this storage.
@@ -258,10 +233,9 @@ impl SlabStorage {
         self.word(slab, pair_idx).store(value, Ordering::Release);
     }
 
-    /// Resets every lane of `slab` to `fill` and its tag vector to
-    /// [`TAG_EMPTY`]. Exclusive-phase helper; every scrub path (flush
-    /// rebuild, surplus release, epoch reclaim) goes through here, so a
-    /// recycled slab never carries another lifetime's tags.
+    /// Resets every lane of `slab` to `fill`. Exclusive-phase helper; every
+    /// scrub path (flush rebuild, surplus release, epoch reclaim) goes
+    /// through here.
     pub fn clear_slab(&self, slab: usize, fill: u32, counters: &mut PerfCounters) {
         counters.sector_writes += WORDS_PER_SLAB as u64;
         let word = pack_pair(fill, fill);
@@ -269,87 +243,6 @@ impl SlabStorage {
         for w in 0..WORDS_PER_SLAB {
             self.words[base + w].store(word, Ordering::Release);
         }
-        counters.tag_writes += 1;
-        let tag_base = slab * TAG_WORDS_PER_SLAB;
-        for w in 0..TAG_WORDS_PER_SLAB {
-            self.tags[tag_base + w].store(u64::MAX, Ordering::Release);
-        }
-    }
-
-    /// Coalesced read of a slab's 32-byte fingerprint-tag vector, packed
-    /// little-endian (byte *l* of the result words is lane *l*'s tag — feed
-    /// straight into [`crate::warp::byte_eq_mask`]). Bills one `tag_read`:
-    /// a quarter-transaction next to the 128 B slab read it replaces.
-    #[inline]
-    pub fn read_tags(
-        &self,
-        slab: usize,
-        counters: &mut PerfCounters,
-    ) -> [u64; TAG_WORDS_PER_SLAB] {
-        counters.tag_reads += 1;
-        let base = slab * TAG_WORDS_PER_SLAB;
-        let mut out = [0u64; TAG_WORDS_PER_SLAB];
-        for (w, word) in out.iter_mut().enumerate() {
-            *word = self.tags[base + w].load(Ordering::Acquire);
-        }
-        out
-    }
-
-    /// Monotone publish of lane `lane`'s fingerprint tag, called **before**
-    /// the key CAS that makes the element visible. The byte only ever moves
-    /// up the lattice `TAG_EMPTY → fp → TAG_WILD`:
-    ///
-    /// * empty → `tag` (first publisher);
-    /// * already `tag` → no-op (re-insert of the same fingerprint);
-    /// * already [`TAG_WILD`] → no-op (wildcard covers everything);
-    /// * any other fingerprint → [`TAG_WILD`] (two keys with different
-    ///   fingerprints have lived in this lane; the wildcard keeps both
-    ///   reachable).
-    ///
-    /// Because the order is monotone, racing and delayed publishes converge:
-    /// a tag can gain coverage but never lose it, so a probe that filters on
-    /// `fp | TAG_WILD` can miss no published key (false *positives* only —
-    /// deletes leave tags in place by design).
-    #[inline]
-    pub fn publish_tag(&self, slab: usize, lane: usize, tag: u8, counters: &mut PerfCounters) {
-        debug_assert!(lane < WARP_SIZE);
-        debug_assert!(tag < TAG_WILD, "fingerprints live below the sentinels");
-        counters.tag_writes += 1;
-        crate::chaos::maybe_yield();
-        let word = &self.tags[slab * TAG_WORDS_PER_SLAB + lane / 8];
-        let shift = 8 * (lane % 8);
-        let mut cur = word.load(Ordering::Acquire);
-        loop {
-            let cur_byte = ((cur >> shift) & 0xFF) as u8;
-            let next_byte = if cur_byte == tag || cur_byte == TAG_WILD {
-                return;
-            } else if cur_byte == TAG_EMPTY {
-                tag
-            } else {
-                TAG_WILD
-            };
-            let new = (cur & !(0xFFu64 << shift)) | (u64::from(next_byte) << shift);
-            match word.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Uncounted single-tag read for audit passes (not a modeled device
-    /// access — the audit walks exclusively).
-    #[inline]
-    pub fn peek_tag(&self, slab: usize, lane: usize) -> u8 {
-        let word = self.tags[slab * TAG_WORDS_PER_SLAB + lane / 8].load(Ordering::Acquire);
-        ((word >> (8 * (lane % 8))) & 0xFF) as u8
-    }
-
-    /// Bytes of the fingerprint-tag sidecar (32 per slab), reported
-    /// separately from [`bytes`](Self::bytes) so utilization math over the
-    /// paper's 128 B slab layout stays comparable.
-    #[inline]
-    pub fn tag_bytes(&self) -> usize {
-        self.tags.len() * 8
     }
 }
 
@@ -458,55 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn tags_start_empty_and_pack_per_lane() {
-        let mut c = counters();
-        let s = SlabStorage::new(2, 0);
-        assert_eq!(s.read_tags(1, &mut c), [u64::MAX; TAG_WORDS_PER_SLAB]);
-        assert_eq!(s.tag_bytes(), 2 * WARP_SIZE);
-        s.publish_tag(1, 0, 0x12, &mut c);
-        s.publish_tag(1, 9, 0x34, &mut c);
-        s.publish_tag(1, 31, 0x56, &mut c);
-        assert_eq!(s.peek_tag(1, 0), 0x12);
-        assert_eq!(s.peek_tag(1, 9), 0x34);
-        assert_eq!(s.peek_tag(1, 31), 0x56);
-        let words = s.read_tags(1, &mut c);
-        assert_eq!(words[0] & 0xFF, 0x12);
-        assert_eq!((words[1] >> 8) & 0xFF, 0x34);
-        assert_eq!(words[3] >> 56, 0x56);
-        // Slab 0's vector is untouched.
-        assert_eq!(s.read_tags(0, &mut c), [u64::MAX; TAG_WORDS_PER_SLAB]);
-        assert_eq!(c.tag_reads, 3);
-        assert_eq!(c.tag_writes, 3);
-    }
-
-    #[test]
-    fn publish_tag_is_monotone_to_wild() {
-        let mut c = counters();
-        let s = SlabStorage::new(1, 0);
-        s.publish_tag(0, 4, 0x10, &mut c);
-        assert_eq!(s.peek_tag(0, 4), 0x10);
-        // Same fingerprint: no change.
-        s.publish_tag(0, 4, 0x10, &mut c);
-        assert_eq!(s.peek_tag(0, 4), 0x10);
-        // Different fingerprint: escalates to the wildcard…
-        s.publish_tag(0, 4, 0x20, &mut c);
-        assert_eq!(s.peek_tag(0, 4), TAG_WILD);
-        // …which is absorbing.
-        s.publish_tag(0, 4, 0x30, &mut c);
-        assert_eq!(s.peek_tag(0, 4), TAG_WILD);
-    }
-
-    #[test]
-    fn clear_slab_scrubs_tags() {
-        let mut c = counters();
-        let s = SlabStorage::new(1, 0);
-        s.publish_tag(0, 7, 0x42, &mut c);
-        s.clear_slab(0, u32::MAX, &mut c);
-        assert_eq!(s.read_tags(0, &mut c), [u64::MAX; TAG_WORDS_PER_SLAB]);
-        assert_eq!(c.tag_writes, 2, "publish + the clear's vector reset");
-    }
-
-    #[test]
     fn concurrent_cas_lane_no_lost_updates() {
         use std::sync::atomic::{AtomicU32, Ordering as O};
         // Hammer both halves of the same u64 word from many threads; the
@@ -562,29 +406,6 @@ mod race_tests {
                 });
             }
         });
-    }
-
-    /// Racing tag publishers with distinct fingerprints must leave the lane
-    /// covering *both* (i.e. wild) or exactly one publisher's fingerprint if
-    /// the other observed it and escalated — never empty, and never a value
-    /// that covers neither.
-    #[test]
-    fn racing_tag_publishes_converge_upward() {
-        let _g = ChaosGuard::new(0.3);
-        for _ in 0..50 {
-            let s = SlabStorage::new(1, 0);
-            std::thread::scope(|scope| {
-                for tag in [0x11u8, 0x22] {
-                    let s = &s;
-                    scope.spawn(move || {
-                        let mut c = PerfCounters::default();
-                        s.publish_tag(0, 5, tag, &mut c);
-                    });
-                }
-            });
-            let t = s.peek_tag(0, 5);
-            assert!(t == TAG_WILD, "two distinct publishers must go wild, got {t:#x}");
-        }
     }
 
     /// Lane-granular CAS on the two halves of one u64 word must preserve

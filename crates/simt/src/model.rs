@@ -113,12 +113,8 @@ impl GpuModel {
         let in_l2 = working_set_bytes > 0 && working_set_bytes <= self.l2_bytes;
         let boost = if in_l2 { self.l2_boost } else { 1.0 };
 
-        // A tag-vector probe is a 32-byte read on the same coalesced stream
-        // as the 128 B slab reads it filters — a quarter-transaction. Tag
-        // publishes are scattered single-sector RMW-class stores; billing
-        // them with the scattered stream keeps insert costs honest.
-        let coalesced_bytes = c.slab_reads as f64 * 128.0 + c.tag_reads as f64 * 32.0;
-        let scattered_bytes = (c.sector_reads + c.sector_writes + c.tag_writes) as f64 * 32.0;
+        let coalesced_bytes = c.slab_reads as f64 * 128.0;
+        let scattered_bytes = (c.sector_reads + c.sector_writes) as f64 * 32.0;
 
         let t_coalesced = coalesced_bytes / self.coalesced_bw;
         let t_scattered = scattered_bytes / (self.scattered_bw * boost);

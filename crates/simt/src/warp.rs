@@ -8,23 +8,13 @@
 //! per-lane state is a `[T; 32]` array and each intrinsic is a pure
 //! horizontal function over it.
 //!
-//! ## Two implementations, one contract
-//!
-//! Every horizontal primitive exists twice:
-//!
-//! * [`scalar`] — the reference oracle: a literal 32-iteration branchy lane
-//!   loop, kept deliberately naive. This is the line-for-line transcription
-//!   of the paper's pseudocode and the ground truth the property tests pin
-//!   the fast path against.
-//! * [`wide`] — branchless u64/u32 bitmask arithmetic (SWAR byte tricks,
-//!   wide-compare loops the optimizer lowers to packed vector compares), so
-//!   a simulated warp round — ballot, eq-ballot, ffs, match-any — costs a
-//!   handful of host instructions instead of 32 branchy iterations.
-//!
-//! The public wrappers at module root select the implementation via the
-//! `wide` cargo feature (default on; disable for the scalar fallback). Both
-//! modules are always compiled, so a single binary can microbenchmark one
-//! against the other (`crates/bench/benches/warp.rs`, `perf single-op`).
+//! The horizontal primitives are branchless u32 bitmask arithmetic (fixed-
+//! shape compare chains the optimizer lowers to packed vector compares plus
+//! movemask), so a simulated warp round — ballot, eq-ballot, ffs,
+//! match-any — costs a handful of host instructions instead of 32 branchy
+//! iterations. The test build keeps a literal per-lane transcription of the
+//! paper's pseudocode (`scalar`) as the oracle the property tests pin these
+//! against, bit for bit.
 
 /// SIMD width of the simulated machine. Fixed at 32 to match every NVIDIA
 /// architecture the paper targets (Kepler through today).
@@ -37,201 +27,46 @@ pub const FULL_MASK: u32 = u32::MAX;
 /// obvious which `u32`s are lane ids rather than data.
 pub type Lane = usize;
 
-/// Reference oracle implementations: literal per-lane loops with branches,
-/// exactly as the paper's pseudocode reads. Slow on purpose — the property
-/// tests prove [`wide`] bit-identical to these, and the warp microbench
-/// measures the gap.
-pub mod scalar {
-    use super::{Lane, WARP_SIZE};
-
-    /// `__ballot_sync` oracle: one branchy iteration per lane.
-    #[inline]
-    pub fn ballot<T: Copy>(lanes: &[T; WARP_SIZE], mut pred: impl FnMut(T) -> bool) -> u32 {
-        let mut mask = 0u32;
-        for (i, &lane) in lanes.iter().enumerate() {
-            if pred(lane) {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
-
-    /// Equality-ballot oracle: 32 branchy compares.
-    #[inline]
-    pub fn ballot_eq(values: &[u32; WARP_SIZE], target: u32) -> u32 {
-        let mut mask = 0u32;
-        for (i, &v) in values.iter().enumerate() {
-            if v == target {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
-
-    /// `__ffs` oracle: walk the mask bit by bit from lane 0.
-    #[inline]
-    pub fn ffs(mask: u32) -> Option<Lane> {
-        (0..WARP_SIZE).find(|&i| mask & (1 << i) != 0)
-    }
-
-    /// `__match_any_sync` oracle: for every lane, the mask of lanes holding
-    /// the same value — 32 × 32 branchy compares.
-    #[inline]
-    pub fn match_any(values: &[u32; WARP_SIZE]) -> [u32; WARP_SIZE] {
-        let mut out = [0u32; WARP_SIZE];
-        for i in 0..WARP_SIZE {
-            for (j, &v) in values.iter().enumerate() {
-                if v == values[i] {
-                    out[i] |= 1 << j;
-                }
-            }
-        }
-        out
-    }
-
-    /// Byte-equality scan oracle over a 32-byte tag vector packed
-    /// little-endian into four u64 words: bit *i* of the result is set iff
-    /// byte *i* equals `needle`. 32 branchy shift-and-mask iterations.
-    #[inline]
-    pub fn byte_eq_mask(words: &[u64; 4], needle: u8) -> u32 {
-        let mut mask = 0u32;
-        for (w, &word) in words.iter().enumerate() {
-            for b in 0..8 {
-                if ((word >> (8 * b)) & 0xFF) as u8 == needle {
-                    mask |= 1 << (8 * w + b);
-                }
-            }
-        }
-        mask
-    }
-}
-
-/// Branchless bitmask implementations: fixed-shape compare chains the
-/// optimizer lowers to packed vector compares plus movemask, and SWAR
-/// (SIMD-within-a-register) byte arithmetic on u64 words. Bit-identical to
-/// [`scalar`] (see the property tests below); selected by the default
-/// `wide` cargo feature.
-pub mod wide {
-    use super::{Lane, WARP_SIZE};
-
-    /// `__ballot_sync`: the predicate is evaluated branchlessly into bit
-    /// *i*, an or-reduction with no data-dependent branches, so the whole
-    /// ballot flattens into straight-line code (vectorized when `pred` is
-    /// a pure compare).
-    #[inline(always)]
-    pub fn ballot<T: Copy>(lanes: &[T; WARP_SIZE], mut pred: impl FnMut(T) -> bool) -> u32 {
-        let mut mask = 0u32;
-        for (i, &lane) in lanes.iter().enumerate() {
-            mask |= u32::from(pred(lane)) << i;
-        }
-        mask
-    }
-
-    /// Equality-ballot as a branchless wide compare: 32 independent
-    /// `v == target` bits or-folded by position — the optimizer emits four
-    /// 8-wide packed compares + movemask instead of a 32-iteration branchy
-    /// loop.
-    #[inline(always)]
-    pub fn ballot_eq(values: &[u32; WARP_SIZE], target: u32) -> u32 {
-        let mut mask = 0u32;
-        for (i, &v) in values.iter().enumerate() {
-            mask |= u32::from(v == target) << i;
-        }
-        mask
-    }
-
-    /// `__ffs` as a single count-trailing-zeros instruction.
-    #[inline(always)]
-    pub fn ffs(mask: u32) -> Option<Lane> {
-        if mask == 0 {
-            None
-        } else {
-            Some(mask.trailing_zeros() as Lane)
-        }
-    }
-
-    /// `__match_any_sync`: one wide equality-ballot per lane. Still 32
-    /// ballots, but each is a packed compare, not 32 branches — the oracle
-    /// is 1024 branchy compares.
-    #[inline(always)]
-    pub fn match_any(values: &[u32; WARP_SIZE]) -> [u32; WARP_SIZE] {
-        let mut out = [0u32; WARP_SIZE];
-        for (i, &v) in values.iter().enumerate() {
-            out[i] = ballot_eq(values, v);
-        }
-        out
-    }
-
-    const LO7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    /// Packs the high bit of each byte (positions 7, 15, …, 63) into bits
-    /// 0..8. Every partial product lands on a distinct bit, so the multiply
-    /// is carry-free.
-    const HI_GATHER: u64 = 0x0002_0408_1020_4081;
-
-    /// Byte-equality scan over a 32-byte tag vector: 8 bytes per u64 word
-    /// via exact SWAR zero-byte location (no false positives — a byte
-    /// matches iff its ballot bit is set). Four words → 12 arithmetic ops
-    /// per word instead of 32 shift-compare-branch iterations.
-    #[inline(always)]
-    pub fn byte_eq_mask(words: &[u64; 4], needle: u8) -> u32 {
-        let splat = u64::from(needle).wrapping_mul(ONES);
-        let mut mask = 0u32;
-        for (w, &word) in words.iter().enumerate() {
-            let x = word ^ splat; // byte == 0 ⇔ byte matched needle
-            // Exact zero-byte locator: high bit of z set iff the byte of x
-            // is zero. (The classic `(x - 0x01…) & !x & 0x80…` locator has
-            // per-byte false positives above a zero byte; this form does
-            // not.)
-            let y = (x & LO7).wrapping_add(LO7);
-            let z = !(y | x | LO7);
-            let bits = (z.wrapping_mul(HI_GATHER) >> 56) as u32;
-            mask |= bits << (8 * w);
-        }
-        mask
-    }
-}
-
 /// `__ballot_sync`: returns a 32-bit mask with bit *i* set iff `pred(lane_i)`
 /// is true. All lanes receive the same value (we return it once; the caller
-/// is lockstep by construction). The predicate takes its lane by value
-/// (`T: Copy`) so the branchless path needs no reference indirection.
+/// is lockstep by construction). The predicate is evaluated branchlessly
+/// into bit *i* — an or-reduction with no data-dependent branches, so the
+/// whole ballot flattens into straight-line code (vectorized when `pred` is
+/// a pure compare). It takes its lane by value (`T: Copy`) so there is no
+/// reference indirection.
 #[inline(always)]
-pub fn ballot<T: Copy>(lanes: &[T; WARP_SIZE], pred: impl FnMut(T) -> bool) -> u32 {
-    #[cfg(feature = "wide")]
-    return wide::ballot(lanes, pred);
-    #[cfg(not(feature = "wide"))]
-    return scalar::ballot(lanes, pred);
+pub fn ballot<T: Copy>(lanes: &[T; WARP_SIZE], mut pred: impl FnMut(T) -> bool) -> u32 {
+    let mut mask = 0u32;
+    for (i, &lane) in lanes.iter().enumerate() {
+        mask |= u32::from(pred(lane)) << i;
+    }
+    mask
 }
 
-/// `__ballot_sync` over a plain array of lane values compared for equality.
+/// `__ballot_sync` over a plain array of lane values compared for equality:
+/// 32 independent `v == target` bits or-folded by position — the optimizer
+/// emits four 8-wide packed compares + movemask instead of a 32-iteration
+/// branchy loop.
 #[inline(always)]
 pub fn ballot_eq(values: &[u32; WARP_SIZE], target: u32) -> u32 {
-    #[cfg(feature = "wide")]
-    return wide::ballot_eq(values, target);
-    #[cfg(not(feature = "wide"))]
-    return scalar::ballot_eq(values, target);
+    let mut mask = 0u32;
+    for (i, &v) in values.iter().enumerate() {
+        mask |= u32::from(v == target) << i;
+    }
+    mask
 }
 
 /// `__match_any_sync`: for every lane *i*, the mask of lanes whose value
-/// equals `values[i]` (each lane's own bit always set).
+/// equals `values[i]` (each lane's own bit always set). One wide
+/// equality-ballot per lane: still 32 ballots, but each is a packed compare,
+/// not 32 branches.
 #[inline(always)]
 pub fn match_any(values: &[u32; WARP_SIZE]) -> [u32; WARP_SIZE] {
-    #[cfg(feature = "wide")]
-    return wide::match_any(values);
-    #[cfg(not(feature = "wide"))]
-    return scalar::match_any(values);
-}
-
-/// Byte-equality scan over a 32-byte vector (four little-endian u64 words):
-/// bit *i* of the result is set iff byte *i* equals `needle`. This is the
-/// tag-filter primitive: one call scans a slab's whole fingerprint region.
-#[inline(always)]
-pub fn byte_eq_mask(words: &[u64; 4], needle: u8) -> u32 {
-    #[cfg(feature = "wide")]
-    return wide::byte_eq_mask(words, needle);
-    #[cfg(not(feature = "wide"))]
-    return scalar::byte_eq_mask(words, needle);
+    let mut out = [0u32; WARP_SIZE];
+    for (i, &v) in values.iter().enumerate() {
+        out[i] = ballot_eq(values, v);
+    }
+    out
 }
 
 /// `__shfl_sync(v, src_lane)`: every lane reads lane `src`'s value. In the
@@ -245,13 +80,15 @@ pub fn shfl<T: Copy>(lanes: &[T; WARP_SIZE], src: Lane) -> T {
 /// CUDA `__ffs(mask) - 1` adjusted to return the first set bit as a lane
 /// index, or `None` when the mask is empty. The paper uses `__ffs` both as
 /// `next_prior()` (pick the next queued operation) and to locate the found /
-/// destination lane in a ballot result.
+/// destination lane in a ballot result. A single count-trailing-zeros
+/// instruction.
 #[inline(always)]
 pub fn ffs(mask: u32) -> Option<Lane> {
-    #[cfg(feature = "wide")]
-    return wide::ffs(mask);
-    #[cfg(not(feature = "wide"))]
-    return scalar::ffs(mask);
+    if mask == 0 {
+        None
+    } else {
+        Some(mask.trailing_zeros() as Lane)
+    }
 }
 
 /// Number of lanes whose ballot bit is set.
@@ -276,6 +113,55 @@ pub fn lanes_below(n: usize) -> u32 {
 #[inline(always)]
 pub fn even_lanes_below(n: usize) -> u32 {
     lanes_below(n) & 0x5555_5555
+}
+
+/// Reference oracle implementations: literal per-lane loops with branches,
+/// exactly as the paper's pseudocode reads. Slow on purpose — the property
+/// tests prove the bitmask primitives above bit-identical to these.
+#[cfg(test)]
+mod scalar {
+    use super::{Lane, WARP_SIZE};
+
+    /// `__ballot_sync` oracle: one branchy iteration per lane.
+    pub fn ballot<T: Copy>(lanes: &[T; WARP_SIZE], mut pred: impl FnMut(T) -> bool) -> u32 {
+        let mut mask = 0u32;
+        for (i, &lane) in lanes.iter().enumerate() {
+            if pred(lane) {
+                mask |= 1 << i;
+            }
+        }
+        mask
+    }
+
+    /// Equality-ballot oracle: 32 branchy compares.
+    pub fn ballot_eq(values: &[u32; WARP_SIZE], target: u32) -> u32 {
+        let mut mask = 0u32;
+        for (i, &v) in values.iter().enumerate() {
+            if v == target {
+                mask |= 1 << i;
+            }
+        }
+        mask
+    }
+
+    /// `__ffs` oracle: walk the mask bit by bit from lane 0.
+    pub fn ffs(mask: u32) -> Option<Lane> {
+        (0..WARP_SIZE).find(|&i| mask & (1 << i) != 0)
+    }
+
+    /// `__match_any_sync` oracle: for every lane, the mask of lanes holding
+    /// the same value — 32 × 32 branchy compares.
+    pub fn match_any(values: &[u32; WARP_SIZE]) -> [u32; WARP_SIZE] {
+        let mut out = [0u32; WARP_SIZE];
+        for i in 0..WARP_SIZE {
+            for (j, &v) in values.iter().enumerate() {
+                if v == values[i] {
+                    out[i] |= 1 << j;
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -360,19 +246,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn byte_eq_mask_finds_exact_bytes() {
-        let mut words = [0u64; 4];
-        words[0] = 0x0000_0000_0000_00AB; // byte 0
-        words[1] = 0x00AB_0000_0000_0000; // byte 8+6=14
-        words[3] = 0xAB00_0000_0000_0000; // byte 24+7=31
-        let mask = byte_eq_mask(&words, 0xAB);
-        assert_eq!(mask, (1 << 0) | (1 << 14) | (1u32 << 31));
-        // needle 0 matches every remaining zero byte
-        assert_eq!(byte_eq_mask(&words, 0), !mask);
-    }
-
-    // ---- property tests: wide ≡ scalar, bit for bit -------------------
+    // ---- property tests: bitmask ≡ scalar oracle, bit for bit ----------
 
     /// Key-lane masks the ops layer applies to every ballot result: the
     /// key-value layout (even lanes 0..30), the key-only layout (lanes
@@ -400,32 +274,32 @@ mod tests {
     }
 
     #[test]
-    fn ffs_wide_matches_scalar_exhaustively_near_edges() {
+    fn ffs_matches_scalar_exhaustively_near_edges() {
         // All 16-bit masks in the low half, plus every single bit and a
         // random sample of full-width masks.
         for m in 0u32..=0xFFFF {
-            assert_eq!(wide::ffs(m), scalar::ffs(m), "mask {m:#x}");
+            assert_eq!(ffs(m), scalar::ffs(m), "mask {m:#x}");
         }
         for b in 0..32 {
             let m = 1u32 << b;
-            assert_eq!(wide::ffs(m), scalar::ffs(m));
-            assert_eq!(wide::ffs(m | 0x8000_0000), scalar::ffs(m | 0x8000_0000));
+            assert_eq!(ffs(m), scalar::ffs(m));
+            assert_eq!(ffs(m | 0x8000_0000), scalar::ffs(m | 0x8000_0000));
         }
         let mut rng = Mix(7);
         for _ in 0..10_000 {
             let m = rng.next() as u32;
-            assert_eq!(wide::ffs(m), scalar::ffs(m), "mask {m:#x}");
+            assert_eq!(ffs(m), scalar::ffs(m), "mask {m:#x}");
         }
     }
 
     #[test]
-    fn ballot_eq_wide_matches_scalar_on_seeded_lanes() {
+    fn ballot_eq_matches_scalar_on_seeded_lanes() {
         let mut rng = Mix(0x5eed);
         for spread in [1, 2, 3, 8, 1 << 16, u32::MAX] {
             for _ in 0..2_000 {
                 let lanes = rng.lanes(spread);
                 let target = (rng.next() as u32) % spread.max(1);
-                let w = wide::ballot_eq(&lanes, target);
+                let w = ballot_eq(&lanes, target);
                 let s = scalar::ballot_eq(&lanes, target);
                 assert_eq!(w, s, "lanes {lanes:?} target {target}");
                 for km in KEY_LANE_MASKS {
@@ -436,81 +310,32 @@ mod tests {
     }
 
     #[test]
-    fn ballot_wide_matches_scalar_on_predicates() {
+    fn ballot_matches_scalar_on_predicates() {
         let mut rng = Mix(0xB411);
         for _ in 0..2_000 {
             let lanes = rng.lanes(16);
             let t = (rng.next() as u32) % 16;
             assert_eq!(
-                wide::ballot(&lanes, |v| v == t),
+                ballot(&lanes, |v| v == t),
                 scalar::ballot(&lanes, |v| v == t)
             );
             assert_eq!(
-                wide::ballot(&lanes, |v| v > t),
+                ballot(&lanes, |v| v > t),
                 scalar::ballot(&lanes, |v| v > t)
             );
             let bools: [bool; WARP_SIZE] = core::array::from_fn(|i| lanes[i] & 1 == 0);
-            assert_eq!(wide::ballot(&bools, |b| b), scalar::ballot(&bools, |b| b));
+            assert_eq!(ballot(&bools, |b| b), scalar::ballot(&bools, |b| b));
         }
     }
 
     #[test]
-    fn match_any_wide_matches_scalar() {
+    fn match_any_matches_scalar() {
         let mut rng = Mix(0xACE);
         for spread in [1, 2, 5, 33, 1 << 20] {
             for _ in 0..500 {
                 let lanes = rng.lanes(spread);
-                assert_eq!(wide::match_any(&lanes), scalar::match_any(&lanes));
+                assert_eq!(match_any(&lanes), scalar::match_any(&lanes));
             }
-        }
-    }
-
-    #[test]
-    fn byte_eq_mask_wide_matches_scalar_exhaustive_needles() {
-        // Every needle against structured words that exercise the SWAR
-        // locator's carry edges: bytes 0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF
-        // adjacent to matches (the classic haszero trick mislocates 0x01
-        // above a zero byte; this proves ours does not).
-        let edgy: [u64; 4] = [
-            0x0001_7F80_FEFF_0001,
-            0xFF00_FF00_0100_01FF,
-            0x8080_8080_7F7F_7F7F,
-            0x0000_0000_FFFF_FFFF,
-        ];
-        for needle in 0..=255u8 {
-            assert_eq!(
-                wide::byte_eq_mask(&edgy, needle),
-                scalar::byte_eq_mask(&edgy, needle),
-                "needle {needle:#x}"
-            );
-        }
-        let mut rng = Mix(0x7A65);
-        for _ in 0..5_000 {
-            let words = [rng.next(), rng.next(), rng.next(), rng.next()];
-            let needle = rng.next() as u8;
-            assert_eq!(
-                wide::byte_eq_mask(&words, needle),
-                scalar::byte_eq_mask(&words, needle),
-                "words {words:?} needle {needle:#x}"
-            );
-        }
-    }
-
-    #[test]
-    fn public_wrappers_agree_with_both_implementations() {
-        // Whatever the feature selection, the wrapper must equal the oracle.
-        let mut rng = Mix(42);
-        for _ in 0..1_000 {
-            let lanes = rng.lanes(6);
-            let t = (rng.next() as u32) % 6;
-            assert_eq!(ballot_eq(&lanes, t), scalar::ballot_eq(&lanes, t));
-            assert_eq!(ballot(&lanes, |v| v != t), scalar::ballot(&lanes, |v| v != t));
-            assert_eq!(match_any(&lanes), scalar::match_any(&lanes));
-            let words = [rng.next(), rng.next(), rng.next(), rng.next()];
-            let needle = rng.next() as u8;
-            assert_eq!(byte_eq_mask(&words, needle), scalar::byte_eq_mask(&words, needle));
-            let m = rng.next() as u32;
-            assert_eq!(ffs(m), scalar::ffs(m));
         }
     }
 }

@@ -129,7 +129,7 @@ impl SlabAllocator for SerialHeapSim {
     }
 
     fn committed_bytes(&self) -> u64 {
-        (self.storage.bytes() + self.storage.tag_bytes()) as u64 + self.metadata_bytes()
+        self.storage.bytes() as u64 + self.metadata_bytes()
     }
 }
 
@@ -294,7 +294,7 @@ impl SlabAllocator for HallocSim {
     }
 
     fn committed_bytes(&self) -> u64 {
-        (self.storage.bytes() + self.storage.tag_bytes()) as u64 + self.metadata_bytes()
+        self.storage.bytes() as u64 + self.metadata_bytes()
     }
 }
 

@@ -22,18 +22,6 @@
 //! collide with a real allocation. With 128 B units this addresses
 //! `128 · NS · NM · NU` bytes, i.e. up to ~0.5 TB of slabs (the paper's
 //! "up to 1 TB" figure counts units ≥ 2⁷ bytes).
-//!
-//! # Tag region (DESIGN.md §16)
-//!
-//! Alongside each 128 B unit, [`simt::memory::SlabStorage`] carves a 32 B
-//! fingerprint *tag* region: one byte per lane, packed into
-//! [`simt::TAG_WORDS_PER_SLAB`] `u64` words. Tagged tables keep lane `i`'s
-//! byte equal to the 8-bit fingerprint of the key stored in lane `i`
-//! ([`simt::TAG_EMPTY`] when never written; [`simt::TAG_WILD`] once two
-//! different fingerprints have contended for the lane), so SEARCH / DELETE
-//! scan the 32 B vector and touch key lanes only on a tag hit. The region
-//! lives beside the slab, not inside it — the 32-lane data layout above and
-//! every address computation are unchanged, and `clear_slab` resets both.
 
 /// Memory units (slabs) per memory block. Fixed by the paper: one 32-bit
 /// bitmap word per warp lane × 32 lanes = 1024 units.

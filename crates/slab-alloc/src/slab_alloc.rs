@@ -864,8 +864,8 @@ mod probing_tests {
         alloc.allocate(&mut st, &mut ctx);
         let initialized = alloc.supers.iter().filter(|s| s.get().is_some()).count();
         assert_eq!(initialized, 1, "only the resident super block materializes");
-        // 4 blocks × (128 B bitmap + 1024 × (128 B slab + 32 B tags)).
-        assert_eq!(alloc.committed_bytes(), 4 * (128 + 1024 * 160));
+        // 4 blocks × (128 B bitmap + 1024 × 128 B slab).
+        assert_eq!(alloc.committed_bytes(), 4 * (128 + 1024 * 128));
     }
 
     /// Deallocations from a *different* warp than the allocator ("any warp

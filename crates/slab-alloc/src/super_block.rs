@@ -48,10 +48,9 @@ impl SuperBlock {
         (self.bitmaps.len() / BITMAP_WORDS) as u32
     }
 
-    /// Device bytes held: bitmaps, slabs and the slabs' fingerprint-tag
-    /// sidecar.
+    /// Device bytes held: bitmaps and slabs.
     pub fn bytes(&self) -> usize {
-        self.bitmaps.len() * 4 + self.slabs.bytes() + self.slabs.tag_bytes()
+        self.bitmaps.len() * 4 + self.slabs.bytes()
     }
 
     #[inline]

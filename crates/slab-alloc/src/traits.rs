@@ -143,8 +143,8 @@ pub trait SlabAllocator: Sync {
     fn metadata_bytes(&self) -> u64;
 
     /// Bytes the allocator has committed (host-side statistic): every slab
-    /// it has materialized, handed out or not, with the slabs' fingerprint
-    /// tag sidecar and the allocator's metadata. This, not
-    /// `allocated_slabs() * 128`, is what the allocator costs in memory.
+    /// it has materialized, handed out or not, and the allocator's metadata.
+    /// This, not `allocated_slabs() * 128`, is what the allocator costs in
+    /// memory.
     fn committed_bytes(&self) -> u64;
 }

@@ -15,14 +15,11 @@
 # bench, not a pass. A null/non-numeric headline in the *baseline* is a
 # corrupt baseline and exits 2.
 #
-# Floor gates: some ratio metrics must clear an absolute floor whenever the
-# fresh run reports them — tolerance does not apply, and if the baseline has
-# the metric but the fresh run dropped it, that fails too:
-#   partitioned.speedup            >= 1.0  (sharded dispatch vs flat)
-#   warp_round.simd_vs_scalar      >= 1.0  (wide bitmask warp primitives vs
-#                                           the scalar oracle)
-#   read_heavy.measured_memory_speedup >= 1.0  (tag-filtered search's
-#                                           executed memory stream vs no-tag)
+# Partition gate: when the fresh run reports `partitioned.speedup` (sharded
+# vs flat batch dispatch), it must be >= 1.0 — sharded ownership dispatch
+# regressing below the flat path fails outright, tolerance does not apply.
+# If the baseline has the metric and the fresh run dropped it, that fails
+# too.
 #
 # Exit codes: 0 pass, 1 regression, 2 usage/parse error.
 
@@ -104,27 +101,20 @@ if [ "$count" -eq 0 ] && [ "$status" -eq 0 ]; then
     exit 2
 fi
 
-# --- Floor gates: absolute ratio floors, no tolerance. ---
-floor_gate() {
-    local path=$1 floor=$2 blurb=$3
-    local fresh_val base_val
-    fresh_val=$(jq -r --arg p "$path" 'getpath($p | split(".")) // "missing"' "$fresh")
-    base_val=$(jq -r --arg p "$path" 'getpath($p | split(".")) // "missing"' "$baseline")
-    if [ "$fresh_val" != "missing" ] && [ "$fresh_val" != "null" ]; then
-        if awk -v s="$fresh_val" -v f="$floor" 'BEGIN { exit !(s + 0 < f + 0) }'; then
-            echo "bench gate: FAIL $path: $fresh_val < $floor ($blurb)"
-            status=1
-        else
-            echo "bench gate: ok   $path: $fresh_val >= $floor"
-        fi
-    elif [ "$base_val" != "missing" ] && [ "$base_val" != "null" ]; then
-        echo "bench gate: FAIL $path: in baseline but missing from fresh run"
+# --- Partition gate: sharded dispatch must not regress below flat. ---
+fresh_speedup=$(jq -r '.partitioned.speedup // "missing"' "$fresh")
+base_speedup=$(jq -r '.partitioned.speedup // "missing"' "$baseline")
+if [ "$fresh_speedup" != "missing" ] && [ "$fresh_speedup" != "null" ]; then
+    if awk -v s="$fresh_speedup" 'BEGIN { exit !(s + 0 < 1.0) }'; then
+        echo "bench gate: FAIL partitioned.speedup: $fresh_speedup < 1.0 (sharded dispatch slower than flat)"
         status=1
+    else
+        echo "bench gate: ok   partitioned.speedup: $fresh_speedup >= 1.0"
     fi
-}
-floor_gate partitioned.speedup 1.0 "sharded dispatch slower than flat"
-floor_gate warp_round.simd_vs_scalar 1.0 "wide bitmask warp round slower than scalar oracle"
-floor_gate read_heavy.measured_memory_speedup 1.0 "tag-filtered search demands more memory than no-tag"
+elif [ "$base_speedup" != "missing" ] && [ "$base_speedup" != "null" ]; then
+    echo "bench gate: FAIL partitioned.speedup: in baseline but missing from fresh run"
+    status=1
+fi
 
 echo "bench gate: $count metrics checked against $baseline (tolerance ${tolerance}%), status $status"
 exit "$status"

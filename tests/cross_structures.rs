@@ -66,10 +66,8 @@ fn slab_search_cost_scales_with_beta() {
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(buckets));
         t.bulk_build(&pairs, &grid);
         let (_, rep) = t.bulk_search(&probes, &grid);
-        // One coalesced read per chain slab: a 128 B slab read with tags
-        // off, a 32 B tag-vector read on the tag-filtered path.
-        let chain_reads = rep.counters.slab_reads + rep.counters.tag_reads;
-        let reads_per_miss = chain_reads as f64 / probes.len() as f64;
+        // One coalesced 128 B slab read per chain slab.
+        let reads_per_miss = rep.counters.slab_reads as f64 / probes.len() as f64;
         assert!(
             reads_per_miss > last,
             "cost must grow with beta: {reads_per_miss} after {last}"
@@ -167,8 +165,8 @@ fn transaction_profile_slab_vs_misra() {
     let slab = SlabHash::<KeyOnly>::new(SlabHashConfig::with_buckets(32));
     slab.bulk_build_keys(&ks, &grid);
     let (_, rep) = slab.bulk_search(&ks, &grid);
-    // Coalesced traffic only: tag vectors (tag-filtered search) and slabs.
-    assert!(rep.counters.slab_reads + rep.counters.tag_reads > 0);
+    // Coalesced traffic only: whole slabs.
+    assert!(rep.counters.slab_reads > 0);
     assert_eq!(rep.counters.divergent_steps, 0);
 
     let misra = MisraHash::new(32, 4_000);

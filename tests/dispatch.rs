@@ -152,10 +152,7 @@ fn pooled_and_scoped_merge_identical_totals() {
         .map(|dispatch| {
             let grid = Grid::with_dispatch(6, dispatch);
             let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.75, 42);
-            // Build deterministically: a racy build leaves schedule-dependent
-            // fingerprint-tag state (contended lanes escalate to the
-            // wildcard), which would perturb the searches' tag counters.
-            t.bulk_build(&pairs, &Grid::sequential());
+            t.bulk_build(&pairs, &grid);
             let (hits, report) = t.bulk_search(&keys, &grid);
             assert!(hits.iter().all(|h| h.is_some()));
             report
