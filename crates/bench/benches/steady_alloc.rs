@@ -1,13 +1,12 @@
-//! Criterion: steady-state partitioned batches must not touch the heap.
+//! Criterion: steady-state batches must not touch the heap.
 //!
-//! The reusable [`BatchBuffer`] owns every piece of partition scratch the
-//! sharded path needs (bucket cache, routing order, scatter buffer, shard
-//! plan), and `reset_results` / `clear` retain capacity. After the first
-//! execution has grown the scratch, a reset + execute iteration must
-//! perform **zero** heap allocations — asserted here with a counting global
-//! allocator, so a regression (scratch dropped on reset, a fresh `Vec` on
-//! the launch path) fails the bench instead of silently costing an
-//! allocation per batch.
+//! The reusable [`BatchBuffer`] keeps its request storage across
+//! `reset_results` / `clear`, and the grid's launch path runs on persistent
+//! pool workers. After warm-up, a reset + execute iteration must perform
+//! **zero** heap allocations on any thread — asserted here with a counting
+//! global allocator, so a regression (a fresh `Vec` on the launch path, a
+//! lazily initialized per-thread structure on a pool worker) fails the
+//! bench instead of silently costing an allocation per batch.
 //!
 //! This bench is the one place in the workspace that opts into `unsafe`:
 //! implementing `GlobalAlloc` requires it, and the impl only counts and
@@ -62,23 +61,23 @@ fn bench_steady_alloc(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_alloc");
     group.sample_size(10);
     group.throughput(Throughput::Elements(u64::from(n)));
-    group.bench_function("partitioned_reset_loop", |b| {
+    group.bench_function("buffer_reset_loop", |b| {
         let mut batch: BatchBuffer = (0..n).map(|k| Request::replace(k, k)).collect();
-        // Two warm executions: the first inserts (and grows chains + the
-        // partition scratch), the second settles into the replace-only
-        // steady state every later iteration repeats.
-        t.execute_buffer_partitioned(&mut batch, &grid);
+        // Two warm executions: the first inserts (and grows chains), the
+        // second settles into the replace-only steady state every later
+        // iteration repeats.
+        t.execute_buffer(&mut batch, &grid);
         batch.reset_results();
-        t.execute_buffer_partitioned(&mut batch, &grid);
+        t.execute_buffer(&mut batch, &grid);
         let before = allocations();
         b.iter(|| {
             batch.reset_results();
-            t.execute_buffer_partitioned(&mut batch, &grid)
+            t.execute_buffer(&mut batch, &grid)
         });
         let allocated = allocations() - before;
         assert_eq!(
             allocated, 0,
-            "steady-state partitioned iteration touched the heap {allocated} time(s)"
+            "steady-state iteration touched the heap {allocated} time(s)"
         );
     });
     group.finish();

@@ -6,8 +6,6 @@
 //!   slab fills the warp's full 128 B transaction;
 //! * `ablation resident` — SlabAlloc's hashed resident-block distribution
 //!   vs everyone contending on one memory block;
-//! * `ablation partition` — bucket-partitioned batch execution vs caller
-//!   order (host-side locality and CAS-contention effect);
 //! * `ablation` — all of them.
 //!
 //! Flags: `--n <log2>` (default 20), `--csv <dir>`, `--threads N`.
@@ -34,69 +32,22 @@ fn main() {
         Some("slabsize") => slabsize(n, &grid, csv.as_deref()),
         Some("resident") => resident(n, &grid, csv.as_deref()),
         Some("strict") => strict(n, &grid, csv.as_deref()),
-        Some("partition") => partition(n, &grid, csv.as_deref()),
         Some("gfsl") => gfsl_note(),
         None => {
             wcws(n, &grid, csv.as_deref());
             slabsize(n, &grid, csv.as_deref());
             resident(n, &grid, csv.as_deref());
             strict(n, &grid, csv.as_deref());
-            partition(n, &grid, csv.as_deref());
             gfsl_note();
         }
         Some(other) => {
             eprintln!(
-                "unknown subcommand {other:?}; expected wcws, slabsize, resident, strict, \
-                 partition or gfsl"
+                "unknown subcommand {other:?}; expected wcws, slabsize, resident, strict \
+                 or gfsl"
             );
             std::process::exit(2);
         }
     }
-}
-
-/// Bucket-partitioned batch execution vs caller order: identical update
-/// batches against identically built tables. Partitioning makes a warp's
-/// 32 lanes target adjacent buckets (the coalescing analogue), which shows
-/// up host-side as cache locality and lower cross-warp CAS contention.
-fn partition(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
-    let mut table = Table::new(
-        "Bucket-partitioned batches vs caller order (update batch, 85% util)",
-        &["order", "cpu M ops/s", "CAS failures/op", "slab reads/op"],
-    );
-    let pairs = random_pairs(n, 0);
-    let mut rates = [0.0f64; 2];
-    for (i, partitioned) in [false, true].into_iter().enumerate() {
-        // High utilization: chains exceed one slab, so request order has
-        // something to localize.
-        let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.85, 0x9A);
-        t.bulk_build(&pairs, grid);
-        let mut reqs: Vec<Request> = pairs.iter().map(|&(k, _)| Request::replace(k, 1)).collect();
-        let report = if partitioned {
-            t.execute_batch_partitioned(&mut reqs, grid)
-        } else {
-            t.execute_batch(&mut reqs, grid)
-        };
-        let rate = report.cpu_ops_per_sec() / 1e6;
-        rates[i] = rate;
-        table.row(vec![
-            if partitioned { "by bucket" } else { "caller order" }.into(),
-            mops(rate),
-            format!(
-                "{:.4}",
-                report.counters.cas_failures as f64 / report.counters.ops as f64
-            ),
-            format!(
-                "{:.2}",
-                report.counters.slab_reads as f64 / report.counters.ops as f64
-            ),
-        ]);
-    }
-    table.finish(csv);
-    println!(
-        "partitioning speedup: {:.2}x host-side (sort cost excluded here; \
-         `perf` measures it end to end)",
-        rates[1] / rates[0]
-    );
 }
 
 /// Fast (Fig. 2) vs strict (§III-B2) REPLACE: identical results, different

@@ -49,178 +49,12 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         })
     }
 
-    /// Like [`SlabHash::execute_batch`], but through **sharded ownership
-    /// dispatch**: requests are bucketed in O(n) into per-shard sub-batches
-    /// (each shard a contiguous bucket range, one shard per grid executor)
-    /// and each persistent pool worker drains *its own* shard before
-    /// stealing — so a hot bucket's requests are CASed by exactly one
-    /// OS thread instead of all of them. Per-request results land in the
-    /// *original* positions; the reordering is invisible to the caller.
-    ///
-    /// This replaces the PR 5 sort-then-scatter path, whose `O(n log n)`
-    /// sort *concentrated* same-bucket requests at chunk boundaries shared
-    /// between workers and regressed to 0.82x (BENCH_5.json). The sorted
-    /// path survives as [`SlabHash::try_execute_batch_bucket_sorted`] for
-    /// the ablation benchmark only.
-    pub fn execute_batch_partitioned(&self, reqs: &mut [Request], grid: &Grid) -> LaunchReport {
-        match self.try_execute_batch_partitioned(reqs, grid) {
-            Ok(report) => report,
-            Err(e) => e.resume_unwind(),
-        }
-    }
-
-    /// Panic-containing variant of [`SlabHash::execute_batch_partitioned`]
-    /// (see [`SlabHash::try_execute_batch`]).
-    ///
-    /// # Errors
-    /// The first warp panic observed during the launch. Requests executed
-    /// before containment keep their results, in their original positions.
-    pub fn try_execute_batch_partitioned(
-        &self,
-        reqs: &mut [Request],
-        grid: &Grid,
-    ) -> Result<LaunchReport, LaunchError> {
-        let mut parts = crate::batch::PartitionScratch::default();
-        self.try_execute_sharded_into(reqs, &mut parts, grid)
-    }
-
-    /// Sharded execution over caller-owned scratch (the allocation-free
-    /// path behind [`crate::BatchBuffer`]):
-    ///
-    /// 1. **Bucket** — reuse the cached per-request buckets when the caller
-    ///    pre-hashed (the ingress broker does, at admission); otherwise one
-    ///    O(n) hashing pass.
-    /// 2. **Count + plan** — count requests per shard
-    ///    ([`simt::ShardMap`] over `grid.num_threads()` shards), prefix-sum
-    ///    into segment bounds, and arm the reusable
-    ///    [`simt::ShardPlan`].
-    /// 3. **Scatter** — copy requests into shard-major order in `scratch`,
-    ///    recording each slot's original index in `order` (counting sort:
-    ///    O(n), replacing the old O(n log n) sort). The kernel only ever
-    ///    writes a request's `result`, so the caller's slots stay put and
-    ///    only the four scalar fields are copied out.
-    /// 4. **Execute** — [`Grid::try_launch_sharded`]: every executor drains
-    ///    its own shard's warps first, stealing only when idle.
-    /// 5. **Scatter back** — each *result* moves to its original slot, on
-    ///    success *and* on containment (a request the containment cut off
-    ///    reads [`OpResult::Pending`], i.e. "not executed").
-    pub(crate) fn try_execute_sharded_into(
-        &self,
-        reqs: &mut [Request],
-        parts: &mut crate::batch::PartitionScratch,
-        grid: &Grid,
-    ) -> Result<LaunchReport, LaunchError> {
-        let n = reqs.len();
-        debug_assert!(n <= u32::MAX as usize, "batch too large to partition");
-        let map = self.shard_map(grid.num_threads() as u32);
-        let shards = map.num_shards() as usize;
-        let crate::batch::PartitionScratch {
-            buckets,
-            order,
-            scratch,
-            segments,
-            plan,
-        } = parts;
-        if buckets.len() != n {
-            let hash = self.hash_fn();
-            buckets.clear();
-            buckets.extend(reqs.iter().map(|r| hash.bucket(r.key)));
-        }
-        segments.clear();
-        segments.resize(shards + 1, 0);
-        for &b in buckets.iter() {
-            segments[map.shard_of(b) as usize + 1] += 1;
-        }
-        for s in 0..shards {
-            segments[s + 1] += segments[s];
-        }
-        // The plan copies the bounds out, freeing `segments` to serve as
-        // the scatter cursors below.
-        plan.reset(segments, simt::warp::WARP_SIZE);
-        // Steady-state batches keep their size, so the scratch and order
-        // vectors are only (re)initialized on a size change; the scatter
-        // loop below writes every slot exactly once either way.
-        if order.len() != n {
-            order.clear();
-            order.resize(n, 0);
-        }
-        if scratch.len() != n {
-            scratch.clear();
-            scratch.resize(n, Request::default());
-        }
-        for (i, &b) in buckets.iter().enumerate() {
-            let s = map.shard_of(b) as usize;
-            let pos = segments[s];
-            segments[s] += 1;
-            order[pos] = i as u32;
-            let r = &reqs[i];
-            scratch[pos] = Request {
-                op: r.op,
-                key: r.key,
-                value: r.value,
-                expected: r.expected,
-                result: OpResult::Pending,
-            };
-        }
-        let outcome = grid.try_launch_sharded(&mut scratch[..], plan, |ctx, chunk| {
-            let mut alloc_state = self.allocator().new_warp_state();
-            self.process_warp(ctx, &mut alloc_state, chunk);
-        });
-        for (slot, &i) in order.iter().enumerate() {
-            reqs[i as usize].result = std::mem::take(&mut scratch[slot].result);
-        }
-        outcome
-    }
-
-    /// The superseded PR 5 partitioning strategy — sort requests by
-    /// `(bucket << 32) | index`, execute through the shared chunk
-    /// dispenser, scatter back — kept **only** as the ablation baseline so
-    /// `perf` can keep quantifying why it regressed (sorting concentrates a
-    /// hot bucket's requests at warp boundaries split across workers,
-    /// manufacturing the very CAS contention partitioning should remove).
-    /// Use [`SlabHash::execute_batch_partitioned`] everywhere else.
-    ///
-    /// # Errors
-    /// The first warp panic observed during the launch.
-    pub fn try_execute_batch_bucket_sorted(
-        &self,
-        reqs: &mut [Request],
-        grid: &Grid,
-    ) -> Result<LaunchReport, LaunchError> {
-        debug_assert!(reqs.len() <= u32::MAX as usize, "batch too large to partition");
-        let hash = self.hash_fn();
-        let mut order: Vec<u64> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (u64::from(hash.bucket(r.key)) << 32) | i as u64)
-            .collect();
-        order.sort_unstable();
-        let mut scratch: Vec<Request> = order
-            .iter()
-            .map(|&e| std::mem::take(&mut reqs[(e & 0xFFFF_FFFF) as usize]))
-            .collect();
-        let outcome = self.try_execute_batch(&mut scratch, grid);
-        for (slot, &e) in order.iter().enumerate() {
-            reqs[(e & 0xFFFF_FFFF) as usize] = std::mem::take(&mut scratch[slot]);
-        }
-        outcome
-    }
-
     /// Bulk-builds from key–value pairs using REPLACE (uniqueness
     /// maintained — the paper's evaluation setting: "all our insertion
     /// operations maintain uniqueness").
     pub fn bulk_build(&self, pairs: &[(u32, u32)], grid: &Grid) -> LaunchReport {
         let mut reqs: Vec<Request> = pairs.iter().map(|&(k, v)| Request::replace(k, v)).collect();
         self.execute_batch(&mut reqs, grid)
-    }
-
-    /// [`SlabHash::bulk_build`] through sharded ownership dispatch: pairs
-    /// are bucketed into per-shard sub-batches in O(n) and each executor
-    /// builds its own bucket range (see
-    /// [`SlabHash::execute_batch_partitioned`]).
-    pub fn bulk_build_partitioned(&self, pairs: &[(u32, u32)], grid: &Grid) -> LaunchReport {
-        let mut reqs: Vec<Request> = pairs.iter().map(|&(k, v)| Request::replace(k, v)).collect();
-        self.execute_batch_partitioned(&mut reqs, grid)
     }
 
     /// Bulk REPLACE build that surfaces the first structured failure.
@@ -447,79 +281,34 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_batch_restores_original_order() {
-        let t = SlabHash::<KeyValue>::for_expected_elements(3000, 0.6, 21);
-        let pairs: Vec<(u32, u32)> = (0..3000).map(|k| (k * 7, k)).collect();
-        t.bulk_build_partitioned(&pairs, &grid());
-        assert_eq!(t.len(), 3000);
-        // Searches through the partitioned path: results must line up with
-        // the caller's request order, not the bucket order.
-        let mut reqs: Vec<Request> = (0..3000).rev().map(|k| Request::search(k * 7)).collect();
-        t.execute_batch_partitioned(&mut reqs, &grid());
-        for (i, r) in reqs.iter().enumerate() {
-            assert_eq!(r.key, (2999 - i as u32) * 7);
-            assert_eq!(r.result, OpResult::Found(2999 - i as u32), "slot {i}");
-        }
-    }
-
-    #[test]
-    fn partitioned_and_unpartitioned_builds_agree() {
-        let pairs: Vec<(u32, u32)> = (0..4000).map(|k| (k * 3 + 1, k)).collect();
-        let t1 = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64));
-        let t2 = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64));
-        t1.bulk_build(&pairs, &grid());
-        t2.bulk_build_partitioned(&pairs, &grid());
-        let mut e1 = t1.collect_elements();
-        let mut e2 = t2.collect_elements();
-        e1.sort_unstable();
-        e2.sort_unstable();
-        assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn try_partitioned_batch_reports_and_restores() {
+    fn try_execute_batch_reports_in_caller_order() {
         let t = SlabHash::<KeyValue>::for_expected_elements(2000, 0.6, 5);
         let pairs: Vec<(u32, u32)> = (0..2000).map(|k| (k, k)).collect();
         t.bulk_build(&pairs, &grid());
-        let mut reqs: Vec<Request> = (0..2000).map(Request::search).collect();
-        let report = t.try_execute_batch_partitioned(&mut reqs, &grid()).unwrap();
+        let mut reqs: Vec<Request> = (0..2000).rev().map(Request::search).collect();
+        let report = t.try_execute_batch(&mut reqs, &grid()).unwrap();
         assert_eq!(report.counters.ops, 2000);
-        for (k, r) in reqs.iter().enumerate() {
-            assert_eq!(r.key, k as u32);
-            assert_eq!(r.result, OpResult::Found(k as u32));
+        for (i, r) in reqs.iter().enumerate() {
+            assert_eq!(r.key, 1999 - i as u32);
+            assert_eq!(r.result, OpResult::Found(1999 - i as u32), "slot {i}");
         }
     }
 
     #[test]
-    fn bucket_sorted_ablation_path_matches_sharded_results() {
-        let t = SlabHash::<KeyValue>::for_expected_elements(3000, 0.6, 31);
-        let pairs: Vec<(u32, u32)> = (0..3000).map(|k| (k * 5, k)).collect();
-        t.bulk_build(&pairs, &grid());
-        let mut sorted: Vec<Request> = (0..3000).map(|k| Request::search(k * 5)).collect();
-        let mut sharded = sorted.clone();
-        t.try_execute_batch_bucket_sorted(&mut sorted, &grid()).unwrap();
-        t.try_execute_batch_partitioned(&mut sharded, &grid()).unwrap();
-        for (a, b) in sorted.iter().zip(sharded.iter()) {
-            assert_eq!(a.key, b.key, "caller order must be restored by both");
-            assert_eq!(a.result, b.result);
-        }
-    }
-
-    #[test]
-    fn sharded_execution_handles_narrow_tables_and_tiny_batches() {
-        // Fewer buckets than grid threads: ShardMap clamps, stealing covers.
+    fn execution_handles_narrow_tables_and_tiny_batches() {
+        // Fewer buckets than grid threads: every warp contends on two chains.
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
         let mut reqs: Vec<Request> = (0..40).map(|k| Request::replace(k, k)).collect();
-        t.execute_batch_partitioned(&mut reqs, &grid());
+        t.execute_batch(&mut reqs, &grid());
         assert!(reqs.iter().all(|r| r.result == OpResult::Inserted));
         assert_eq!(t.len(), 40);
         // Empty batch.
         let mut empty: Vec<Request> = vec![];
-        let report = t.execute_batch_partitioned(&mut empty, &grid());
+        let report = t.execute_batch(&mut empty, &grid());
         assert_eq!(report.warps, 0);
         // Single request.
         let mut one = vec![Request::search(7)];
-        t.execute_batch_partitioned(&mut one, &grid());
+        t.execute_batch(&mut one, &grid());
         assert_eq!(one[0].result, OpResult::Found(7));
     }
 

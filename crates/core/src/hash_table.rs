@@ -194,25 +194,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         &self.hash
     }
 
-    /// The destination bucket for `key` — the pre-hashing hook behind
-    /// shard-shaped batch assembly (the ingress broker computes this once
-    /// at admission and carries it on the request through
-    /// [`crate::BatchBuffer::push_with_bucket`]).
-    #[inline]
-    pub fn bucket_of(&self, key: u32) -> u32 {
-        self.hash.bucket(key)
-    }
-
-    /// The contiguous bucket-range ownership map this table's sharded
-    /// execution uses for a grid of `shards` executors (see
-    /// [`simt::ShardMap`]). Exposed so telemetry (heatmap shard columns)
-    /// and callers shaping their own sub-batches agree with the dispatch
-    /// path on which shard owns which bucket.
-    #[inline]
-    pub fn shard_map(&self, shards: u32) -> simt::ShardMap {
-        simt::ShardMap::new(self.num_buckets(), shards)
-    }
-
     /// The allocator backing chained slabs.
     #[inline]
     pub fn allocator(&self) -> &A {

@@ -255,21 +255,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         }
         heatmap
     }
-
-    /// [`contention_heatmap`](Self::contention_heatmap) with every row
-    /// labeled by the ownership shard it maps to under sharded dispatch
-    /// over `shards` executors — the view that shows whether hot buckets
-    /// land on one owner (CAS failures collapse) or still straddle workers.
-    pub fn contention_heatmap_sharded(
-        &self,
-        audit: &AuditReport,
-        trace: Option<&Trace>,
-        shards: u32,
-    ) -> Heatmap {
-        let mut heatmap = self.contention_heatmap(audit, trace);
-        heatmap.assign_shards(shards);
-        heatmap
-    }
 }
 
 /// Counts live keys in one slab's lanes (frozen lanes are dead by
@@ -382,23 +367,6 @@ mod tests {
         let sum: usize = (0..16).map(|b| t.bucket_len(b)).sum();
         assert_eq!(sum, t.len());
         assert_eq!(sum, 1234);
-    }
-
-    #[test]
-    fn sharded_heatmap_rows_agree_with_the_dispatch_shard_map() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(37));
-        let grid = Grid::new(4);
-        let pairs: Vec<(u32, u32)> = (0..500).map(|k| (k, k)).collect();
-        t.bulk_build(&pairs, &grid);
-        let audit = t.audit().unwrap();
-        let heat = t.contention_heatmap_sharded(&audit, None, 4);
-        // The heatmap duplicates the shard arithmetic (telemetry cannot
-        // depend on simt); this pins the two implementations together.
-        let map = t.shard_map(4);
-        for row in heat.rows() {
-            assert_eq!(row.shard, Some(map.shard_of(row.stat.bucket)));
-        }
-        assert_eq!(heat.cas_failures_by_shard().len(), 4);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use simt::telemetry::{
     EventKind, JsonlSnapshots, MetricsRegistry, MetricsServer, RequestSpan, SessionHandle,
     SpanReport, Stage, LAUNCH_WARP,
 };
-use simt::{ChaosGuard, FaultPlan, Grid, ShardMap};
+use simt::{ChaosGuard, FaultPlan, Grid};
 use slab_alloc::SlabAllocator;
 use slab_hash::{
     BatchBuffer, EntryLayout, MaintenancePolicy, OpKind, OpResult, PressureMode, Request, SlabHash,
@@ -94,13 +94,6 @@ pub struct BrokerConfig {
     /// Writes are shed while the allocator's free-slab gauge is at or below
     /// this watermark (shed policy only). Reads are unaffected.
     pub write_shed_headroom: u64,
-    /// Batches at least this large execute through sharded ownership
-    /// dispatch: requests are routed to the executor that owns their
-    /// bucket's shard, so a hot bucket is only ever touched by one worker.
-    /// Below the threshold the flat warp-chunked path wins (no routing
-    /// pass). The broker pre-hashes every admitted request, so the sharded
-    /// path skips its bucket pass entirely.
-    pub partition_threshold: usize,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// How long an idle broker sleeps between housekeeping checks.
@@ -121,7 +114,6 @@ impl Default for BrokerConfig {
             policy: MaintenancePolicy::shed(),
             max_dispatch_attempts: 4,
             write_shed_headroom: 16,
-            partition_threshold: 64,
             breaker: BreakerConfig::default(),
             idle_tick: Duration::from_millis(1),
             grid: None,
@@ -139,7 +131,6 @@ impl std::fmt::Debug for BrokerConfig {
             .field("policy", &self.policy)
             .field("max_dispatch_attempts", &self.max_dispatch_attempts)
             .field("write_shed_headroom", &self.write_shed_headroom)
-            .field("partition_threshold", &self.partition_threshold)
             .field("breaker", &self.breaker)
             .field("idle_tick", &self.idle_tick)
             .field("grid", &self.grid.as_ref().map(|_| "Grid"))
@@ -334,15 +325,6 @@ struct BrokerRun<L: EntryLayout, A: SlabAllocator> {
     stats: IngressStats,
     metrics: IngressMetrics,
     batch: BatchBuffer,
-    /// Bucket-range → ownership-shard map for the grid this broker
-    /// dispatches on (one shard per persistent executor).
-    shard_map: ShardMap,
-    /// Scratch: per-shard request counts for the in-flight batch.
-    shard_depth: Vec<u64>,
-    /// Net live elements per shard from broker-completed writes (inserts
-    /// minus deletes). Signed: deletes of pre-loaded keys go negative, and
-    /// the gauge clamps at zero.
-    shard_live: Vec<i64>,
 }
 
 fn run_broker<L, A>(
@@ -363,16 +345,11 @@ where
     let grid = cfg.grid.clone().unwrap_or_else(|| {
         Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
     });
-    let shard_map = table.shard_map(grid.num_threads() as u32);
-    let shards = shard_map.num_shards() as usize;
     let mut run = BrokerRun {
         breaker: CircuitBreaker::new(cfg.breaker),
         breaker_billed: [0; 3],
         batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
-        metrics: IngressMetrics::register(&registry, shards),
-        shard_map,
-        shard_depth: vec![0; shards],
-        shard_live: vec![0; shards],
+        metrics: IngressMetrics::register(&registry),
         table,
         cfg,
         grid,
@@ -454,33 +431,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             m.pool_launches.set(pool.launches);
         }
         m.breaker_state.set(breaker_state_code(self.breaker.state()));
-    }
-
-    /// Samples the per-shard routing gauges from the batch about to
-    /// dispatch (`active`), or zeroes them once the batch has been
-    /// answered. Shards are re-derived from each request's key — the same
-    /// arithmetic the sharded launch routes by — so the gauges show exactly
-    /// which owners the in-flight batch lands on.
-    fn set_shard_queue_gauges(&mut self, active: bool) {
-        self.shard_depth.iter_mut().for_each(|d| *d = 0);
-        if active {
-            for req in self.batch.requests() {
-                let shard = self.shard_map.shard_of(self.table.bucket_of(req.key)) as usize;
-                self.shard_depth[shard] += 1;
-            }
-        }
-        for (gauge, &depth) in self.metrics.shard_queue_depth.iter().zip(&self.shard_depth) {
-            gauge.set(depth);
-        }
-    }
-
-    /// Publishes per-shard occupancy from the broker's completed-write
-    /// ledger (clamped at zero: deletes of keys loaded outside the broker
-    /// would otherwise push the net below what this broker inserted).
-    fn set_shard_occupancy_gauges(&self) {
-        for (gauge, &live) in self.metrics.shard_occupancy.iter().zip(&self.shard_live) {
-            gauge.set(live.max(0) as u64);
-        }
     }
 
     /// Runs one maintenance pass and counts it against its trigger.
@@ -583,10 +533,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                 }
             }
             env.span.mark_at(Stage::Admission, now);
-            // Hash once at admission: the sharded launch reuses this bucket
-            // for routing instead of re-partitioning the whole batch.
-            let bucket = self.table.bucket_of(env.req.key);
-            self.batch.push_with_bucket(env.req.clone(), bucket);
+            self.batch.push(env.req.clone());
             pending.push(env);
         }
         self.note_breaker();
@@ -594,7 +541,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
         // --- Dispatch + bounded retry. ---
         let mut attempt = 0u32;
         while !pending.is_empty() {
-            self.set_shard_queue_gauges(true);
             // Two shared timestamps bracket the launch: dispatch (batch
             // assembly + scheduling since admission) ends where execute
             // begins. Retry rounds re-mark both, so marks stay monotone and
@@ -604,11 +550,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             for env in &mut pending {
                 env.span.mark_at(Stage::Dispatch, exec_start);
             }
-            let report = if self.batch.len() >= self.cfg.partition_threshold {
-                self.table.execute_buffer_partitioned(&mut self.batch, &self.grid)
-            } else {
-                self.table.execute_buffer(&mut self.batch, &self.grid)
-            };
+            let report = self.table.execute_buffer(&mut self.batch, &self.grid);
             let exec_end = Instant::now();
             for env in &mut pending {
                 env.span.mark_at(Stage::Execute, exec_end);
@@ -670,22 +612,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                     ref result => {
                         if write {
                             self.breaker.record(now, true);
-                            // Completed writes feed the per-shard occupancy
-                            // ledger: inserts add, deletes subtract,
-                            // replaces are net zero.
-                            let delta = match *result {
-                                OpResult::Inserted => 1,
-                                OpResult::Deleted(_) => -1,
-                                OpResult::DeletedCount(n) => -i64::from(n),
-                                _ => 0,
-                            };
-                            if delta != 0 {
-                                let shard = self
-                                    .shard_map
-                                    .shard_of(self.table.bucket_of(req.key))
-                                    as usize;
-                                self.shard_live[shard] += delta;
-                            }
                         }
                         self.stats.completed += 1;
                         self.metrics.completed.inc();
@@ -724,15 +650,10 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             for (env, _) in retry {
                 let mut req = env.req.clone();
                 req.reset();
-                // Re-admit with the bucket recomputed so the retry round's
-                // routing cache is coherent with the shrunken cohort.
-                let bucket = self.table.bucket_of(req.key);
-                self.batch.push_with_bucket(req, bucket);
+                self.batch.push(req);
                 pending.push(env);
             }
             attempt += 1;
         }
-        self.set_shard_queue_gauges(false);
-        self.set_shard_occupancy_gauges();
     }
 }

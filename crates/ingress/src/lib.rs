@@ -274,77 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_gauges_track_broker_writes() {
-        let table = small_table();
-        let broker = Broker::spawn(Arc::clone(&table), BrokerConfig::default());
-        let client = broker.handle();
-        // Spread inserts and some deletes across the keyspace so several
-        // ownership shards see traffic.
-        let n = 200u32;
-        for k in 0..n {
-            assert_eq!(client.put(k, k).unwrap(), None);
-        }
-        for k in 0..50u32 {
-            assert_eq!(client.remove(k).unwrap(), Some(k));
-        }
-        // Render after shutdown: replies race the end-of-batch gauge
-        // refresh, but the registry outlives the broker thread and its
-        // final state is deterministic.
-        let metrics = broker.metrics();
-        drop(client);
-        broker.shutdown();
-        let rendered = metrics.render_prometheus();
-        // One occupancy gauge per shard, and the ledger sums to the live
-        // count the broker produced (200 inserts - 50 deletes).
-        let occupancy: u64 = rendered
-            .lines()
-            .filter(|l| l.starts_with("slab_ingress_shard_occupancy{"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(occupancy, u64::from(n) - 50);
-        // Queue-depth gauges exist per shard and read zero between batches.
-        let depths: Vec<u64> = rendered
-            .lines()
-            .filter(|l| l.starts_with("slab_ingress_shard_queue_depth{"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .collect();
-        assert!(!depths.is_empty(), "no per-shard queue-depth gauges rendered");
-        assert!(depths.iter().all(|&d| d == 0));
-    }
-
-    #[test]
-    fn broker_sharded_path_matches_flat_results() {
-        // Force every coalesced batch down the sharded path and check the
-        // replies are indistinguishable from the flat default.
-        let run = |threshold: usize| {
-            let table = small_table();
-            let cfg = BrokerConfig {
-                partition_threshold: threshold,
-                ..BrokerConfig::default()
-            };
-            let broker = Broker::spawn(Arc::clone(&table), cfg);
-            let client = broker.handle();
-            let tickets: Vec<_> = (0..300u32)
-                .map(|k| client.submit(Request::insert(k, k)).unwrap())
-                .collect();
-            let ok = tickets
-                .into_iter()
-                .map(|t| t.wait())
-                .filter(|r| r.result.is_ok())
-                .count();
-            drop(client);
-            broker.shutdown();
-            (ok, table.len())
-        };
-        let (sharded_ok, sharded_len) = run(1);
-        let (flat_ok, flat_len) = run(usize::MAX);
-        assert_eq!(sharded_ok, 300);
-        assert_eq!(flat_ok, 300);
-        assert_eq!(sharded_len, 300);
-        assert_eq!(flat_len, 300);
-    }
-
-    #[test]
     fn shutdown_answers_everything_already_queued() {
         let broker = Broker::spawn(small_table(), BrokerConfig::default());
         let client = broker.handle();

@@ -95,40 +95,13 @@ pub(crate) struct IngressMetrics {
     /// Per-stage request latency, labeled `stage=...`; recorded in
     /// nanoseconds, exported in seconds.
     pub stage_seconds: [HistogramMetric; STAGE_COUNT],
-    /// Requests routed to each ownership shard in the batch currently being
-    /// dispatched, labeled `shard="N"`. Zero between batches.
-    pub shard_queue_depth: Vec<GaugeMetric>,
-    /// Live elements resident in each ownership shard as observed through
-    /// this broker's completed writes (net inserts minus deletes), labeled
-    /// `shard="N"`. Elements loaded outside the broker are not counted.
-    pub shard_occupancy: Vec<GaugeMetric>,
 }
 
 impl IngressMetrics {
     /// Registers every broker metric against `registry` and returns the
-    /// handle bundle. `shards` is the number of ownership shards the
-    /// broker's grid dispatches over (one gauge pair per shard). Idempotent
-    /// per registry: a second broker sharing the registry shares the cells.
-    pub(crate) fn register(registry: &Arc<MetricsRegistry>, shards: usize) -> Self {
-        let shard_label = |s: usize| s.to_string();
-        let shard_queue_depth = (0..shards)
-            .map(|s| {
-                registry.gauge_with(
-                    "slab_ingress_shard_queue_depth",
-                    "Requests routed to this ownership shard in the in-flight batch",
-                    &[("shard", &shard_label(s))],
-                )
-            })
-            .collect();
-        let shard_occupancy = (0..shards)
-            .map(|s| {
-                registry.gauge_with(
-                    "slab_ingress_shard_occupancy",
-                    "Live elements in this ownership shard (net broker-completed writes)",
-                    &[("shard", &shard_label(s))],
-                )
-            })
-            .collect();
+    /// handle bundle. Idempotent per registry: a second broker sharing the
+    /// registry shares the cells.
+    pub(crate) fn register(registry: &Arc<MetricsRegistry>) -> Self {
         let stage_seconds = STAGES.map(|stage| {
             registry.histogram_with(
                 "slab_ingress_stage_seconds",
@@ -228,8 +201,6 @@ impl IngressMetrics {
                 "Slab allocations served to broker batches",
             ),
             stage_seconds,
-            shard_queue_depth,
-            shard_occupancy,
         }
     }
 

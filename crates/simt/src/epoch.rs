@@ -18,8 +18,14 @@
 //! Ordering: `advance` is a `SeqCst` fetch-add and `pin` a `SeqCst` load,
 //! so a pin that observes epoch ≥ t happens-after the advance that produced
 //! t, which itself happens-after the unlink CAS the retirer performed.
+//!
+//! Pins are counted per epoch, not registered one by one: the horizon only
+//! needs the smallest pinned epoch, and the pin set's storage then grows
+//! with the number of *distinct* epochs pinned at once — one in steady
+//! state — rather than with how many warps happen to overlap. Warps pin on
+//! every batch, so a steady-state batch loop stays allocation-free however
+//! the executors interleave.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -29,10 +35,9 @@ use parking_lot::Mutex;
 pub struct EpochClock {
     /// The global epoch, advanced once per retirement batch.
     clock: AtomicU64,
-    /// Pin id allocator.
-    next_pin: AtomicU64,
-    /// Active pins: pin id → the epoch observed when the pin was taken.
-    pins: Mutex<HashMap<u64, u64>>,
+    /// Active pins as `(epoch, count)` pairs, one per distinct pinned
+    /// epoch. Entries leave by `swap_remove`, so the capacity is kept.
+    pins: Mutex<Vec<(u64, usize)>>,
 }
 
 impl EpochClock {
@@ -55,10 +60,16 @@ impl EpochClock {
     /// Pins the current epoch for the duration of the returned guard
     /// (one pin per launch / traversal).
     pub fn pin(&self) -> EpochPin<'_> {
-        let id = self.next_pin.fetch_add(1, Ordering::Relaxed);
+        let mut pins = self.pins.lock();
+        // Load under the lock: a `horizon` call either sees this pin, or
+        // ran entirely before the load, and so before this launch could
+        // reach any memory it let go.
         let epoch = self.clock.load(Ordering::SeqCst);
-        self.pins.lock().insert(id, epoch);
-        EpochPin { clock: self, id }
+        match pins.iter_mut().find(|(e, _)| *e == epoch) {
+            Some((_, count)) => *count += 1,
+            None => pins.push((epoch, 1)),
+        }
+        EpochPin { clock: self, epoch }
     }
 
     /// The reclamation horizon: the minimum epoch any active pin holds, or
@@ -67,15 +78,15 @@ impl EpochClock {
     pub fn horizon(&self) -> u64 {
         self.pins
             .lock()
-            .values()
-            .copied()
+            .iter()
+            .map(|&(epoch, _)| epoch)
             .min()
             .unwrap_or(u64::MAX)
     }
 
     /// Number of active pins (in-flight launches).
     pub fn active_pins(&self) -> usize {
-        self.pins.lock().len()
+        self.pins.lock().iter().map(|&(_, count)| count).sum()
     }
 }
 
@@ -83,19 +94,25 @@ impl EpochClock {
 #[derive(Debug)]
 pub struct EpochPin<'c> {
     clock: &'c EpochClock,
-    id: u64,
+    epoch: u64,
 }
 
 impl EpochPin<'_> {
     /// The epoch this pin holds.
     pub fn epoch(&self) -> u64 {
-        self.clock.pins.lock()[&self.id]
+        self.epoch
     }
 }
 
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
-        self.clock.pins.lock().remove(&self.id);
+        let mut pins = self.clock.pins.lock();
+        if let Some(i) = pins.iter().position(|&(e, _)| e == self.epoch) {
+            pins[i].1 -= 1;
+            if pins[i].1 == 0 {
+                pins.swap_remove(i);
+            }
+        }
     }
 }
 
@@ -151,6 +168,22 @@ mod tests {
         assert_eq!(c.horizon(), 1);
         drop(late);
         assert_eq!(c.horizon(), u64::MAX);
+    }
+
+    #[test]
+    fn pins_at_one_epoch_share_an_entry() {
+        let c = EpochClock::new();
+        let pins: Vec<_> = (0..5).map(|_| c.pin()).collect();
+        assert_eq!(c.active_pins(), 5);
+        assert_eq!(c.pins.lock().len(), 1, "one distinct epoch, one entry");
+        let cap = c.pins.lock().capacity();
+        drop(pins);
+        assert_eq!(c.active_pins(), 0);
+        assert_eq!(c.horizon(), u64::MAX);
+        // Overlapping pins at the same epoch never grow the storage.
+        let more: Vec<_> = (0..64).map(|_| c.pin()).collect();
+        assert_eq!(c.pins.lock().capacity(), cap);
+        drop(more);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! lock-free algorithms (CAS retries, allocate-then-link races,
 //! delete/search interleavings) is exercised for real, not emulated.
 //!
-//! Executor threads are persistent (see [`Dispatch::Pooled`] and the
-//! crate's `pool` module): a launch wakes the grid's parked workers
-//! instead of spawning fresh OS threads, mirroring how a GPU's SMs are
-//! always powered and merely fed new blocks.
+//! Executor threads are persistent (see the crate's `pool` module): a
+//! launch wakes the grid's parked workers instead of spawning fresh OS
+//! threads, mirroring how a GPU's SMs are always powered and merely fed new
+//! blocks. Concurrent launches on one shared grid, and nested launches from
+//! inside a kernel, find the pool busy and fall back to scoped spawning for
+//! that launch.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +25,7 @@ use std::time::{Duration, Instant};
 use telemetry::{EventKind, Histograms, SessionHandle, WarpTracer, LAUNCH_WARP};
 
 use crate::counters::PerfCounters;
-use crate::pool::{ChunkDispenser, Pool, ShardDispenser};
-use crate::shard::ShardPlan;
+use crate::pool::{ChunkDispenser, Pool};
 use crate::warp::WARP_SIZE;
 
 /// Per-warp execution context handed to kernels.
@@ -177,22 +178,6 @@ impl std::fmt::Display for LaunchError {
     }
 }
 
-/// How a [`Grid`] turns warps into OS-thread work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Persistent parked executors (the default): the grid owns
-    /// `num_threads - 1` worker threads, spawned lazily on the first
-    /// parallel launch; each launch wakes them and the launching thread
-    /// executes alongside. Concurrent launches on one shared grid (and
-    /// nested launches from inside a kernel) transparently fall back to
-    /// scoped spawning for that launch.
-    Pooled,
-    /// Legacy per-launch `std::thread::scope` spawning. Kept as the
-    /// benchmarking baseline (`perf`'s pooled-vs-scoped ablation) and as
-    /// the pooled path's fallback.
-    Scoped,
-}
-
 /// The warp scheduler: a fixed-width pool of OS threads standing in for the
 /// GPU's SMs.
 ///
@@ -201,7 +186,6 @@ pub enum Dispatch {
 #[derive(Clone)]
 pub struct Grid {
     num_threads: usize,
-    dispatch: Dispatch,
     pool: Arc<OnceLock<Pool>>,
 }
 
@@ -209,7 +193,6 @@ impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Grid")
             .field("num_threads", &self.num_threads)
-            .field("dispatch", &self.dispatch)
             .field("pool_started", &self.pool.get().is_some())
             .finish()
     }
@@ -230,23 +213,11 @@ impl Default for Grid {
 
 impl Grid {
     /// A scheduler with `num_threads` concurrent warp executors (clamped to
-    /// at least one), using the default [`Dispatch::Pooled`] strategy.
+    /// at least one): the launching thread plus `num_threads - 1` persistent
+    /// pool workers, spawned lazily on the first parallel launch.
     pub fn new(num_threads: usize) -> Self {
-        Self::with_dispatch(num_threads, Dispatch::Pooled)
-    }
-
-    /// A scheduler that spawns scoped threads per launch
-    /// ([`Dispatch::Scoped`]) — the pre-pool behaviour, kept for A/B
-    /// measurement against the pooled path.
-    pub fn scoped(num_threads: usize) -> Self {
-        Self::with_dispatch(num_threads, Dispatch::Scoped)
-    }
-
-    /// A scheduler with an explicit dispatch strategy.
-    pub fn with_dispatch(num_threads: usize, dispatch: Dispatch) -> Self {
         Self {
             num_threads: num_threads.max(1),
-            dispatch,
             pool: Arc::new(OnceLock::new()),
         }
     }
@@ -263,19 +234,10 @@ impl Grid {
         self.num_threads
     }
 
-    /// The dispatch strategy this grid launches with.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    /// Live executor-pool statistics, for the metrics plane. `None` on
-    /// scoped grids and on pooled grids that have not launched yet (the
-    /// pool spawns lazily on first launch).
+    /// Live executor-pool statistics, for the metrics plane. `None` until
+    /// the grid's first parallel launch (the pool spawns lazily).
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        match self.dispatch {
-            Dispatch::Scoped => None,
-            Dispatch::Pooled => self.pool.get().map(Pool::stats),
-        }
+        self.pool.get().map(Pool::stats)
     }
 
     /// Fault-injection hook for robustness tests: makes up to `n` of the
@@ -283,17 +245,12 @@ impl Grid {
     /// has not launched yet), blocks until they are gone, and returns the
     /// number of workers still alive. Subsequent launches must keep
     /// completing on the survivors — launcher-only in the limit — instead of
-    /// hanging the completion barrier. No-op (returns 0) on scoped grids,
-    /// which have no pool.
+    /// hanging the completion barrier.
     #[doc(hidden)]
     pub fn debug_kill_pool_workers(&self, n: usize) -> usize {
-        match self.dispatch {
-            Dispatch::Scoped => 0,
-            Dispatch::Pooled => self
-                .pool
-                .get_or_init(|| Pool::new(self.num_threads - 1))
-                .kill_workers(n),
-        }
+        self.pool
+            .get_or_init(|| Pool::new(self.num_threads - 1))
+            .kill_workers(n)
     }
 
     /// Launches a kernel over `items`, one item per simulated GPU thread.
@@ -338,7 +295,7 @@ impl Grid {
         // session lookup) so `LaunchReport::wall` measures kernel
         // execution, not host bookkeeping.
         let start = Instant::now();
-        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |_slot, warp_ctx| {
+        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |warp_ctx| {
             while !containment.poisoned() {
                 let Some((warp_id, chunk)) = dispenser.next() else {
                     break;
@@ -351,83 +308,6 @@ impl Grid {
                     break;
                 }
             }
-        });
-        let wall = start.elapsed();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchEnd { warps: warps as u32 });
-        }
-        containment.into_result(LaunchReport {
-            counters,
-            histograms,
-            wall,
-            warps,
-        })
-    }
-
-    /// Launches a kernel over shard-shaped work: `items` is the
-    /// concatenation of per-shard sub-batches described by `plan`, and each
-    /// executor drains *its own* shard's warps before stealing from others
-    /// (owner-first dispatch; see [`crate::ShardPlan`]).
-    ///
-    /// Ownership is keyed on stable executor slots — the launching thread
-    /// is slot 0, each pool worker keeps its spawn index for life — so
-    /// shard `s` is processed by the same OS thread launch after launch,
-    /// and two executors only touch the same bucket range when one has
-    /// gone idle (or an owner has died) and steals the tail. Correctness
-    /// never depends on the routing: stolen or misrouted chunks run the
-    /// same kernel against the same table.
-    ///
-    /// A panicking warp is re-raised on the calling thread (after in-flight
-    /// warps drain); use [`Grid::try_launch_sharded`] to contain it instead.
-    pub fn launch_sharded<T, F>(&self, items: &mut [T], plan: &ShardPlan, kernel: F) -> LaunchReport
-    where
-        T: Send,
-        F: Fn(&mut WarpCtx, &mut [T]) + Sync,
-    {
-        match self.try_launch_sharded(items, plan, kernel) {
-            Ok(report) => report,
-            Err(e) => e.resume_unwind(),
-        }
-    }
-
-    /// Like [`Grid::launch_sharded`], but contains warp panics (see
-    /// [`Grid::try_launch`]).
-    ///
-    /// # Errors
-    /// Returns the first warp panic observed.
-    ///
-    /// # Panics
-    /// If `items.len()` does not match the plan's total element count.
-    pub fn try_launch_sharded<T, F>(
-        &self,
-        items: &mut [T],
-        plan: &ShardPlan,
-        kernel: F,
-    ) -> Result<LaunchReport, LaunchError>
-    where
-        T: Send,
-        F: Fn(&mut WarpCtx, &mut [T]) + Sync,
-    {
-        let dispenser = ShardDispenser::new(items, plan);
-        let warps = plan.num_chunks();
-        let containment = Containment::default();
-        let session = telemetry::current_session();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchBegin { warps: warps as u32 });
-        }
-        // As in `try_launch`: time the kernel, not the setup.
-        let start = Instant::now();
-        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |slot, warp_ctx| {
-            dispenser.drain(slot, |warp_id, chunk| {
-                if containment.poisoned() {
-                    return false;
-                }
-                warp_ctx.warp_id = warp_id;
-                warp_ctx.begin_warp();
-                let ok = containment.run_warp(warp_id, || kernel(warp_ctx, chunk));
-                warp_ctx.end_warp();
-                ok
-            });
         });
         let wall = start.elapsed();
         if let Some(s) = &session {
@@ -479,7 +359,7 @@ impl Grid {
         }
         // As in `try_launch`: time the kernel, not the setup.
         let start = Instant::now();
-        let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |_slot, warp_ctx| loop {
+        let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |warp_ctx| loop {
             if containment.poisoned() {
                 break;
             }
@@ -517,10 +397,6 @@ impl Grid {
     /// (the `try_` launch entry points catch per-warp panics before they
     /// reach here).
     ///
-    /// `body`'s first argument is the executor's stable slot (0 for the
-    /// launching thread, the pool worker's spawn index otherwise) — the
-    /// shard-ownership key for sharded launches; flat launches ignore it.
-    ///
     /// `session` is the launching thread's trace session, captured once by
     /// the caller; executors record into private rings bound to it.
     fn run_warps<B>(
@@ -530,13 +406,13 @@ impl Grid {
         body: B,
     ) -> (PerfCounters, Histograms)
     where
-        B: Fn(usize, &mut WarpCtx) + Sync,
+        B: Fn(&mut WarpCtx) + Sync,
     {
         // Don't wake more executors than there are warps to run.
         let executors = self.num_threads.min(expected_warps.max(1));
         if executors == 1 {
             let mut ctx = WarpCtx::bound(0, session);
-            body(0, &mut ctx);
+            body(&mut ctx);
             // `ctx` drops after the return value is built, flushing its
             // trace ring to the session sink before the launch returns.
             return (ctx.counters, ctx.histograms);
@@ -549,29 +425,25 @@ impl Grid {
         // workers shed it before the next launch. Trace sessions are
         // likewise captured per launch from the launching thread.
         let enrolled = crate::chaos::thread_participates();
-        let executor = |slot: usize| {
+        let executor = || {
             let _enroll = crate::chaos::participate_if(enrolled);
             let mut ctx = WarpCtx::bound(usize::MAX, session);
-            body(slot, &mut ctx);
+            body(&mut ctx);
             let mut blocks = merged.lock();
             blocks.0.merge(&ctx.counters);
             blocks.1.merge(&ctx.histograms);
             // `ctx` drops here, flushing its trace ring before the pool
             // counts this executor as done.
         };
-        let ran_pooled = self.dispatch == Dispatch::Pooled && {
-            let pool = self.pool.get_or_init(|| Pool::new(self.num_threads - 1));
-            // The launching thread is one executor; the pool wakes the rest.
-            // `try_run` declines when another launch holds the pool (shared
-            // grid, or a kernel launching on its own grid) — fall through
-            // to scoped spawning for just that launch.
-            pool.try_run(executors - 1, &executor)
-        };
-        if !ran_pooled {
-            let executor = &executor;
+        let pool = self.pool.get_or_init(|| Pool::new(self.num_threads - 1));
+        // The launching thread is one executor; the pool wakes the rest.
+        // `try_run` declines when another launch holds the pool (shared
+        // grid, or a kernel launching on its own grid) — fall through to
+        // scoped spawning for just that launch.
+        if !pool.try_run(executors - 1, &executor) {
             std::thread::scope(|scope| {
-                for slot in 0..executors {
-                    scope.spawn(move || executor(slot));
+                for _ in 0..executors {
+                    scope.spawn(executor);
                 }
             });
         }
@@ -762,16 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn default_dispatch_is_pooled_and_scoped_is_available() {
-        assert_eq!(Grid::new(4).dispatch(), Dispatch::Pooled);
-        assert_eq!(Grid::default().dispatch(), Dispatch::Pooled);
-        let scoped = Grid::scoped(4);
-        assert_eq!(scoped.dispatch(), Dispatch::Scoped);
-        let report = scoped.launch_warps(16, |ctx| ctx.counters.ops += 1);
-        assert_eq!(report.counters.ops, 16);
-    }
-
-    #[test]
     fn pooled_grid_reuses_workers_across_many_launches() {
         let grid = Grid::new(4);
         for round in 0..100u64 {
@@ -819,101 +681,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn sharded_launch_visits_every_item_once_with_dense_warp_ids() {
-        let grid = Grid::new(4);
-        // 4 uneven shards over 300 items.
-        let mut items = vec![0u32; 300];
-        let mut plan = ShardPlan::new();
-        plan.reset(&[0, 100, 101, 180, 300], WARP_SIZE);
-        let warps = plan.num_chunks();
-        let seen = (0..warps).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let report = grid.launch_sharded(&mut items, &plan, |ctx, chunk| {
-            seen[ctx.warp_id].fetch_add(1, Ordering::Relaxed);
-            for item in chunk.iter_mut() {
-                *item += 1;
-                ctx.counters.ops += 1;
-            }
-        });
-        assert!(items.iter().all(|&v| v == 1), "every item exactly once");
-        assert_eq!(report.counters.ops, 300);
-        assert_eq!(report.warps, warps);
-        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn sharded_launch_with_more_shards_than_executors_drains_by_stealing() {
-        let grid = Grid::new(2);
-        let mut items: Vec<u32> = (0..256).collect();
-        let mut plan = ShardPlan::new();
-        // 8 shards but only 2 executors: stealing must finish the job.
-        plan.reset(&[0, 32, 64, 96, 128, 160, 192, 224, 256], WARP_SIZE);
-        let report = grid.launch_sharded(&mut items, &plan, |ctx, chunk| {
-            for item in chunk.iter_mut() {
-                *item += 1000;
-                ctx.counters.ops += 1;
-            }
-        });
-        assert_eq!(report.counters.ops, 256);
-        assert!(items.iter().enumerate().all(|(i, &v)| v == i as u32 + 1000));
-    }
-
-    #[test]
-    fn sharded_launch_survives_worker_death() {
-        let grid = Grid::new(4);
-        let mut plan = ShardPlan::new();
-        let run = |grid: &Grid, plan: &mut ShardPlan| {
-            let mut items = vec![0u32; 4 * WARP_SIZE * 4];
-            let n = items.len();
-            plan.reset(&[0, n / 4, n / 2, 3 * n / 4, n], WARP_SIZE);
-            let report = grid.launch_sharded(&mut items, plan, |ctx, chunk| {
-                for item in chunk.iter_mut() {
-                    *item += 1;
-                    ctx.counters.ops += 1;
-                }
-            });
-            assert_eq!(report.counters.ops, n as u64);
-            assert!(items.iter().all(|&v| v == 1));
-        };
-        run(&grid, &mut plan);
-        grid.debug_kill_pool_workers(2);
-        run(&grid, &mut plan);
-        grid.debug_kill_pool_workers(8);
-        run(&grid, &mut plan); // launcher-only, pure stealing
-    }
-
-    #[test]
-    fn sharded_launch_contains_warp_panics() {
-        let grid = Grid::new(4);
-        let mut items = vec![0u32; 8 * WARP_SIZE];
-        let mut plan = ShardPlan::new();
-        let n = items.len();
-        plan.reset(&[0, n / 2, n], WARP_SIZE);
-        let err = grid
-            .try_launch_sharded(&mut items, &plan, |ctx, _| {
-                if ctx.warp_id == 5 {
-                    panic!("shard fault");
-                }
-            })
-            .expect_err("warp 5 must fail the launch");
-        assert_eq!(err.warp_id, 5);
-        assert_eq!(err.message(), Some("shard fault"));
-        // Grid stays usable.
-        plan.reset(&[0, n / 2, n], WARP_SIZE);
-        let report = grid.try_launch_sharded(&mut items, &plan, |_, _| {}).unwrap();
-        assert_eq!(report.warps, 8);
-    }
-
-    #[test]
-    fn sharded_launch_empty_plan_is_fine() {
-        let grid = Grid::new(4);
-        let mut items: Vec<u32> = vec![];
-        let mut plan = ShardPlan::new();
-        plan.reset(&[0, 0, 0, 0], WARP_SIZE);
-        let report = grid.launch_sharded(&mut items, &plan, |_, _| panic!("no warps"));
-        assert_eq!(report.warps, 0);
     }
 
     #[test]

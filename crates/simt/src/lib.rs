@@ -52,7 +52,6 @@ pub mod grid;
 pub mod memory;
 pub mod model;
 pub(crate) mod pool;
-pub mod shard;
 pub mod warp;
 
 pub use telemetry;
@@ -60,9 +59,8 @@ pub use telemetry;
 pub use chaos::{disable_chaos, set_chaos, ChaosGuard, FaultPlan};
 pub use counters::PerfCounters;
 pub use epoch::{EpochClock, EpochPin};
-pub use grid::{Dispatch, Grid, LaunchError, LaunchReport, WarpCtx};
+pub use grid::{Grid, LaunchError, LaunchReport, WarpCtx};
 pub use pool::PoolStats;
 pub use memory::{pack_pair, unpack_pair, SlabStorage, SLAB_BYTES, WORDS_PER_SLAB};
-pub use shard::{ShardMap, ShardPlan};
 pub use model::{GpuEstimate, GpuModel, ResourceBreakdown};
 pub use warp::{ballot, ballot_eq, ffs, lanes_below, match_any, popc, shfl, Lane, WARP_SIZE};

@@ -38,19 +38,15 @@
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Barrier, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// The launch's executor closure with its borrow erased to `'static`.
 ///
 /// Only ever dereferenced by workers between a start claimed from
 /// `remaining_starts` and the matching `active` decrement — the window the
-/// launcher provably outlives (see the module docs). The `usize` argument is
-/// the executing thread's stable slot: 0 for the launching thread, the
-/// worker's spawn index (1-based) for pool workers. Sharded dispatch keys
-/// shard ownership off this slot, so the same worker drains the same bucket
-/// range launch after launch.
-type ErasedJob = &'static (dyn Fn(usize) + Sync);
+/// launcher provably outlives (see the module docs).
+type ErasedJob = &'static (dyn Fn() + Sync);
 
 /// Pool state shared between the launcher and the workers, all under one
 /// mutex so the completion handshake doubles as the memory barrier that
@@ -127,7 +123,8 @@ pub struct PoolStats {
 }
 
 impl Pool {
-    /// Spawns `workers` parked executor threads.
+    /// Spawns `workers` parked executor threads and returns once every one
+    /// of them is running.
     pub(crate) fn new(workers: usize) -> Self {
         let shared = std::sync::Arc::new(Shared {
             state: Mutex::new(State {
@@ -142,18 +139,26 @@ impl Pool {
             work_ready: Condvar::new(),
             work_done: Condvar::new(),
         });
+        // A thread's runtime startup (stack-overflow handler, a copy of the
+        // thread name) allocates on the new thread itself. Waiting for every
+        // worker to check in keeps that inside pool creation instead of in
+        // whichever later launch a late-scheduled worker first joins.
+        let ready = std::sync::Arc::new(Barrier::new(workers + 1));
         let workers = (0..workers)
             .map(|i| {
                 let shared = std::sync::Arc::clone(&shared);
-                // Slot 0 is the launching thread; workers get stable slots
-                // 1..=N so shard ownership survives across launches.
-                let slot = i + 1;
+                let ready = std::sync::Arc::clone(&ready);
                 std::thread::Builder::new()
-                    .name(format!("simt-warp-executor-{slot}"))
-                    .spawn(move || worker_loop(&shared, slot))
+                    .name(format!("simt-warp-executor-{}", i + 1))
+                    .spawn(move || {
+                        ready.wait();
+                        drop(ready);
+                        worker_loop(&shared);
+                    })
                     .expect("spawn warp executor")
             })
             .collect();
+        ready.wait();
         Self {
             shared,
             launching: Mutex::new(()),
@@ -175,15 +180,11 @@ impl Pool {
     /// execute `job` once each, runs `job` on the calling thread as well,
     /// and blocks until every started invocation has finished.
     ///
-    /// Each invocation receives its executor's stable slot — 0 for the
-    /// launching thread, the worker's spawn index for workers — which
-    /// sharded dispatch uses as the shard-ownership key.
-    ///
     /// Returns `false` without running anything when another launch holds
     /// the pool (the caller then uses its scoped fallback). Re-raises on the
     /// caller any panic that escaped an executor — after all executors have
     /// finished, so the borrow stays valid even on the unwind path.
-    pub(crate) fn try_run(&self, extra_executors: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
+    pub(crate) fn try_run(&self, extra_executors: usize, job: &(dyn Fn() + Sync)) -> bool {
         let guard = match self.launching.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => return false,
@@ -193,9 +194,8 @@ impl Pool {
         // claiming a start and decrementing `active`; this function does not
         // return (or unwind) before both counters are back to zero, so the
         // real lifetime of `job` covers every dereference.
-        let erased: ErasedJob = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
-        };
+        let erased: ErasedJob =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(job) };
         let starts = {
             let mut st = self.shared.lock();
             debug_assert!(st.job.is_none() && st.remaining_starts == 0 && st.active == 0);
@@ -211,7 +211,7 @@ impl Pool {
         }
         // The launching thread is executor zero. Catch its panic so a
         // buggy executor body cannot unwind past the completion wait.
-        let local = catch_unwind(AssertUnwindSafe(|| job(0)));
+        let local = catch_unwind(AssertUnwindSafe(job));
         let mut st = self.shared.lock();
         while st.remaining_starts > 0 || st.active > 0 {
             st = self
@@ -269,7 +269,7 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Shared, slot: usize) {
+fn worker_loop(shared: &Shared) {
     /// Balances the pool's books however the worker thread exits — orderly
     /// shutdown, a kill request, or an unwind that escapes the per-job
     /// `catch_unwind` (e.g. a panicking payload drop). Without it, a dying
@@ -328,7 +328,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
             }
         };
         // The module invariant makes this call sound; see `ErasedJob`.
-        let outcome = catch_unwind(AssertUnwindSafe(|| job(slot)));
+        let outcome = catch_unwind(AssertUnwindSafe(job));
         let mut st = shared.lock();
         sentinel.claimed.set(false);
         if let Err(payload) = outcome {
@@ -402,84 +402,9 @@ impl<'a, T> ChunkDispenser<'a, T> {
     }
 }
 
-/// Sharded counterpart of [`ChunkDispenser`]: hands out disjoint warp-sized
-/// `&mut` chunks of per-shard sub-batches, claimed through a
-/// [`ShardPlan`](crate::shard::ShardPlan)'s per-shard cursors.
-///
-/// Where the flat dispenser has one global claim counter (any executor takes
-/// the next chunk), the sharded dispenser has one counter *per shard*, and
-/// [`drain`](Self::drain) walks them owner-first: an executor exhausts its
-/// own shard before stealing from the others. Ownership is what removes
-/// cross-worker CAS traffic on hot buckets; stealing is what keeps the
-/// launch work-conserving when owners die or shards are imbalanced.
-pub(crate) struct ShardDispenser<'a, T> {
-    base: *mut T,
-    plan: &'a crate::shard::ShardPlan,
-    _items: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: chunks are only reachable through `claim`, whose indices come from
-// the plan's per-shard `fetch_add` cursors — each (shard, chunk) pair is
-// handed out at most once, and distinct pairs map to disjoint element ranges
-// because the plan's bounds are monotone and chunks tile each shard's range
-// without overlap. `T: Send` because chunks move to other threads.
-unsafe impl<T: Send> Sync for ShardDispenser<'_, T> {}
-// SAFETY: same reasoning; the dispenser is claim counters over a borrowed
-// slice of `Send` elements.
-unsafe impl<T: Send> Send for ShardDispenser<'_, T> {}
-
-impl<'a, T> ShardDispenser<'a, T> {
-    /// Wraps `items` for sharded handout. `items` must be exactly the
-    /// concatenation of the plan's per-shard sub-batches.
-    pub(crate) fn new(items: &'a mut [T], plan: &'a crate::shard::ShardPlan) -> Self {
-        assert_eq!(
-            items.len(),
-            plan.total_items(),
-            "items must match the shard plan's bounds"
-        );
-        Self {
-            base: items.as_mut_ptr(),
-            plan,
-            _items: PhantomData,
-        }
-    }
-
-    /// Claims the next chunk of `shard`: its launch-global warp id and the
-    /// exclusive slice, or `None` once the shard is drained.
-    pub(crate) fn claim(&self, shard: usize) -> Option<(usize, &'a mut [T])> {
-        let (warp_id, start, end) = self.plan.claim(shard)?;
-        // SAFETY: `start..end` lies inside the borrowed slice (bounds are
-        // validated against `items.len()` in `new`), and the plan's cursor
-        // fetch_add guarantees this (shard, chunk) — hence this element
-        // range — is claimed exactly once, so the returned `&mut` aliases
-        // nothing. Lifetime `'a` is the original borrow's.
-        let slice = unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) };
-        Some((warp_id, slice))
-    }
-
-    /// Runs `f` on chunks until the dispenser is dry or `f` returns `false`:
-    /// first every chunk of the executor's own shard (`slot % num_shards`),
-    /// then — steal-on-idle — the remaining shards in cyclic order. Every
-    /// executor eventually visits every shard, so the launch drains even
-    /// when owners are dead (worker death) or absent (fewer executors than
-    /// shards).
-    pub(crate) fn drain(&self, slot: usize, mut f: impl FnMut(usize, &'a mut [T]) -> bool) {
-        let shards = self.plan.num_shards();
-        for k in 0..shards {
-            let q = (slot + k) % shards;
-            while let Some((warp_id, chunk)) = self.claim(q) {
-                if !f(warp_id, chunk) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardPlan;
 
     #[test]
     fn dispenser_hands_out_every_chunk_once() {
@@ -537,84 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_dispenser_owner_first_then_steals_everything() {
-        let mut items: Vec<u32> = (0..96).collect();
-        let mut plan = ShardPlan::new();
-        plan.reset(&[0, 32, 64, 96], 16);
-        let dispenser = ShardDispenser::new(&mut items, &plan);
-        // Executor slot 1 drains its own shard (warps 2, 3 → elements
-        // 32..64) before stealing shards 2 and 0 in cyclic order.
-        let mut order = vec![];
-        dispenser.drain(1, |warp_id, chunk| {
-            order.push((warp_id, chunk[0]));
-            true
-        });
-        assert_eq!(
-            order,
-            vec![(2, 32), (3, 48), (4, 64), (5, 80), (0, 0), (1, 16)]
-        );
-    }
-
-    #[test]
-    fn shard_dispenser_is_exclusive_across_threads() {
-        let mut items = vec![0u64; 16 * 32];
-        let mut plan = ShardPlan::new();
-        plan.reset(&[0, 96, 96, 200, 512], 32);
-        {
-            let dispenser = &ShardDispenser::new(&mut items, &plan);
-            std::thread::scope(|scope| {
-                for slot in 0..8 {
-                    scope.spawn(move || {
-                        dispenser.drain(slot, |warp_id, chunk| {
-                            for v in chunk.iter_mut() {
-                                // A data race here would be caught by the sum.
-                                *v += warp_id as u64 + 1;
-                            }
-                            true
-                        });
-                    });
-                }
-            });
-        }
-        // Every element visited exactly once, with launch-global warp ids.
-        let total: u64 = items.iter().sum();
-        let mut expected = 0u64;
-        plan.reset(&[0, 96, 96, 200, 512], 32);
-        let mut seen = std::collections::HashSet::new();
-        for shard in 0..plan.num_shards() {
-            while let Some((warp_id, start, end)) = plan.claim(shard) {
-                assert!(seen.insert(warp_id), "warp ids must be unique");
-                expected += (warp_id as u64 + 1) * (end - start) as u64;
-            }
-        }
-        assert_eq!(total, expected);
-    }
-
-    #[test]
-    fn pool_passes_stable_executor_slots() {
-        let pool = Pool::new(3);
-        for _ in 0..20 {
-            let seen = Mutex::new(vec![]);
-            assert!(pool.try_run(3, &|slot| {
-                seen.lock().unwrap().push(slot);
-            }));
-            let mut slots = seen.into_inner().unwrap();
-            slots.sort_unstable();
-            // Launcher is slot 0 exactly once; workers report their spawn
-            // indices 1..=3 (a fast worker may claim two starts of one
-            // launch, so worker slots can repeat — ownership tolerates it).
-            assert_eq!(slots.len(), 4);
-            assert_eq!(slots.iter().filter(|&&s| s == 0).count(), 1);
-            assert!(slots.iter().all(|&s| s <= 3));
-        }
-    }
-
-    #[test]
     fn pool_runs_job_on_all_executors_and_reuses_workers() {
         let pool = Pool::new(3);
         for _ in 0..50 {
             let hits = AtomicUsize::new(0);
-            let job = |_slot: usize| {
+            let job = || {
                 hits.fetch_add(1, Ordering::Relaxed);
             };
             assert!(pool.try_run(3, &job));
@@ -627,7 +479,7 @@ mod tests {
     fn pool_clamps_starts_to_worker_count() {
         let pool = Pool::new(2);
         let hits = AtomicUsize::new(0);
-        let job = |_slot: usize| {
+        let job = || {
             hits.fetch_add(1, Ordering::Relaxed);
         };
         assert!(pool.try_run(100, &job));
@@ -639,7 +491,7 @@ mod tests {
         let pool = Pool::new(3);
         let run = |extra: usize| {
             let hits = AtomicUsize::new(0);
-            assert!(pool.try_run(extra, &|_slot| {
+            assert!(pool.try_run(extra, &|| {
                 hits.fetch_add(1, Ordering::Relaxed);
             }));
             hits.load(Ordering::Relaxed)
@@ -659,11 +511,11 @@ mod tests {
         let pool = Pool::new(2);
         assert_eq!(pool.kill_workers(1), 1);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.try_run(2, &|_slot| panic!("executor bug"));
+            pool.try_run(2, &|| panic!("executor bug"));
         }));
         assert!(caught.is_err());
         let hits = AtomicUsize::new(0);
-        assert!(pool.try_run(2, &|_slot| {
+        assert!(pool.try_run(2, &|| {
             hits.fetch_add(1, Ordering::Relaxed);
         }));
         assert_eq!(hits.load(Ordering::Relaxed), 2);
@@ -673,12 +525,12 @@ mod tests {
     fn pool_forwards_worker_panics_after_completion() {
         let pool = Pool::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.try_run(2, &|_slot| panic!("executor bug"));
+            pool.try_run(2, &|| panic!("executor bug"));
         }));
         assert!(caught.is_err());
         // The pool is intact and reusable after the unwind.
         let hits = AtomicUsize::new(0);
-        let job = |_slot: usize| {
+        let job = || {
             hits.fetch_add(1, Ordering::Relaxed);
         };
         assert!(pool.try_run(2, &job));

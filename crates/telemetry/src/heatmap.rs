@@ -44,20 +44,16 @@ pub struct HotBucket {
     pub cas_failures: u64,
     /// Combined heat score (see module docs).
     pub score: u64,
-    /// The ownership shard this bucket's range maps to under sharded
-    /// dispatch, once [`Heatmap::assign_shards`] has run (`None` before).
-    pub shard: Option<u32>,
 }
 
 impl HotBucket {
-    fn scored(stat: BucketStat, cas_failures: u64, shard: Option<u32>) -> Self {
+    fn scored(stat: BucketStat, cas_failures: u64) -> Self {
         let score =
             cas_failures + stat.tombstones as u64 + 16 * stat.chain_slabs.saturating_sub(1) as u64;
         Self {
             stat,
             cas_failures,
             score,
-            shard,
         }
     }
 }
@@ -73,7 +69,7 @@ impl Heatmap {
     /// add it with [`Heatmap::attribute_cas_failures`]).
     pub fn new(stats: &[BucketStat]) -> Self {
         Self {
-            rows: stats.iter().map(|&s| HotBucket::scored(s, 0, None)).collect(),
+            rows: stats.iter().map(|&s| HotBucket::scored(s, 0)).collect(),
         }
     }
 
@@ -83,45 +79,9 @@ impl Heatmap {
     pub fn attribute_cas_failures(&mut self, by_bucket: &[(u32, u64)]) {
         for &(bucket, n) in by_bucket {
             if let Some(row) = self.rows.iter_mut().find(|r| r.stat.bucket == bucket) {
-                *row = HotBucket::scored(row.stat, row.cas_failures + n, row.shard);
+                *row = HotBucket::scored(row.stat, row.cas_failures + n);
             }
         }
-    }
-
-    /// Labels every row with the ownership shard its bucket belongs to
-    /// under sharded dispatch over `shards` executors, adding the `shard`
-    /// column to [`render_top_k`](Self::render_top_k) and enabling
-    /// [`cas_failures_by_shard`](Self::cas_failures_by_shard).
-    ///
-    /// The arithmetic mirrors the dispatcher's contiguous-range shard map
-    /// (`shard_of(b) = ⌊b·S/N⌋` over `N` audited buckets) — duplicated here
-    /// because the telemetry crate sits *below* the execution substrate in
-    /// the dependency order and cannot import it.
-    pub fn assign_shards(&mut self, shards: u32) {
-        let items = (self.rows.len() as u32).max(1);
-        let shards = shards.clamp(1, items);
-        for row in &mut self.rows {
-            let shard = (u64::from(row.stat.bucket) * u64::from(shards) / u64::from(items)) as u32;
-            row.shard = Some(shard.min(shards - 1));
-        }
-    }
-
-    /// Per-shard CAS-failure totals, indexed by shard id. Empty until
-    /// [`assign_shards`](Self::assign_shards) has run. The interesting
-    /// signal for the sharded dispatcher: under exclusive bucket ownership
-    /// every shard's total should collapse toward zero.
-    pub fn cas_failures_by_shard(&self) -> Vec<u64> {
-        let shards = match self.rows.iter().filter_map(|r| r.shard).max() {
-            Some(max) => max as usize + 1,
-            None => return Vec::new(),
-        };
-        let mut totals = vec![0u64; shards];
-        for row in &self.rows {
-            if let Some(s) = row.shard {
-                totals[s as usize] += row.cas_failures;
-            }
-        }
-        totals
     }
 
     /// All rows, in bucket order.
@@ -152,22 +112,12 @@ impl Heatmap {
         h
     }
 
-    /// Renders the top-`k` hottest buckets as an aligned table. Once
-    /// [`assign_shards`](Self::assign_shards) has run, an owning-shard
-    /// column is appended so hot buckets can be read against the executor
-    /// that serializes them.
+    /// Renders the top-`k` hottest buckets as an aligned table.
     pub fn render_top_k(&self, k: usize) -> String {
-        let sharded = self.rows.iter().any(|r| r.shard.is_some());
-        let mut out = String::from(
-            "  bucket       score   cas-fail     live     tomb    chain",
-        );
-        if sharded {
-            out.push_str("    shard");
-        }
-        out.push('\n');
+        let mut out = String::from("  bucket       score   cas-fail     live     tomb    chain\n");
         for row in self.top_k(k) {
             out.push_str(&format!(
-                "  {:>6}  {:>10}  {:>9}  {:>7}  {:>7}  {:>7}",
+                "  {:>6}  {:>10}  {:>9}  {:>7}  {:>7}  {:>7}\n",
                 row.stat.bucket,
                 row.score,
                 row.cas_failures,
@@ -175,13 +125,6 @@ impl Heatmap {
                 row.stat.tombstones,
                 row.stat.chain_slabs
             ));
-            if sharded {
-                match row.shard {
-                    Some(s) => out.push_str(&format!("  {s:>7}")),
-                    None => out.push_str(&format!("  {:>7}", "-")),
-                }
-            }
-            out.push('\n');
         }
         out
     }
@@ -292,54 +235,6 @@ mod tests {
         assert_eq!(strip.chars().count(), 3);
         assert_eq!(strip.chars().nth(1), Some('█'), "bucket 1 is hottest");
         assert_eq!(Heatmap::default().render_strip(8), "");
-    }
-
-    #[test]
-    fn shard_assignment_is_contiguous_and_balanced() {
-        let stats: Vec<BucketStat> = (0..10)
-            .map(|b| BucketStat {
-                bucket: b,
-                live: 0,
-                tombstones: 0,
-                chain_slabs: 1,
-            })
-            .collect();
-        let mut h = Heatmap::new(&stats);
-        assert!(h.cas_failures_by_shard().is_empty(), "no shards before assign");
-        h.assign_shards(4);
-        let shards: Vec<u32> = h.rows().iter().map(|r| r.shard.unwrap()).collect();
-        // ⌊b·4/10⌋: contiguous, non-decreasing, every shard non-empty.
-        assert_eq!(shards, vec![0, 0, 0, 1, 1, 2, 2, 2, 3, 3]);
-    }
-
-    #[test]
-    fn cas_failures_roll_up_by_shard() {
-        let mut h = Heatmap::new(&stats());
-        h.assign_shards(2);
-        h.attribute_cas_failures(&[(0, 7), (1, 5), (2, 11)]);
-        // 3 buckets over 2 shards: ⌊b·2/3⌋ puts {0, 1} on shard 0 and {2}
-        // on shard 1.
-        assert_eq!(h.cas_failures_by_shard(), vec![12, 11]);
-        assert_eq!(h.total_cas_failures(), 23);
-    }
-
-    #[test]
-    fn shard_column_appears_only_after_assignment() {
-        let mut h = Heatmap::new(&stats());
-        assert!(!h.render_top_k(3).contains("shard"));
-        h.assign_shards(3);
-        let table = h.render_top_k(3);
-        assert!(table.contains("shard"));
-        assert_eq!(table.lines().count(), 4, "header + 3 rows");
-    }
-
-    #[test]
-    fn assign_shards_clamps_to_bucket_count() {
-        let mut h = Heatmap::new(&stats());
-        h.assign_shards(64);
-        let shards: Vec<u32> = h.rows().iter().map(|r| r.shard.unwrap()).collect();
-        // More shards than buckets clamps to one bucket per shard.
-        assert_eq!(shards, vec![0, 1, 2]);
     }
 
     #[test]

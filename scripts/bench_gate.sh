@@ -15,12 +15,6 @@
 # bench, not a pass. A null/non-numeric headline in the *baseline* is a
 # corrupt baseline and exits 2.
 #
-# Partition gate: when the fresh run reports `partitioned.speedup` (sharded
-# vs flat batch dispatch), it must be >= 1.0 — sharded ownership dispatch
-# regressing below the flat path fails outright, tolerance does not apply.
-# If the baseline has the metric and the fresh run dropped it, that fails
-# too.
-#
 # Exit codes: 0 pass, 1 regression, 2 usage/parse error.
 
 set -euo pipefail
@@ -99,21 +93,6 @@ done < <(headlines "$baseline")
 if [ "$count" -eq 0 ] && [ "$status" -eq 0 ]; then
     echo "bench gate: no headline metrics found in $baseline" >&2
     exit 2
-fi
-
-# --- Partition gate: sharded dispatch must not regress below flat. ---
-fresh_speedup=$(jq -r '.partitioned.speedup // "missing"' "$fresh")
-base_speedup=$(jq -r '.partitioned.speedup // "missing"' "$baseline")
-if [ "$fresh_speedup" != "missing" ] && [ "$fresh_speedup" != "null" ]; then
-    if awk -v s="$fresh_speedup" 'BEGIN { exit !(s + 0 < 1.0) }'; then
-        echo "bench gate: FAIL partitioned.speedup: $fresh_speedup < 1.0 (sharded dispatch slower than flat)"
-        status=1
-    else
-        echo "bench gate: ok   partitioned.speedup: $fresh_speedup >= 1.0"
-    fi
-elif [ "$base_speedup" != "missing" ] && [ "$base_speedup" != "null" ]; then
-    echo "bench gate: FAIL partitioned.speedup: in baseline but missing from fresh run"
-    status=1
 fi
 
 echo "bench gate: $count metrics checked against $baseline (tolerance ${tolerance}%), status $status"

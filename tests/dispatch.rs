@@ -1,15 +1,17 @@
-//! Pool-semantics parity and partitioned-batch equivalence.
+//! Launch-path semantics and schedule independence.
 //!
-//! The persistent executor pool must be observably identical to the scoped
-//! per-launch threads it replaced: same panic containment, same per-launch
+//! A grid launch runs on the persistent executor pool, or — when the pool
+//! is busy (a launch from inside a kernel, or concurrent launches on a
+//! shared grid) — on scoped threads spawned for that launch. Both routes
+//! must be observably identical: same panic containment, same per-launch
 //! chaos enrollment (inherited for the launch, shed afterwards — workers
-//! outlive launches now), same per-launch telemetry binding, same merged
-//! counter and histogram totals. And bucket-partitioned batch execution
-//! must be a pure scheduling change: identical table state, identical
-//! per-request results in the caller's order.
+//! outlive launches), same per-launch telemetry binding, same merged
+//! counter and histogram totals. And running a batch on many executors
+//! must be a pure scheduling change against the one-thread grid: identical
+//! table state, identical per-request results in the caller's order.
 
 use simt::telemetry::{EventKind, TraceConfig, TraceSession};
-use simt::{ChaosGuard, Dispatch, FaultPlan, Grid};
+use simt::{ChaosGuard, FaultPlan, Grid, LaunchReport};
 use slab_hash::{BatchBuffer, KeyValue, OpResult, Request, SlabHash, SlabHashConfig};
 
 /// SplitMix64, for distinct well-spread test keys without the bench crate.
@@ -20,9 +22,30 @@ fn mixed_key(i: u64) -> u32 {
     ((z ^ (z >> 31)) % (u32::MAX as u64 - 2)) as u32 + 1
 }
 
+/// Runs `f` from inside a two-warp kernel on `grid`: the outer launch holds
+/// the grid's pool, so every launch `f` makes on `grid` takes the scoped
+/// fallback. Asserts that only the outer launch went through the pool.
+fn on_busy_pool<R: Send>(grid: &Grid, f: impl Fn() -> R + Sync) -> R {
+    grid.launch_warps(2, |_| {}); // start the pool
+    let pooled_before = grid.pool_stats().expect("pool started").launches;
+    let out = parking_lot::Mutex::new(None);
+    grid.launch_warps(2, |ctx| {
+        if ctx.warp_id == 0 {
+            *out.lock() = Some(f());
+        }
+    });
+    let pooled_after = grid.pool_stats().expect("pool started").launches;
+    assert_eq!(
+        pooled_after,
+        pooled_before + 1,
+        "nested launches must not use the pool"
+    );
+    out.into_inner().expect("warp 0 ran")
+}
+
 #[test]
 fn pooled_and_scoped_contain_panics_identically() {
-    for grid in [Grid::new(4), Grid::scoped(4)] {
+    let contained = |grid: &Grid| {
         let mut items = vec![0u32; 40 * 32];
         let err = grid
             .try_launch(&mut items, |ctx, chunk| {
@@ -34,13 +57,16 @@ fn pooled_and_scoped_contain_panics_identically() {
                 }
             })
             .expect_err("warp 7 must fail the launch");
-        assert_eq!(err.warp_id, 7, "{:?} dispatch", grid.dispatch());
+        assert_eq!(err.warp_id, 7);
         assert_eq!(err.message(), Some("lane fault in warp 7"));
         assert!(err.completed_warps < 40, "poison must stop queued warps");
-        // Either grid is alive and reusable after containment.
+        // The grid is alive and reusable after containment.
         let report = grid.try_launch(&mut items, |_, _| {}).unwrap();
         assert_eq!(report.warps, 40);
-    }
+    };
+    let grid = Grid::new(4);
+    contained(&grid); // pooled
+    on_busy_pool(&grid, || contained(&grid)); // scoped fallback
 }
 
 #[test]
@@ -142,31 +168,37 @@ fn pool_binds_telemetry_sessions_per_launch() {
 #[test]
 fn pooled_and_scoped_merge_identical_totals() {
     // Read-only searches are deterministic regardless of schedule, so the
-    // merged counters and histograms must agree exactly across dispatch
-    // strategies.
+    // merged counters and histograms must agree exactly between the pooled
+    // launch, the scoped fallback and the one-thread grid. The table is
+    // built on the one-thread grid so all three search the same layout.
     let n = 20_000usize;
     let pairs: Vec<(u32, u32)> = (0..n as u64).map(|i| (mixed_key(i), i as u32)).collect();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let reports: Vec<_> = [Dispatch::Pooled, Dispatch::Scoped]
-        .into_iter()
-        .map(|dispatch| {
-            let grid = Grid::with_dispatch(6, dispatch);
-            let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.75, 42);
-            t.bulk_build(&pairs, &grid);
-            let (hits, report) = t.bulk_search(&keys, &grid);
-            assert!(hits.iter().all(|h| h.is_some()));
-            report
-        })
-        .collect();
-    assert_eq!(reports[0].counters, reports[1].counters);
-    assert_eq!(reports[0].warps, reports[1].warps);
-    for (a, b) in [
-        (&reports[0].histograms.chain_slabs, &reports[1].histograms.chain_slabs),
-        (&reports[0].histograms.rounds_per_op, &reports[1].histograms.rounds_per_op),
-        (&reports[0].histograms.retries_per_op, &reports[1].histograms.retries_per_op),
-    ] {
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum(), b.sum());
+    let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.75, 42);
+    t.bulk_build(&pairs, &Grid::sequential());
+    let search = |grid: &Grid| {
+        let (hits, report) = t.bulk_search(&keys, grid);
+        assert!(hits.iter().all(|h| h.is_some()));
+        report
+    };
+    let grid = Grid::new(6);
+    let reports: [LaunchReport; 3] = [
+        search(&grid),
+        on_busy_pool(&grid, || search(&grid)),
+        search(&Grid::sequential()),
+    ];
+    for other in &reports[1..] {
+        let (a, b) = (&reports[0], other);
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.warps, b.warps);
+        for (x, y) in [
+            (&a.histograms.chain_slabs, &b.histograms.chain_slabs),
+            (&a.histograms.rounds_per_op, &b.histograms.rounds_per_op),
+            (&a.histograms.retries_per_op, &b.histograms.retries_per_op),
+        ] {
+            assert_eq!(x.count(), y.count());
+            assert_eq!(x.sum(), y.sum());
+        }
     }
 }
 
@@ -191,128 +223,117 @@ fn deterministic_batch(built: &[u32], fresh_base: u64) -> Vec<Request> {
     batch
 }
 
-#[test]
-fn partitioned_batches_match_unpartitioned_results_and_state() {
-    let grid = Grid::new(4);
-    for seed in [1u64, 2, 3] {
-        let n = 3000;
-        let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(seed * 10_000_000 + i)).collect();
-        let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 7)).collect();
-        let t1 = SlabHash::<KeyValue>::new(SlabHashConfig {
-            seed: 0x5EED,
-            ..SlabHashConfig::with_buckets(256)
-        });
-        let t2 = SlabHash::<KeyValue>::new(SlabHashConfig {
-            seed: 0x5EED,
-            ..SlabHashConfig::with_buckets(256)
-        });
-        t1.bulk_build(&pairs, &grid);
-        t2.bulk_build_partitioned(&pairs, &grid);
-
-        let mut b1 = deterministic_batch(&built, seed * 77_000_000);
-        let mut b2 = b1.clone();
-        t1.execute_batch(&mut b1, &grid);
-        t2.execute_batch_partitioned(&mut b2, &grid);
-
-        for (i, (r1, r2)) in b1.iter().zip(&b2).enumerate() {
-            assert_eq!(r1.key, r2.key, "seed {seed}, slot {i}: request order changed");
-            assert_eq!(r1.result, r2.result, "seed {seed}, slot {i} (key {})", r1.key);
-            assert_ne!(r1.result, OpResult::Pending, "seed {seed}, slot {i} never ran");
-        }
-        let mut e1 = t1.collect_elements();
-        let mut e2 = t2.collect_elements();
-        e1.sort_unstable();
-        e2.sort_unstable();
-        assert_eq!(e1, e2, "seed {seed}: table state diverged");
-        assert_eq!(t1.len(), t2.len());
-    }
+/// A table with `buckets` buckets and hash seed `seed`.
+fn seeded_table(buckets: u32, seed: u64) -> SlabHash<KeyValue> {
+    SlabHash::new(SlabHashConfig {
+        seed,
+        ..SlabHashConfig::with_buckets(buckets)
+    })
 }
 
-#[test]
-fn sharded_matches_unpartitioned_under_chaos_yields() {
-    // Scheduling chaos (forced yields) perturbs interleavings but not
-    // outcomes: the sharded path must still produce byte-identical replies
-    // in the caller's order and the same final table state.
-    let _chaos = ChaosGuard::plan(FaultPlan::seeded(0x5A5A).with_yields(0.2));
-    let grid = Grid::new(4);
-    let n = 2400;
-    let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(44_000_000 + i)).collect();
-    let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 3)).collect();
-    let t1 = SlabHash::<KeyValue>::new(SlabHashConfig {
-        seed: 0xFACE,
-        ..SlabHashConfig::with_buckets(128)
-    });
-    let t2 = SlabHash::<KeyValue>::new(SlabHashConfig {
-        seed: 0xFACE,
-        ..SlabHashConfig::with_buckets(128)
-    });
-    t1.bulk_build(&pairs, &grid);
-    t2.bulk_build_partitioned(&pairs, &grid);
-
-    let mut b1 = deterministic_batch(&built, 91_000_000);
-    let mut b2 = b1.clone();
-    t1.execute_batch(&mut b1, &grid);
-    t2.execute_batch_partitioned(&mut b2, &grid);
+/// Builds `pairs` and runs `batch` on two identically seeded tables, one
+/// on `Grid::sequential()` and one on four executors; asserts identical
+/// per-request results in the caller's order and identical final state.
+/// Returns the four-executor table.
+fn assert_schedule_independent(
+    (buckets, seed): (u32, u64),
+    pairs: &[(u32, u32)],
+    batch: &[Request],
+    what: &str,
+) -> SlabHash<KeyValue> {
+    let run = |grid: Grid| {
+        let t = seeded_table(buckets, seed);
+        let mut b = batch.to_vec();
+        t.bulk_build(pairs, &grid);
+        t.execute_batch(&mut b, &grid);
+        (t, b)
+    };
+    let (t1, b1) = run(Grid::sequential());
+    let (t2, b2) = run(Grid::new(4));
     for (i, (r1, r2)) in b1.iter().zip(&b2).enumerate() {
-        assert_eq!(r1.key, r2.key, "slot {i}: request order changed");
-        assert_eq!(r1.result, r2.result, "slot {i} (key {})", r1.key);
+        assert_eq!(r1.key, r2.key, "{what}, slot {i}: request order changed");
+        assert_eq!(r1.result, r2.result, "{what}, slot {i} (key {})", r1.key);
+        assert_ne!(r1.result, OpResult::Pending, "{what}, slot {i} never ran");
     }
     let mut e1 = t1.collect_elements();
     let mut e2 = t2.collect_elements();
     e1.sort_unstable();
     e2.sort_unstable();
-    assert_eq!(e1, e2, "table state diverged under yield chaos");
-    t2.audit().expect("sharded table audits clean under chaos");
+    assert_eq!(e1, e2, "{what}: table state diverged");
+    assert_eq!(t1.len(), t2.len());
+    t2
 }
 
 #[test]
-fn sharded_replies_stay_typed_and_ordered_under_cas_fault_injection() {
+fn parallel_batches_match_sequential_results_and_state() {
+    for seed in [1u64, 2, 3] {
+        let n = 3000;
+        let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(seed * 10_000_000 + i)).collect();
+        let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 7)).collect();
+        let batch = deterministic_batch(&built, seed * 77_000_000);
+        assert_schedule_independent((256, 0x5EED), &pairs, &batch, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn parallel_matches_sequential_under_chaos_yields() {
+    // Scheduling chaos (forced yields) perturbs interleavings but not
+    // outcomes: the parallel grid must still produce identical replies in
+    // the caller's order and the same final table state.
+    let _chaos = ChaosGuard::plan(FaultPlan::seeded(0x5A5A).with_yields(0.2));
+    let n = 2400;
+    let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(44_000_000 + i)).collect();
+    let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 3)).collect();
+    let batch = deterministic_batch(&built, 91_000_000);
+    let t = assert_schedule_independent((128, 0xFACE), &pairs, &batch, "yield chaos");
+    t.audit().expect("table audits clean under chaos");
+}
+
+#[test]
+fn replies_stay_typed_and_ordered_under_cas_fault_injection() {
     // Injected CAS failures can burn retry budgets, so exact results are
-    // not schedule-independent here. The contract that must survive: every
-    // request comes back completed or with a *typed* failure (never
-    // Pending), in the caller's order, and the table still audits clean.
+    // not schedule-independent here. The contract that must survive on
+    // every grid: every request comes back completed or with a *typed*
+    // failure (never Pending), in the caller's order, and the table still
+    // audits clean.
     let _chaos = ChaosGuard::plan(FaultPlan::seeded(0xBEEF).with_cas_failures(0.25));
-    let grid = Grid::new(4);
     let n = 1800;
     let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(55_000_000 + i)).collect();
     let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 9)).collect();
-    let t = SlabHash::<KeyValue>::new(SlabHashConfig {
-        seed: 0xD00D,
-        ..SlabHashConfig::with_buckets(96)
-    });
-    t.bulk_build_partitioned(&pairs, &grid);
-
     let submitted = deterministic_batch(&built, 66_000_000);
-    let mut batch = submitted.clone();
-    t.execute_batch_partitioned(&mut batch, &grid);
-    assert_eq!(batch.len(), submitted.len());
-    for (i, (sent, got)) in submitted.iter().zip(&batch).enumerate() {
-        assert_eq!(sent.key, got.key, "slot {i}: caller order not restored");
-        assert_eq!(sent.op, got.op, "slot {i}: op changed in flight");
-        assert_ne!(got.result, OpResult::Pending, "slot {i} never executed");
+    for grid in [Grid::sequential(), Grid::new(4)] {
+        let t = seeded_table(96, 0xD00D);
+        t.bulk_build(&pairs, &grid);
+        let mut batch = submitted.clone();
+        t.execute_batch(&mut batch, &grid);
+        assert_eq!(batch.len(), submitted.len());
+        for (i, (sent, got)) in submitted.iter().zip(&batch).enumerate() {
+            assert_eq!(sent.key, got.key, "slot {i}: caller order changed");
+            assert_eq!(sent.op, got.op, "slot {i}: op changed in flight");
+            assert_ne!(got.result, OpResult::Pending, "slot {i} never executed");
+        }
+        t.audit().expect("table audits clean after faulted batch");
     }
-    t.audit().expect("table audits clean after faulted sharded batch");
 }
 
 #[test]
-fn sharded_batches_survive_worker_death_between_rounds() {
-    // Ownership is scheduling affinity, not correctness: as pool workers
-    // die round by round (down to launcher-only), the steal path must keep
-    // every sharded batch complete and correct.
+fn batches_survive_worker_death_between_rounds() {
+    // As pool workers die round by round (down to launcher-only), every
+    // batch must still complete, correctly, on the survivors.
     let grid = Grid::new(4);
     let n = 1500u32;
     let t = SlabHash::<KeyValue>::for_expected_elements(n as usize, 0.6, 21);
     let mut batch: BatchBuffer = (0..n).map(|k| Request::replace(k, k)).collect();
-    t.execute_buffer_partitioned(&mut batch, &grid);
+    t.execute_buffer(&mut batch, &grid);
     for round in 1..5u32 {
         // Kill one more worker each round; by the last rounds the grid is
-        // launcher-only and shards are drained entirely by stealing.
+        // launcher-only.
         grid.debug_kill_pool_workers(1);
         for req in batch.requests_mut() {
             req.value = req.key + round;
         }
         batch.reset_results();
-        t.execute_buffer_partitioned(&mut batch, &grid);
+        t.execute_buffer(&mut batch, &grid);
         for req in batch.requests() {
             assert_eq!(
                 req.result,
@@ -327,10 +348,10 @@ fn sharded_batches_survive_worker_death_between_rounds() {
 }
 
 #[test]
-fn batch_buffer_partitioned_loop_is_stable() {
-    // The allocation-free loop: one buffer, reset + partitioned execution
-    // per round, against a table that the rounds keep mutating back and
-    // forth (replace flips values).
+fn batch_buffer_reuse_loop_is_stable() {
+    // The allocation-free loop: one buffer, reset + execution per round,
+    // against a table that the rounds keep mutating back and forth
+    // (replace flips values).
     let grid = Grid::new(4);
     let n = 2000u32;
     let t = SlabHash::<KeyValue>::for_expected_elements(n as usize, 0.6, 9);
@@ -341,7 +362,7 @@ fn batch_buffer_partitioned_loop_is_stable() {
             req.value = req.key + round;
         }
         batch.reset_results();
-        t.execute_buffer_partitioned(&mut batch, &grid);
+        t.execute_buffer(&mut batch, &grid);
         for req in batch.requests() {
             assert_eq!(
                 req.result,
