@@ -31,61 +31,20 @@ fn main() {
         Some("wcws") => wcws(n, &grid, csv.as_deref()),
         Some("slabsize") => slabsize(n, &grid, csv.as_deref()),
         Some("resident") => resident(n, &grid, csv.as_deref()),
-        Some("strict") => strict(n, &grid, csv.as_deref()),
         Some("gfsl") => gfsl_note(),
         None => {
             wcws(n, &grid, csv.as_deref());
             slabsize(n, &grid, csv.as_deref());
             resident(n, &grid, csv.as_deref());
-            strict(n, &grid, csv.as_deref());
             gfsl_note();
         }
         Some(other) => {
             eprintln!(
-                "unknown subcommand {other:?}; expected wcws, slabsize, resident, strict \
-                 or gfsl"
+                "unknown subcommand {other:?}; expected wcws, slabsize, resident or gfsl"
             );
             std::process::exit(2);
         }
     }
-}
-
-/// Fast (Fig. 2) vs strict (§III-B2) REPLACE: identical results, different
-/// traversal cost once chains exceed one slab.
-fn strict(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
-    let model = paper_model();
-    let mut table = Table::new(
-        "REPLACE variants: Fig. 2 fast path vs §III-B2 full scan",
-        &["variant", "build sim", "slab reads/insert"],
-    );
-    for (label, strict) in [("fast (Fig 2)", false), ("strict (§III-B2)", true)] {
-        // Chains ~2 slabs so the variants actually diverge in cost.
-        let buckets = (n as u32) / (15 * 2);
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig {
-            seed: 0x57,
-            ..SlabHashConfig::with_buckets(buckets)
-        });
-        let mut reqs: Vec<Request> = random_pairs(n, 0)
-            .into_iter()
-            .map(|(k, v)| {
-                if strict {
-                    Request::replace_strict(k, v)
-                } else {
-                    Request::replace(k, v)
-                }
-            })
-            .collect();
-        let report = t.execute_batch(&mut reqs, grid);
-        let m = Measurement::from_report(&report, &model, t.device_bytes());
-        table.row(vec![
-            label.into(),
-            mops(m.sim_mops),
-            format!("{:.2}", report.counters.slab_reads as f64 / n as f64),
-        ]);
-    }
-    table.finish(csv);
-    println!("(strict REPLACE always walks the whole list before inserting — the Fig. 2 \
-              variant stops at the first empty-or-matching slot)");
 }
 
 /// §VI-C's GFSL discussion, reproduced analytically: a lock-based skip list

@@ -511,12 +511,6 @@ impl SlabMultiMapHandle<'_> {
         })
     }
 
-    /// Appends through the tail hint (fast for very long per-key chains).
-    pub fn insert_tail(&mut self, key: u32, value: u32) {
-        let r = self.warp.insert_tail(key, value);
-        debug_assert_eq!(r, OpResult::Inserted);
-    }
-
     /// All values stored for `key`.
     pub fn get_all(&mut self, key: u32) -> Vec<u32> {
         self.warp.search_all(key)
@@ -728,17 +722,6 @@ mod tests {
         }
         mm.compact(&grid);
         assert_eq!(mm.len(), 3_900);
-        mm.as_raw().audit().unwrap();
-    }
-
-    #[test]
-    fn multimap_tail_insert_long_chain() {
-        let mm = SlabMultiMap::with_capacity(64);
-        let mut h = mm.handle();
-        for v in 0..500 {
-            h.insert_tail(1, v);
-        }
-        assert_eq!(h.get_all(1).len(), 500);
         mm.as_raw().audit().unwrap();
     }
 }

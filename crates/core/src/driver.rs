@@ -71,11 +71,6 @@ impl<'t, L: EntryLayout, A: SlabAllocator> WarpDriver<'t, L, A> {
         }
     }
 
-    /// INSERT(k, v) via the base slab's tail hint (§III-C extension).
-    pub fn insert_tail(&mut self, key: u32, value: u32) -> OpResult {
-        self.run(Request::insert_tail(key, value))
-    }
-
     /// REPLACE(k, v); returns the previous value if the key existed.
     ///
     /// # Panics
@@ -98,34 +93,6 @@ impl<'t, L: EntryLayout, A: SlabAllocator> WarpDriver<'t, L, A> {
             OpResult::Inserted => Ok(None),
             OpResult::Failed(e) => Err(e),
             other => unreachable!("replace returned {other:?}"),
-        }
-    }
-
-    /// REPLACE(k, v), strict §III-B2 full-scan variant; returns the previous
-    /// value if the key existed.
-    ///
-    /// # Panics
-    /// Panics on a [`TableError`]; use
-    /// [`WarpDriver::checked_replace_strict`] to recover instead.
-    pub fn replace_strict(&mut self, key: u32, value: u32) -> Option<u32> {
-        self.checked_replace_strict(key, value)
-            .unwrap_or_else(|e| panic!("REPLACE_STRICT({key}) failed: {e}"))
-    }
-
-    /// Fallible strict REPLACE(k, v).
-    ///
-    /// # Errors
-    /// The [`TableError`] when the operation could not complete.
-    pub fn checked_replace_strict(
-        &mut self,
-        key: u32,
-        value: u32,
-    ) -> Result<Option<u32>, TableError> {
-        match self.run(Request::replace_strict(key, value)) {
-            OpResult::Replaced(old) => Ok(Some(old)),
-            OpResult::Inserted => Ok(None),
-            OpResult::Failed(e) => Err(e),
-            other => unreachable!("replace_strict returned {other:?}"),
         }
     }
 

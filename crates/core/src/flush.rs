@@ -20,7 +20,7 @@ use simt::warp::WARP_SIZE;
 use simt::{Grid, WarpCtx};
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
-use crate::entry::{EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
+use crate::entry::{EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
 use crate::error::TableError;
 use crate::hash_table::SlabHash;
 use crate::maintenance::RetiredSlab;
@@ -61,9 +61,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             r.slabs_released += released;
             r.elements_kept += kept;
         });
-        // The rewrite refreshed every tail hint, so any retirement deferred
-        // by the hint cross-check at the top can drain now.
-        self.reclaim_retired();
         report.into_inner()
     }
 
@@ -129,18 +126,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             };
             loc.storage
                 .write_lane(loc.slab, ADDRESS_LANE, next_ptr, &mut ctx.counters);
-        }
-
-        // Refresh the base slab's tail hint (§III-C extension): the last
-        // kept chained slab, or empty when the bucket is back to one slab.
-        if needed_chained > 0 {
-            let base = self.slab_loc(bucket, BASE_SLAB, ctx);
-            base.storage.write_lane(
-                base.slab,
-                crate::entry::AUX_LANE,
-                chain[needed_chained - 1],
-                &mut ctx.counters,
-            );
         }
 
         // Pass 3: scrub and release the surplus slabs.
@@ -226,9 +211,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 .filter(|&e| data[L::key_lane(e)] == DELETED_KEY)
                 .count();
             // Only slabs that saw real churn are retired: a dead slab with
-            // zero tombstones is a freshly linked (all-empty) slab whose
-            // appender may still be about to publish it as the tail hint —
-            // and one its owner is about to fill anyway.
+            // zero tombstones is a freshly linked (all-empty) slab that the
+            // appender which linked it is about to fill.
             if lives > 0 || tombstones == 0 {
                 kept += lives as u64;
                 prev = cur;
@@ -360,15 +344,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             return Ok(None);
         }
 
-        // Step 4: drop the base slab's tail hint if it pointed at `s`.
-        // Best-effort, but it must happen *before* the epoch advance below:
-        // a reader that pins a later epoch may legitimately chase the hint,
-        // and by then `s` could already be reclaimed.
-        let bloc = self.slab_loc(bucket, BASE_SLAB, ctx);
-        bloc.storage
-            .cas_lane(bloc.slab, AUX_LANE, s, EMPTY_KEY, &mut ctx.counters);
-
-        // Step 5: retire. Operations that started before this advance may
+        // Step 4: retire. Operations that started before this advance may
         // still traverse `s` (it reads as all-sentinel and its next pointer
         // still leads back into the chain), so it only returns to the
         // allocator once the epoch horizon passes `tag`.
@@ -377,7 +353,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             .retired
             .lock()
             .unwrap()
-            .push(RetiredSlab { ptr: s, bucket, tag });
+            .push(RetiredSlab { ptr: s, tag });
         Ok(Some(normalized))
     }
 

@@ -37,9 +37,6 @@ use crate::hash_table::SlabHash;
 pub(crate) struct RetiredSlab {
     /// Allocator pointer of the unlinked slab.
     pub(crate) ptr: u32,
-    /// Bucket the slab was unlinked from (for the tail-hint cross-check at
-    /// reclaim time).
-    pub(crate) bucket: u32,
     /// Epoch at which the slab was unlinked; safe to free when
     /// `horizon() >= tag`.
     pub(crate) tag: u64,
@@ -209,55 +206,26 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// operations drops the pin count to zero.
     pub fn reclaim_retired(&self) -> u64 {
         let horizon = self.maint.clock.horizon();
-        let ready: Vec<RetiredSlab> = {
+        let ready: Vec<u32> = {
             let mut retired = self.maint.retired.lock().unwrap();
             let mut ready = Vec::new();
-            retired.retain_mut(|r| {
-                if r.tag <= horizon {
-                    ready.push(RetiredSlab {
-                        ptr: r.ptr,
-                        bucket: r.bucket,
-                        tag: r.tag,
-                    });
-                    false
-                } else {
-                    true
+            retired.retain(|r| {
+                let due = r.tag <= horizon;
+                if due {
+                    ready.push(r.ptr);
                 }
+                !due
             });
             ready
         };
         let mut ctx = WarpCtx::for_test(usize::MAX);
-        let mut count = 0u64;
-        for r in ready {
-            // Tail-hint cross-check: a racing appender's delayed hint
-            // publish can still name this slab. Repair the hint, give the
-            // slab a fresh grace period (any reader of the stale hint pinned
-            // before this advance, so the new tag outlives it), and retry
-            // on a later pass.
-            let base = self.slab_loc(r.bucket, slab_alloc::BASE_SLAB, &mut ctx);
-            let hint = base.storage.cas_lane(
-                base.slab,
-                crate::entry::AUX_LANE,
-                r.ptr,
-                EMPTY_KEY,
-                &mut ctx.counters,
-            );
-            if hint == r.ptr {
-                let tag = self.maint.clock.advance();
-                self.maint.retired.lock().unwrap().push(RetiredSlab {
-                    ptr: r.ptr,
-                    bucket: r.bucket,
-                    tag,
-                });
-                continue;
-            }
-            let slab = self.allocator().resolve(r.ptr, &mut ctx);
+        for &ptr in &ready {
+            let slab = self.allocator().resolve(ptr, &mut ctx);
             slab.storage
                 .clear_slab(slab.slab, EMPTY_KEY, &mut ctx.counters);
-            self.allocator().deallocate(r.ptr, &mut ctx);
-            count += 1;
+            self.allocator().deallocate(ptr, &mut ctx);
         }
-        count
+        ready.len() as u64
     }
 
     /// Slabs currently unlinked but not yet reclaimed (awaiting their epoch

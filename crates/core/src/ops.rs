@@ -51,25 +51,11 @@ pub enum OpKind {
     None,
     /// INSERT(k, v): add, allowing duplicate keys. Reuses deleted slots.
     Insert,
-    /// INSERT(k, v) via the base slab's tail hint — the §III-C extension
-    /// ("base slabs and regular slabs can differ in their structures in
-    /// order to allow additional implementation features (e.g., pointers to
-    /// the tail)"). Jumps from the base slab straight to the most recently
-    /// linked slab instead of walking the chain; trades tombstone reuse for
-    /// O(1) appends on long chains. Duplicates allowed, like INSERT.
-    InsertTail,
     /// REPLACE(k, v): add maintaining key uniqueness — replaces the value if
     /// the key is already present. (The paper's evaluation uses REPLACE for
     /// all insertions.) This is the optimized Fig. 2 variant: the first
     /// empty-or-matching slot wins.
     Replace,
-    /// REPLACE(k, v), strict §III-B2 variant: "search the entire list to see
-    /// if there exists a previously inserted key k. If so, use atomic CAS to
-    /// replace it. If not, perform INSERT starting from the tail." Costs a
-    /// full-list traversal; behaviourally equivalent under the crate's
-    /// invariants (empty slots only at the tail) but kept for fidelity and
-    /// for the comparison tests.
-    ReplaceStrict,
     /// TRYINSERT(k, v): insert only if the key is absent; never overwrites.
     /// Returns `Found(existing)` when the key is already present. (An
     /// API-level extension composed from the same pair-CAS primitive; the
@@ -96,9 +82,7 @@ impl OpKind {
         match self {
             OpKind::None => "none",
             OpKind::Insert => "insert",
-            OpKind::InsertTail => "insert_tail",
             OpKind::Replace => "replace",
-            OpKind::ReplaceStrict => "replace_strict",
             OpKind::TryInsert => "try_insert",
             OpKind::CompareExchange => "compare_exchange",
             OpKind::Delete => "delete",
@@ -215,32 +199,10 @@ impl Request {
         }
     }
 
-    /// INSERT(k, v) through the base slab's tail hint (§III-C extension).
-    pub fn insert_tail(key: u32, value: u32) -> Self {
-        Self {
-            op: OpKind::InsertTail,
-            key,
-            value,
-            expected: 0,
-            result: OpResult::Pending,
-        }
-    }
-
     /// REPLACE(k, v).
     pub fn replace(key: u32, value: u32) -> Self {
         Self {
             op: OpKind::Replace,
-            key,
-            value,
-            expected: 0,
-            result: OpResult::Pending,
-        }
-    }
-
-    /// REPLACE(k, v), strict full-scan variant (§III-B2).
-    pub fn replace_strict(key: u32, value: u32) -> Self {
-        Self {
-            op: OpKind::ReplaceStrict,
             key,
             value,
             expected: 0,
@@ -357,9 +319,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         // Scratch for the multi-result operations.
         let mut found_all: [Vec<u32>; WARP_SIZE] = std::array::from_fn(|_| Vec::new());
         let mut deleted_count = [0u32; WARP_SIZE];
-        // ReplaceStrict phase flags: false = scanning the whole list for the
-        // key, true = inserting from the tail.
-        let mut strict_inserting = [false; WARP_SIZE];
         // Lost-CAS count per request, against RETRY_BUDGET.
         let mut retries = [0u32; WARP_SIZE];
         // Contention response: jittered exponential backoff, seeded per warp
@@ -485,66 +444,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     }
                 }
 
-                OpKind::ReplaceStrict => {
-                    if !strict_inserting[src_lane] {
-                        // Phase 1: scan the entire list for the key.
-                        let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                        if let Some(dest) = ffs(found) {
-                            if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ false,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],result);
-                            }
-                            // CAS lost: re-read this slab and retry the scan.
-                        } else if at_end(read_data[ADDRESS_LANE]) {
-                            // Key nowhere in the list: switch to inserting
-                            // "starting from the tail" — we are at the tail.
-                            strict_inserting[src_lane] = true;
-                        } else {
-                            next = read_data[ADDRESS_LANE];
-                        }
-                    } else {
-                        // Phase 2: INSERT from the tail into an empty slot.
-                        // A concurrent inserter of the same key may have
-                        // landed in the tail since the scan passed it, so
-                        // the key's own lane is a candidate too (then this
-                        // is a replace), exactly as in the fast path.
-                        let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                            | ballot_eq(&read_data, src_key))
-                            & L::KEY_LANES;
-                        if let Some(dest) = ffs(candidates) {
-                            if let Some(result) = self.try_claim_slot(
-                                ctx,
-                                src_bucket,
-                                next,
-                                dest,
-                                &read_data,
-                                src_key,
-                                values[src_lane],
-                                /* reuse_deleted = */ false,
-                            ) {
-                                finish(reqs, &mut active, ctx, retries[src_lane],result);
-                            }
-                        } else if let Err(e) = self.follow_or_allocate(
-                            ctx,
-                            alloc_state,
-                            src_bucket,
-                            &mut next,
-                            &read_data,
-                            &mut frozen_restart,
-                        ) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                        }
-                    }
-                }
-
                 OpKind::Insert => {
                     // Duplicates allowed: any empty *or tombstoned* slot will
                     // do ("later insertions can potentially find these empty
@@ -565,39 +464,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         ) {
                             finish(reqs, &mut active, ctx, retries[src_lane],result);
                         }
-                    } else if let Err(e) =
-                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                    {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                    }
-                }
-
-                OpKind::InsertTail => {
-                    // §III-C extension: like INSERT, but from the base slab
-                    // jump straight to the tail hint stored in its aux lane
-                    // (skipping full middle slabs and any reusable
-                    // tombstones there).
-                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                        | ballot_eq(&read_data, DELETED_KEY))
-                        & L::KEY_LANES;
-                    if let Some(dest) = ffs(candidates) {
-                        if let Some(result) = self.try_claim_slot(
-                            ctx,
-                            src_bucket,
-                            next,
-                            dest,
-                            &read_data,
-                            src_key,
-                            values[src_lane],
-                            /* reuse_deleted = */ true,
-                        ) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],result);
-                        }
-                    } else if next == BASE_SLAB
-                        && slab_alloc::is_allocated_ptr(read_data[crate::entry::AUX_LANE])
-                    {
-                        // Shuffle the tail hint from the aux lane and jump.
-                        next = read_data[crate::entry::AUX_LANE];
                     } else if let Err(e) =
                         self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
                     {
@@ -913,35 +779,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             &mut ctx.counters,
         );
         if old == EMPTY_PTR {
-            // Publish the new tail into the base slab's aux lane — the
-            // §III-C base-slab extension consumed by InsertTail. A plain
-            // best-effort store: stale hints still point into the live
-            // chain, because an incremental flush repairs the hint before
-            // retiring the slab it names.
-            let base = self.slab_loc(bucket, BASE_SLAB, ctx);
-            base.storage.write_lane(
-                base.slab,
-                crate::entry::AUX_LANE,
-                new_slab,
-                &mut ctx.counters,
-            );
-            // Verify-and-repair: if an incremental flush retired new_slab
-            // between the link CAS and the publish above (other warps must
-            // have filled *and* tombstoned it in that window), its lane 0
-            // reads FROZEN_KEY — frozen lanes stay frozen until reclamation,
-            // and reclamation waits on this warp's epoch pin. Take the hint
-            // back so no later operation jumps to a retired slab.
-            let nloc = self.slab_loc(bucket, new_slab, ctx);
-            let pair0 = nloc.storage.read_pair(nloc.slab, 0, &mut ctx.counters);
-            if unpack_pair(pair0).0 == crate::entry::FROZEN_KEY {
-                base.storage.cas_lane(
-                    base.slab,
-                    crate::entry::AUX_LANE,
-                    new_slab,
-                    EMPTY_KEY,
-                    &mut ctx.counters,
-                );
-            }
             *next = new_slab;
         } else {
             // "some other warp has successfully allocated and inserted the
@@ -1422,186 +1259,6 @@ mod failure_tests {
         assert_eq!(failed, 2, "31st and 32nd key cannot fit in 30 slots");
         assert_eq!(t.len(), 30);
         t.audit().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod strict_tests {
-    use super::*;
-    use crate::entry::{KeyOnly, KeyValue};
-    use crate::hash_table::SlabHashConfig;
-    use crate::WarpDriver;
-
-    #[test]
-    fn strict_replace_roundtrip() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
-        let mut w = WarpDriver::new(&t);
-        assert_eq!(w.replace_strict(1, 10), None);
-        assert_eq!(w.replace_strict(1, 11), Some(10));
-        assert_eq!(w.search(1), Some(11));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn strict_and_fast_replace_agree_over_a_workload() {
-        let fast = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
-        let strict = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
-        let mut wf = WarpDriver::new(&fast);
-        let mut ws = WarpDriver::new(&strict);
-        // Deterministic mixed workload with updates and deletes.
-        let mut x = 12345u32;
-        for step in 0..3_000u32 {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            let key = x % 200;
-            match step % 5 {
-                0..=2 => {
-                    let a = wf.replace(key, step);
-                    let b = ws.replace_strict(key, step);
-                    assert_eq!(a, b, "step {step} key {key}");
-                }
-                3 => {
-                    assert_eq!(wf.delete(key), ws.delete(key));
-                }
-                _ => {
-                    assert_eq!(wf.search(key), ws.search(key));
-                }
-            }
-        }
-        let mut a = fast.collect_elements();
-        let mut b = strict.collect_elements();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "fast and strict REPLACE diverged");
-        strict.audit().unwrap();
-    }
-
-    #[test]
-    fn strict_replace_reads_whole_list_on_miss() {
-        let t = SlabHash::<KeyOnly>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        for k in 0..80 {
-            w.replace(k, 0); // 3 slabs, last one partially filled
-        }
-        let chain = t.bucket_slab_count(0) as u64;
-        w.reset_counters();
-        w.replace_strict(1_000, 0); // absent: full scan + tail insert
-        assert!(
-            w.counters().slab_reads >= chain,
-            "strict scan read {} slabs of a {}-slab chain",
-            w.counters().slab_reads,
-            chain
-        );
-        // The fast variant would stop at the first empty slot instead.
-        w.reset_counters();
-        w.replace(2_000, 0);
-        assert!(w.counters().slab_reads <= chain);
-    }
-
-    #[test]
-    fn strict_replace_concurrent_uniqueness() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let grid = simt::Grid::new(8);
-        let mut reqs: Vec<Request> = (0..256).map(|i| Request::replace_strict(9, i)).collect();
-        t.execute_batch(&mut reqs, &grid);
-        let inserted = reqs
-            .iter()
-            .filter(|r| r.result == OpResult::Inserted)
-            .count();
-        assert_eq!(inserted, 1);
-        assert_eq!(t.len(), 1);
-    }
-}
-
-#[cfg(test)]
-mod tail_hint_tests {
-    use super::*;
-    use crate::entry::KeyValue;
-    use crate::hash_table::SlabHashConfig;
-    use crate::WarpDriver;
-
-    #[test]
-    fn insert_tail_roundtrip_and_audit() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        for k in 0..200 {
-            assert_eq!(w.insert_tail(k, k), OpResult::Inserted);
-        }
-        assert_eq!(t.len(), 200);
-        for k in 0..200 {
-            assert_eq!(w.search(k), Some(k));
-        }
-        t.audit().expect("tail hint must stay inside the chain");
-    }
-
-    #[test]
-    fn insert_tail_skips_middle_slabs() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        // Build a long chain first.
-        for k in 0..150 {
-            w.insert(k, k); // 10 slabs
-        }
-        let chain = t.bucket_slab_count(0) as u64;
-        assert!(chain >= 10);
-
-        // Plain INSERT walks the chain; InsertTail jumps via the hint.
-        w.reset_counters();
-        w.insert(500, 0);
-        let walk_reads = w.counters().slab_reads;
-        w.reset_counters();
-        w.insert_tail(501, 0);
-        let jump_reads = w.counters().slab_reads;
-        assert!(
-            jump_reads < walk_reads,
-            "tail jump ({jump_reads} reads) must beat the walk ({walk_reads} reads)"
-        );
-        assert!(jump_reads <= 4, "base + tail (+ link) reads only");
-        t.audit().unwrap();
-    }
-
-    #[test]
-    fn insert_tail_on_single_slab_bucket_behaves_like_insert() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
-        let mut w = WarpDriver::new(&t);
-        assert_eq!(w.insert_tail(1, 10), OpResult::Inserted);
-        assert_eq!(w.search(1), Some(10));
-        assert_eq!(t.len(), 1);
-        t.audit().unwrap();
-    }
-
-    #[test]
-    fn flush_refreshes_tail_hint() {
-        let mut t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        for k in 0..100 {
-            w.insert_tail(k, k); // several slabs, hint set
-        }
-        for k in 0..80 {
-            w.delete(k);
-        }
-        t.flush(&simt::Grid::sequential());
-        t.audit().expect("hint must be valid after flush");
-        // And the hint keeps working for further appends.
-        let mut w = WarpDriver::new(&t);
-        for k in 1_000..1_100 {
-            w.insert_tail(k, k);
-        }
-        assert_eq!(t.len(), 20 + 100);
-        t.audit().unwrap();
-    }
-
-    #[test]
-    fn concurrent_insert_tail_no_leaks_or_duplicates() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
-        let grid = simt::Grid::new(8);
-        let mut reqs: Vec<Request> = (0..3_000).map(|k| Request::insert_tail(k, k)).collect();
-        t.execute_batch(&mut reqs, &grid);
-        assert!(reqs.iter().all(|r| r.result == OpResult::Inserted));
-        assert_eq!(t.len(), 3_000);
-        let audit = t.audit().unwrap();
-        assert!(audit.no_leaks());
     }
 }
 

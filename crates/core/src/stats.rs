@@ -173,30 +173,25 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         for b in 0..self.num_buckets() {
             let mut chain_len = 0usize;
             let mut violation = None;
-            let mut base_aux = EMPTY_KEY;
-            let mut this_chain = Vec::new();
             let mut bucket_live = 0u32;
             let mut bucket_tombstones = 0u32;
             self.walk_bucket(b, |ptr, data| {
                 chain_len += 1;
                 if ptr != BASE_SLAB {
                     chained += 1;
-                    this_chain.push(ptr);
                     if !is_allocated_ptr(ptr) {
                         violation = Some(format!("bucket {b}: sentinel pointer {ptr:#x} in chain"));
                     }
                     if !seen.insert(ptr) {
                         violation = Some(format!("bucket {b}: slab {ptr:#x} linked twice"));
                     }
-                    // Chained slabs never carry aux metadata.
-                    if data[AUX_LANE] != EMPTY_KEY {
-                        violation = Some(format!(
-                            "bucket {b}: chained slab aux lane corrupted ({:#x})",
-                            data[AUX_LANE]
-                        ));
-                    }
-                } else {
-                    base_aux = data[AUX_LANE];
+                }
+                // No slab, base or chained, carries aux metadata.
+                if data[AUX_LANE] != EMPTY_KEY {
+                    violation = Some(format!(
+                        "bucket {b}: slab {ptr:#x} aux lane corrupted ({:#x})",
+                        data[AUX_LANE]
+                    ));
                 }
                 for e in 0..L::ELEMS_PER_SLAB as usize {
                     match data[L::key_lane(e)] {
@@ -209,13 +204,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             });
             live += u64::from(bucket_live);
             tombstones += u64::from(bucket_tombstones);
-            // The base slab's aux lane is the tail hint (§III-C extension):
-            // empty, or a pointer into this bucket's own chain.
-            if base_aux != EMPTY_KEY && !this_chain.contains(&base_aux) {
-                violation = Some(format!(
-                    "bucket {b}: tail hint {base_aux:#x} points outside the chain"
-                ));
-            }
             if let Some(v) = violation {
                 return Err(v);
             }
@@ -345,6 +333,24 @@ mod tests {
         assert_eq!(a.tombstones, 10);
         assert!(a.no_leaks());
         assert!(a.max_chain >= 2);
+    }
+
+    #[test]
+    fn audit_rejects_a_written_base_slab_aux_lane() {
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
+        let mut w = WarpDriver::new(&t);
+        for k in 0..40 {
+            w.replace(k, k);
+        }
+        t.audit().unwrap();
+        let mut ctx = simt::WarpCtx::for_test(0);
+        let base = t.slab_loc(1, BASE_SLAB, &mut ctx);
+        base.storage
+            .write_lane(base.slab, AUX_LANE, 7, &mut ctx.counters);
+        let err = t
+            .audit()
+            .expect_err("a non-EMPTY base aux lane is a violation");
+        assert!(err.contains("aux lane"), "{err}");
     }
 
     #[test]

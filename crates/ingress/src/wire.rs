@@ -278,13 +278,14 @@ impl<'a> Reader<'a> {
     }
 }
 
+// Tags 2 and 4 are retired (they named op kinds that no longer exist) and
+// decode as `UnknownTag`; the remaining numbers never move, so `VERSION`
+// stays put.
 fn op_kind_tag(op: OpKind) -> u8 {
     match op {
         OpKind::None => 0,
         OpKind::Insert => 1,
-        OpKind::InsertTail => 2,
         OpKind::Replace => 3,
-        OpKind::ReplaceStrict => 4,
         OpKind::TryInsert => 5,
         OpKind::CompareExchange => 6,
         OpKind::Delete => 7,
@@ -298,9 +299,7 @@ fn op_kind_from(tag: u8) -> Result<OpKind, WireError> {
     Ok(match tag {
         0 => OpKind::None,
         1 => OpKind::Insert,
-        2 => OpKind::InsertTail,
         3 => OpKind::Replace,
-        4 => OpKind::ReplaceStrict,
         5 => OpKind::TryInsert,
         6 => OpKind::CompareExchange,
         7 => OpKind::Delete,
@@ -951,6 +950,27 @@ mod tests {
         buf.extend_from_slice(&crc.to_le_bytes());
         buf.extend_from_slice(&payload);
         assert!(matches!(decode_frame(&buf), Err(WireError::Truncated)));
+    }
+
+    #[test]
+    fn retired_op_tags_decode_as_unknown_tag() {
+        for tag in [2u8, 4] {
+            let mut buf = Vec::new();
+            encode_frame(
+                &Frame::Request(WireRequest {
+                    req_id: 5,
+                    req: Request::replace(1, 2),
+                    budget: Duration::ZERO,
+                }),
+                &mut buf,
+            );
+            // Patch the op tag (after the 8-byte req_id) and re-checksum.
+            buf[HEADER_LEN + 8] = tag;
+            let len = (buf.len() - HEADER_LEN) as u32;
+            let crc = frame_crc(VERSION, KIND_REQUEST, len, &buf[HEADER_LEN..]);
+            buf[8..12].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode_frame(&buf), Err(WireError::UnknownTag(tag)));
+        }
     }
 
     #[test]

@@ -28,15 +28,20 @@
 //! different threads make *different* yield/fault decisions, and (b) a
 //! fixed seed on a fixed thread schedule (e.g. `Grid::sequential`)
 //! reproduces the exact same decision sequence — failures found in CI
-//! replay locally.
+//! replay locally. Yields and failures draw from separate streams.
 //!
-//! Plans nest: guards push onto a global stack and the innermost live plan
-//! is the active one, so parallel tests (or a test inside a chaotic
-//! harness) cannot silently disable each other's chaos by dropping a guard.
+//! Yields are process-global: guards push onto a global stack and the
+//! innermost live plan sets the yield probability, so parallel tests (or a
+//! test inside a chaotic harness) cannot silently disable each other's
+//! chaos by dropping a guard. Failures are per thread: a guard enrolls its
+//! creating thread in *its own* plan's failure levels and seed (see
+//! [`Participation`]), so another test's guard never changes them.
 //!
-//! Disabled (the default), the cost is one relaxed atomic load per hook.
+//! Disabled (the default), the cost is one relaxed atomic load (yields) or
+//! one thread-local read (failures) per hook.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -108,13 +113,11 @@ fn level(p: f64) -> u32 {
     (p.clamp(0.0, 1.0) * u32::MAX as f64) as u32
 }
 
-// The active plan, denormalized into atomics for the hot path.
+// The active plan's yield half, denormalized into atomics for the hot path.
 static YIELD_LEVEL: AtomicU32 = AtomicU32::new(0);
-static CAS_FAIL_LEVEL: AtomicU32 = AtomicU32::new(0);
-static ALLOC_FAIL_LEVEL: AtomicU32 = AtomicU32::new(0);
 static PLAN_SEED: AtomicU64 = AtomicU64::new(0);
-/// Bumped on every plan change; threads reseed their stream when they
-/// observe a new epoch.
+/// Bumped on every plan change; threads reseed their yield stream when
+/// they observe a new epoch.
 static PLAN_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// The guard stack: (guard id, plan). The innermost (last) entry is active.
@@ -127,8 +130,6 @@ fn apply(plan: Option<FaultPlan>) {
         ..FaultPlan::default()
     });
     YIELD_LEVEL.store(level(plan.yield_probability), Ordering::Relaxed);
-    CAS_FAIL_LEVEL.store(level(plan.cas_fail_probability), Ordering::Relaxed);
-    ALLOC_FAIL_LEVEL.store(level(plan.alloc_fail_probability), Ordering::Relaxed);
     PLAN_SEED.store(plan.seed, Ordering::Relaxed);
     PLAN_EPOCH.fetch_add(1, Ordering::Relaxed);
 }
@@ -164,7 +165,8 @@ fn apply_top() {
     apply(stack.last().map(|&(_, plan)| plan));
 }
 
-/// The currently active plan, if any guard is live.
+/// The innermost live guard's plan (the one setting the yield
+/// probability), if any guard is live.
 pub fn active_plan() -> Option<FaultPlan> {
     PLAN_STACK.lock().last().map(|&(_, plan)| plan)
 }
@@ -177,8 +179,9 @@ pub fn active_plan() -> Option<FaultPlan> {
 /// disable each other's chaos mid-stress-loop; the last surviving guard's
 /// plan wins rather than chaos going dark.
 ///
-/// The creating thread is enrolled in *failure* injection for the guard's
-/// lifetime (see [`Participation`]); yields stay process-global.
+/// The creating thread is enrolled in *this* guard's failure plan for the
+/// guard's lifetime (see [`Participation`]); yields stay process-global.
+/// Drop the guard on the thread that created it.
 pub struct ChaosGuard {
     id: u64,
     _participation: Participation,
@@ -198,7 +201,7 @@ impl ChaosGuard {
         apply_top();
         ChaosGuard {
             id,
-            _participation: participate(),
+            _participation: enroll(Enrollment::of(id, plan)),
         }
     }
 }
@@ -212,45 +215,97 @@ impl Drop for ChaosGuard {
     }
 }
 
-thread_local! {
-    /// Nesting count of [`Participation`] enrollments on this thread.
-    static PARTICIPATION: Cell<u32> = const { Cell::new(0) };
+/// The failure half of a [`FaultPlan`], as carried by an enrolled thread:
+/// thresholds and seed, tagged with the guard that owns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Enrollment {
+    guard: u64,
+    cas_level: u32,
+    alloc_level: u32,
+    seed: u64,
 }
 
-/// RAII enrollment of the current thread in *failure* injection
+impl Enrollment {
+    fn of(guard: u64, plan: FaultPlan) -> Self {
+        Self {
+            guard,
+            cas_level: level(plan.cas_fail_probability),
+            alloc_level: level(plan.alloc_fail_probability),
+            seed: plan.seed,
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's live enrollments as (token, enrollment), innermost
+    /// last. Touched only when enrolling or leaving.
+    static ENROLLMENTS: RefCell<Vec<(u64, Enrollment)>> = const { RefCell::new(Vec::new()) };
+    /// The innermost enrollment, cached for the hot path.
+    static ENROLLED: Cell<Option<Enrollment>> = const { Cell::new(None) };
+}
+
+/// RAII enrollment of the current thread in a failure plan
 /// ([`should_fail_cas`] / [`should_fail_alloc`]).
 ///
-/// Failure injection is opt-in per thread — unlike yields, an injected
-/// failure changes results, so a plan activated by one test must not fail
-/// allocations of unrelated tests running on sibling `cargo test` threads.
-/// A [`ChaosGuard`] enrolls its creating thread automatically, and the
-/// `Grid` scheduler propagates the launching thread's enrollment to its
-/// executor threads, so faults reach exactly the kernels launched under
-/// the guard.
-pub struct Participation(());
-
-/// Enrolls the current thread in failure injection until the returned
-/// guard drops. Nest-safe (counted).
-pub fn participate() -> Participation {
-    PARTICIPATION.with(|c| c.set(c.get() + 1));
-    Participation(())
+/// Failure injection is opt-in per thread, and each enrolled thread carries
+/// its own plan's levels and seed — unlike yields, an injected failure
+/// changes results, so a plan activated by one test must neither fail
+/// operations of unrelated tests running on sibling `cargo test` threads
+/// nor be overridden by their guards. A [`ChaosGuard`] enrolls its creating
+/// thread automatically, and the `Grid` scheduler propagates the launching
+/// thread's [`Enrollment`] to its executor threads, so faults reach exactly
+/// the kernels launched under the guard. Enrollments nest; the innermost
+/// live one is active. Not `Send`: it must drop on the thread it enrolled.
+pub struct Participation {
+    token: u64,
+    _thread_bound: PhantomData<*const ()>,
 }
 
-/// [`participate`] iff `enrolled` — for schedulers propagating a parent
-/// thread's enrollment into worker threads.
-pub fn participate_if(enrolled: bool) -> Option<Participation> {
-    enrolled.then(participate)
+fn enroll(e: Enrollment) -> Participation {
+    let token = NEXT_GUARD_ID.fetch_add(1, Ordering::Relaxed);
+    ENROLLMENTS.with(|s| s.borrow_mut().push((token, e)));
+    ENROLLED.with(|c| c.set(Some(e)));
+    Participation {
+        token,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// Enrolls the current thread in the innermost live guard's failure plan
+/// (or in a plan that injects nothing, when no guard is live) until the
+/// returned guard drops.
+pub fn participate() -> Participation {
+    let top = PLAN_STACK.lock().last().copied();
+    let (id, plan) = top.unwrap_or((0, FaultPlan::default()));
+    enroll(Enrollment::of(id, plan))
+}
+
+/// The current thread's innermost enrollment, for schedulers that
+/// propagate it into worker threads with [`participate_in`].
+pub fn thread_enrollment() -> Option<Enrollment> {
+    ENROLLED.with(Cell::get)
+}
+
+/// Enrolls the current thread in `enrollment`, if any — the worker-side
+/// half of [`thread_enrollment`].
+pub fn participate_in(enrollment: Option<Enrollment>) -> Option<Participation> {
+    enrollment.map(enroll)
 }
 
 impl Drop for Participation {
     fn drop(&mut self) {
-        PARTICIPATION.with(|c| c.set(c.get().saturating_sub(1)));
+        let top = ENROLLMENTS.with(|s| {
+            let mut s = s.borrow_mut();
+            s.retain(|&(token, _)| token != self.token);
+            s.last().map(|&(_, e)| e)
+        });
+        ENROLLED.with(|c| c.set(top));
     }
 }
 
 /// True when the current thread is enrolled in failure injection.
 pub fn thread_participates() -> bool {
-    PARTICIPATION.with(|c| c.get() > 0)
+    thread_enrollment().is_some()
 }
 
 static THREAD_COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -259,8 +314,10 @@ thread_local! {
     /// Stable per-thread index, mixed into the stream seed so threads
     /// diverge.
     static THREAD_INDEX: u32 = THREAD_COUNTER.fetch_add(1, Ordering::Relaxed);
-    /// (epoch this stream was seeded for, xorshift32 state).
+    /// Yield stream: (plan epoch it was seeded for, xorshift32 state).
     static RNG: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
+    /// Failure stream: (guard it was seeded for, xorshift32 state).
+    static FAULT_RNG: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
 }
 
 /// 32-bit finalizer (splitmix-style) used for seeding.
@@ -273,16 +330,14 @@ fn mix32(mut x: u32) -> u32 {
     x
 }
 
-/// One draw from this thread's decision stream, reseeding when the active
-/// plan changed since the last draw.
-fn draw() -> u32 {
-    let epoch = PLAN_EPOCH.load(Ordering::Relaxed);
-    RNG.with(|c| {
+/// One draw from `stream`, reseeding it from `seed` when `key` (what the
+/// stream was seeded for) changed since the last draw.
+fn draw(stream: &'static std::thread::LocalKey<Cell<(u64, u32)>>, key: u64, seed: u64) -> u32 {
+    stream.with(|c| {
         let (seen, state) = c.get();
-        let mut x = if seen == epoch && state != 0 {
+        let mut x = if seen == key && state != 0 {
             state
         } else {
-            let seed = PLAN_SEED.load(Ordering::Relaxed);
             let tid = THREAD_INDEX.with(|&t| t);
             // Mix thread index and both seed halves; never zero (xorshift32
             // has a fixed point at 0).
@@ -292,9 +347,14 @@ fn draw() -> u32 {
         x ^= x << 13;
         x ^= x >> 17;
         x ^= x << 5;
-        c.set((epoch, x));
+        c.set((key, x));
         x
     })
+}
+
+/// One draw from this thread's failure stream for enrollment `e`.
+fn fault_draw(e: Enrollment) -> u32 {
+    draw(&FAULT_RNG, e.guard, e.seed)
 }
 
 /// Called by the memory layer (and other lock-free substrates built on this
@@ -306,28 +366,33 @@ pub fn maybe_yield() {
     if level == 0 {
         return;
     }
-    if draw() <= level {
+    let epoch = PLAN_EPOCH.load(Ordering::Relaxed);
+    if draw(&RNG, epoch, PLAN_SEED.load(Ordering::Relaxed)) <= level {
         std::thread::yield_now();
     }
 }
 
 /// Consulted by retry-safe CAS call sites (slot claims, tombstoning):
 /// `true` means "treat this attempt as spuriously failed and take the
-/// retry path". Always `false` when no plan injects CAS failures or the
-/// thread is not [enrolled](Participation).
+/// retry path". Always `false` when the thread is not
+/// [enrolled](Participation) in a plan that injects CAS failures.
 #[inline]
 pub fn should_fail_cas() -> bool {
-    let level = CAS_FAIL_LEVEL.load(Ordering::Relaxed);
-    level != 0 && thread_participates() && draw() <= level
+    match thread_enrollment() {
+        Some(e) if e.cas_level != 0 => fault_draw(e) <= e.cas_level,
+        _ => false,
+    }
 }
 
 /// Consulted by fallible allocators: `true` means "fail this allocation as
-/// if capacity were exhausted". Always `false` when no plan injects
-/// allocation failures or the thread is not [enrolled](Participation).
+/// if capacity were exhausted". Always `false` when the thread is not
+/// [enrolled](Participation) in a plan that injects allocation failures.
 #[inline]
 pub fn should_fail_alloc() -> bool {
-    let level = ALLOC_FAIL_LEVEL.load(Ordering::Relaxed);
-    level != 0 && thread_participates() && draw() <= level
+    match thread_enrollment() {
+        Some(e) if e.alloc_level != 0 => fault_draw(e) <= e.alloc_level,
+        _ => false,
+    }
 }
 
 #[cfg(test)]

@@ -419,14 +419,15 @@ impl Grid {
         }
         let merged = parking_lot::Mutex::new((PerfCounters::default(), Histograms::default()));
         // Failure injection is enrolled per thread; executors inherit the
-        // launching thread's enrollment so faults reach exactly the kernels
-        // launched under a ChaosGuard (and never a sibling test's). The
+        // launching thread's enrollment — its guard's failure levels and
+        // seed — so faults reach exactly the kernels launched under a
+        // ChaosGuard, at that guard's rates (never a sibling test's). The
         // enrollment guard drops at the end of each invocation, so pooled
         // workers shed it before the next launch. Trace sessions are
         // likewise captured per launch from the launching thread.
-        let enrolled = crate::chaos::thread_participates();
+        let enrollment = crate::chaos::thread_enrollment();
         let executor = || {
-            let _enroll = crate::chaos::participate_if(enrolled);
+            let _enroll = crate::chaos::participate_in(enrollment);
             let mut ctx = WarpCtx::bound(usize::MAX, session);
             body(&mut ctx);
             let mut blocks = merged.lock();
