@@ -96,43 +96,6 @@ impl<'t, L: EntryLayout, A: SlabAllocator> WarpDriver<'t, L, A> {
         }
     }
 
-    /// TRYINSERT(k, v): inserts only if absent. `Ok(())` on insertion,
-    /// `Err(existing_value)` when the key is already present.
-    ///
-    /// # Panics
-    /// Panics on a [`TableError`] (resource failure, as opposed to the
-    /// key being present, which is the `Err(existing)` return).
-    pub fn try_insert(&mut self, key: u32, value: u32) -> Result<(), u32> {
-        match self.run(Request::try_insert(key, value)) {
-            OpResult::Inserted => Ok(()),
-            OpResult::Found(existing) => Err(existing),
-            OpResult::Failed(e) => panic!("TRYINSERT({key}) failed: {e}"),
-            other => unreachable!("try_insert returned {other:?}"),
-        }
-    }
-
-    /// COMPAREEXCHANGE(k, expected, new): atomically swaps the key's value
-    /// iff it equals `expected`. `Ok(expected)` on success;
-    /// `Err(Some(actual))` on comparand mismatch; `Err(None)` when the key
-    /// is absent. Key–value layout only.
-    ///
-    /// # Panics
-    /// Panics on a [`TableError`].
-    pub fn compare_exchange(
-        &mut self,
-        key: u32,
-        expected: u32,
-        new: u32,
-    ) -> Result<u32, Option<u32>> {
-        match self.run(Request::compare_exchange(key, expected, new)) {
-            OpResult::Replaced(prev) => Ok(prev),
-            OpResult::Found(actual) => Err(Some(actual)),
-            OpResult::NotFound => Err(None),
-            OpResult::Failed(e) => panic!("COMPAREEXCHANGE({key}) failed: {e}"),
-            other => unreachable!("compare_exchange returned {other:?}"),
-        }
-    }
-
     /// SEARCH(k): the least recently inserted value for `key`.
     pub fn search(&mut self, key: u32) -> Option<u32> {
         match self.run(Request::search(key)) {

@@ -45,7 +45,6 @@
 pub mod backoff;
 pub mod batch;
 pub mod bulk;
-pub mod collections;
 pub mod driver;
 pub mod entry;
 pub mod error;
@@ -55,7 +54,6 @@ pub mod hasher;
 pub mod maintenance;
 pub mod ops;
 pub mod ops_per_thread;
-pub mod slab_list;
 pub mod stats;
 
 pub use backoff::{Backoff, BackoffConfig};
@@ -68,5 +66,4 @@ pub use hash_table::{buckets_for_utilization, SlabHash, SlabHashConfig};
 pub use maintenance::{MaintenancePolicy, MaintenanceReport, PressureMode};
 pub use hasher::UniversalHash;
 pub use ops::{OpKind, OpResult, Request, RETRY_BUDGET};
-pub use slab_list::SlabList;
 pub use stats::AuditReport;

@@ -75,7 +75,9 @@ pub enum PressureMode {
     Shed,
 }
 
-/// How a collection handle reacts to `OutOfSlabs` / `RetryBudgetExhausted`.
+/// How a caller reacts to `OutOfSlabs` / `RetryBudgetExhausted`: the
+/// ingress broker applies it to each failed retry cohort, and a direct
+/// caller passes it to [`SlabHash::recover`] in its own retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenancePolicy {
     /// Block (retry until healed) or shed (fail fast after one heal pass).

@@ -56,15 +56,6 @@ pub enum OpKind {
     /// all insertions.) This is the optimized Fig. 2 variant: the first
     /// empty-or-matching slot wins.
     Replace,
-    /// TRYINSERT(k, v): insert only if the key is absent; never overwrites.
-    /// Returns `Found(existing)` when the key is already present. (An
-    /// API-level extension composed from the same pair-CAS primitive; the
-    /// building block of lock-free read-modify-write.)
-    TryInsert,
-    /// COMPAREEXCHANGE(k, expected, new): atomically replace the key's value
-    /// only if it currently equals `expected` — the 64-bit pair CAS of §IV-C
-    /// exposed directly. Key–value layout only.
-    CompareExchange,
     /// DELETE(k): tombstone the least recently inserted instance of k.
     Delete,
     /// DELETEALL(k): tombstone every instance of k.
@@ -83,8 +74,6 @@ impl OpKind {
             OpKind::None => "none",
             OpKind::Insert => "insert",
             OpKind::Replace => "replace",
-            OpKind::TryInsert => "try_insert",
-            OpKind::CompareExchange => "compare_exchange",
             OpKind::Delete => "delete",
             OpKind::DeleteAll => "delete_all",
             OpKind::Search => "search",
@@ -173,8 +162,6 @@ pub struct Request {
     /// The value carried by insertions (ignored otherwise and by the
     /// key-only layout).
     pub value: u32,
-    /// The comparand for [`OpKind::CompareExchange`] (ignored otherwise).
-    pub expected: u32,
     /// Outcome, written by the warp that executes the request.
     pub result: OpResult,
 }
@@ -194,7 +181,6 @@ impl Request {
             op: OpKind::Insert,
             key,
             value,
-            expected: 0,
             result: OpResult::Pending,
         }
     }
@@ -205,29 +191,6 @@ impl Request {
             op: OpKind::Replace,
             key,
             value,
-            expected: 0,
-            result: OpResult::Pending,
-        }
-    }
-
-    /// TRYINSERT(k, v): insert only if absent.
-    pub fn try_insert(key: u32, value: u32) -> Self {
-        Self {
-            op: OpKind::TryInsert,
-            key,
-            value,
-            expected: 0,
-            result: OpResult::Pending,
-        }
-    }
-
-    /// COMPAREEXCHANGE(k, expected, new): value CAS (key–value layout only).
-    pub fn compare_exchange(key: u32, expected: u32, new: u32) -> Self {
-        Self {
-            op: OpKind::CompareExchange,
-            key,
-            value: new,
-            expected,
             result: OpResult::Pending,
         }
     }
@@ -238,7 +201,6 @@ impl Request {
             op: OpKind::Search,
             key,
             value: 0,
-            expected: 0,
             result: OpResult::Pending,
         }
     }
@@ -249,7 +211,6 @@ impl Request {
             op: OpKind::SearchAll,
             key,
             value: 0,
-            expected: 0,
             result: OpResult::Pending,
         }
     }
@@ -260,7 +221,6 @@ impl Request {
             op: OpKind::Delete,
             key,
             value: 0,
-            expected: 0,
             result: OpResult::Pending,
         }
     }
@@ -271,7 +231,6 @@ impl Request {
             op: OpKind::DeleteAll,
             key,
             value: 0,
-            expected: 0,
             result: OpResult::Pending,
         }
     }
@@ -303,7 +262,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let mut kinds = [OpKind::None; WARP_SIZE];
         let mut keys = [EMPTY_KEY; WARP_SIZE];
         let mut values = [0u32; WARP_SIZE];
-        let mut expecteds = [0u32; WARP_SIZE];
         let mut active = [false; WARP_SIZE];
         for (lane, req) in reqs.iter_mut().enumerate() {
             if req.op != OpKind::None {
@@ -311,7 +269,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 kinds[lane] = req.op;
                 keys[lane] = req.key;
                 values[lane] = req.value;
-                expecteds[lane] = req.expected;
                 active[lane] = true;
                 req.result = OpResult::Pending;
             }
@@ -468,83 +425,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
                     {
                         finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                    }
-                }
-
-                OpKind::TryInsert => {
-                    let candidates = (ballot_eq(&read_data, EMPTY_KEY)
-                        | ballot_eq(&read_data, src_key))
-                        & L::KEY_LANES;
-                    if let Some(dest) = ffs(candidates) {
-                        if read_data[dest] == src_key {
-                            // Already present: report, never overwrite.
-                            let existing = read_data[L::value_lane(dest)];
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(existing));
-                        } else if let Some(result) = self.try_claim_slot(
-                            ctx,
-                            src_bucket,
-                            next,
-                            dest,
-                            &read_data,
-                            src_key,
-                            values[src_lane],
-                            /* reuse_deleted = */ false,
-                        ) {
-                            // A concurrent same-key insert racing into the
-                            // same slot surfaces as Replaced (key-only
-                            // layout); for TryInsert that means "already
-                            // present".
-                            let mapped = match result {
-                                OpResult::Replaced(v) => OpResult::Found(v),
-                                other => other,
-                            };
-                            finish(reqs, &mut active, ctx, retries[src_lane],mapped);
-                        }
-                        // CAS lost: re-read and retry.
-                    } else if let Err(e) =
-                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
-                    {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
-                    }
-                }
-
-                OpKind::CompareExchange => {
-                    assert!(
-                        L::HAS_VALUES,
-                        "CompareExchange requires the key-value layout"
-                    );
-                    let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
-                    if let Some(dest) = ffs(found) {
-                        let observed = read_data[L::value_lane(dest)];
-                        if observed != expecteds[src_lane] {
-                            // Comparand mismatch: fail with the actual value.
-                            finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(observed));
-                        } else if simt::chaos::should_fail_cas() {
-                            // Injected loss: treated as a race, re-evaluated
-                            // next round.
-                            ctx.counters.cas_failures += 1;
-                        } else {
-                            let loc = self.slab_loc(src_bucket, next, ctx);
-                            let expected_pair = pack_pair(src_key, observed);
-                            let desired = pack_pair(src_key, values[src_lane]);
-                            let old = loc.storage.cas_pair(
-                                loc.slab,
-                                dest / 2,
-                                expected_pair,
-                                desired,
-                                &mut ctx.counters,
-                            );
-                            if old == expected_pair {
-                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Replaced(observed));
-                            } else {
-                                // Raced: re-read and re-evaluate the comparand.
-                                ctx.counters.cas_failures += 1;
-                            }
-                        }
-                    } else if at_end(read_data[ADDRESS_LANE]) {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
-                    } else {
-                        next = read_data[ADDRESS_LANE];
                     }
                 }
 
@@ -1259,103 +1139,5 @@ mod failure_tests {
         assert_eq!(failed, 2, "31st and 32nd key cannot fit in 30 slots");
         assert_eq!(t.len(), 30);
         t.audit().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod rmw_tests {
-    use super::*;
-    use crate::entry::{KeyOnly, KeyValue};
-    use crate::hash_table::SlabHashConfig;
-    use crate::WarpDriver;
-
-    #[test]
-    fn try_insert_never_overwrites() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
-        let mut w = WarpDriver::new(&t);
-        assert_eq!(w.try_insert(5, 50), Ok(()));
-        assert_eq!(w.try_insert(5, 51), Err(50));
-        assert_eq!(w.search(5), Some(50), "value must be untouched");
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn try_insert_key_only() {
-        let t = SlabHash::<KeyOnly>::new(SlabHashConfig::with_buckets(2));
-        let mut w = WarpDriver::new(&t);
-        assert_eq!(w.try_insert(9, 0), Ok(()));
-        assert_eq!(w.try_insert(9, 0), Err(9));
-    }
-
-    #[test]
-    fn compare_exchange_semantics() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
-        let mut w = WarpDriver::new(&t);
-        assert_eq!(w.compare_exchange(1, 0, 10), Err(None), "absent key");
-        w.replace(1, 10);
-        assert_eq!(w.compare_exchange(1, 10, 11), Ok(10));
-        assert_eq!(w.compare_exchange(1, 10, 12), Err(Some(11)), "stale comparand");
-        assert_eq!(w.search(1), Some(11));
-    }
-
-    #[test]
-    fn compare_exchange_traverses_chains() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        for k in 0..60 {
-            w.replace(k, k); // 4 slabs
-        }
-        assert_eq!(w.compare_exchange(59, 59, 590), Ok(59));
-        assert_eq!(w.search(59), Some(590));
-        assert_eq!(w.compare_exchange(999, 0, 1), Err(None));
-    }
-
-    #[test]
-    fn concurrent_try_insert_single_winner() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let grid = simt::Grid::new(8);
-        let _chaos = simt::ChaosGuard::new(0.2);
-        let mut reqs: Vec<Request> = (0..256).map(|i| Request::try_insert(7, i)).collect();
-        t.execute_batch(&mut reqs, &grid);
-        let winners = reqs
-            .iter()
-            .filter(|r| r.result == OpResult::Inserted)
-            .count();
-        assert_eq!(winners, 1, "try_insert must have exactly one winner");
-        // Every loser saw the winner's value.
-        let winner_value = reqs
-            .iter()
-            .position(|r| r.result == OpResult::Inserted)
-            .unwrap() as u32;
-        for r in &reqs {
-            if let OpResult::Found(v) = r.result {
-                assert_eq!(v, winner_value);
-            }
-        }
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_compare_exchange_chain_applies_each_once() {
-        // 256 CAS requests k: v -> v+1 with expected = their index; executed
-        // concurrently, exactly the ones whose comparand matches the value's
-        // actual trajectory succeed, and the final value equals the number
-        // of successes.
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
-        let mut w = WarpDriver::new(&t);
-        w.replace(3, 0);
-        let grid = simt::Grid::new(8);
-        let _chaos = simt::ChaosGuard::new(0.2);
-        let mut reqs: Vec<Request> = (0..256).map(|i| Request::compare_exchange(3, i, i + 1)).collect();
-        t.execute_batch(&mut reqs, &grid);
-        let successes = reqs
-            .iter()
-            .filter(|r| matches!(r.result, OpResult::Replaced(_)))
-            .count() as u32;
-        let final_value = w.search(3).unwrap();
-        assert_eq!(
-            final_value, successes,
-            "value must equal the number of applied CAS transitions"
-        );
     }
 }

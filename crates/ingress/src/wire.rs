@@ -278,16 +278,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-// Tags 2 and 4 are retired (they named op kinds that no longer exist) and
-// decode as `UnknownTag`; the remaining numbers never move, so `VERSION`
-// stays put.
+// Tags 2, 4, 5 and 6 are retired (they named op kinds that no longer
+// exist) and decode as `UnknownTag`; the remaining numbers never move, so
+// `VERSION` stays put.
 fn op_kind_tag(op: OpKind) -> u8 {
     match op {
         OpKind::None => 0,
         OpKind::Insert => 1,
         OpKind::Replace => 3,
-        OpKind::TryInsert => 5,
-        OpKind::CompareExchange => 6,
         OpKind::Delete => 7,
         OpKind::DeleteAll => 8,
         OpKind::Search => 9,
@@ -300,8 +298,6 @@ fn op_kind_from(tag: u8) -> Result<OpKind, WireError> {
         0 => OpKind::None,
         1 => OpKind::Insert,
         3 => OpKind::Replace,
-        5 => OpKind::TryInsert,
-        6 => OpKind::CompareExchange,
         7 => OpKind::Delete,
         8 => OpKind::DeleteAll,
         9 => OpKind::Search,
@@ -453,7 +449,10 @@ fn encode_payload(frame: &Frame, buf: &mut Vec<u8>) -> u8 {
             buf.push(op_kind_tag(req.req.op));
             put_u32(buf, req.req.key);
             put_u32(buf, req.req.value);
-            put_u32(buf, req.req.expected);
+            // Reserved slot: it carried a comparand for a retired op kind.
+            // It is still written (as 0) and read (and ignored) so frames
+            // keep their size and decode stays total under this `VERSION`.
+            put_u32(buf, 0);
             put_u64(buf, duration_to_ns(req.budget));
             KIND_REQUEST
         }
@@ -503,7 +502,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let op = op_kind_from(r.u8()?)?;
             let key = r.u32()?;
             let value = r.u32()?;
-            let expected = r.u32()?;
+            let _reserved = r.u32()?;
             let budget = Duration::from_nanos(r.u64()?);
             Frame::Request(WireRequest {
                 req_id,
@@ -511,7 +510,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
                     op,
                     key,
                     value,
-                    expected,
                     result: OpResult::Pending,
                 },
                 budget,
@@ -742,7 +740,7 @@ mod tests {
             }),
             Frame::Request(WireRequest {
                 req_id: u64::MAX,
-                req: Request::compare_exchange(9, 1, 2),
+                req: Request::delete_all(9),
                 budget: Duration::from_secs(3600),
             }),
             Frame::Request(WireRequest {
@@ -954,7 +952,7 @@ mod tests {
 
     #[test]
     fn retired_op_tags_decode_as_unknown_tag() {
-        for tag in [2u8, 4] {
+        for tag in [2u8, 4, 5, 6] {
             let mut buf = Vec::new();
             encode_frame(
                 &Frame::Request(WireRequest {

@@ -7,14 +7,15 @@
 //! 2. the allocator's free-headroom watermark activates reserve super
 //!    blocks *before* pressure turns into `OutOfSlabs`;
 //! 3. a `MaintenancePolicy` turns residual failures into heal-and-retry
-//!    (block) or heal-and-report (shed) at the collection-handle layer.
+//!    (block) or heal-and-report (shed) in the caller's retry loop.
 //!
 //! Run with: `cargo run --release --example self_healing`
 
 use simt::Grid;
 use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
-use slab_hash::collections::SlabMap;
-use slab_hash::{KeyValue, MaintenancePolicy, SlabHash, SlabHashConfig, EMPTY_KEY};
+use slab_hash::{
+    KeyValue, MaintenancePolicy, SlabHash, SlabHashConfig, TableError, WarpDriver, EMPTY_KEY,
+};
 
 fn main() {
     // One active super block = 1024 slabs. The 50-cycle churn below chains
@@ -150,50 +151,67 @@ fn main() {
     assert_eq!(audit.frozen_lanes, 0);
     assert!(audit.no_leaks());
 
-    // --- Backpressure policies at the collection layer ----------------------
-    // `handle_with_policy` heals transparently: block = compact/grow/retry,
-    // shed = one heal pass, then the caller decides what to drop.
-    let map = SlabMap::with_capacity(10_000);
-    let mut writer = map.handle_with_policy(MaintenancePolicy::block());
+    // --- Backpressure policies on a retry loop ------------------------------
+    // `recover` is the call the ingress broker makes for a failed retry
+    // cohort: block = compact/grow/retry, shed = one heal pass, then the
+    // caller decides what to drop.
+    let maint_grid = Grid::sequential();
+    let map = SlabHash::<KeyValue>::for_expected_elements(10_000, 0.6, 0x0005_ABA4);
+    let block = MaintenancePolicy::block();
+    let mut writer = WarpDriver::new(&map);
     for k in 0..5_000 {
-        writer
-            .checked_insert(k, k * 2)
+        replace_with_policy(&map, &mut writer, &block, &maint_grid, k, k * 2)
             .expect("block policy heals transient pressure");
     }
-    let shedding = map.handle_with_policy(MaintenancePolicy::shed());
     println!(
-        "\npolicy demo: {} keys through a blocking handle; shed handle ready ({:?})",
+        "\npolicy demo: {} keys through a blocking retry loop",
         map.len(),
-        MaintenancePolicy::shed().mode,
     );
-    drop(shedding);
+    assert_eq!(map.len(), 5_000);
 
     // Failed operations stay structured even when healing is exhausted: an
     // injected always-fail allocation plan makes the shed path surface
     // `OutOfSlabs` while the table stays consistent and auditable. One
     // bucket whose base slab is full forces every further insert to
     // allocate a chained slab.
-    let tiny = SlabMap::with_buckets(1);
-    {
-        let mut h = tiny.handle();
-        for k in 0..15 {
-            h.insert(k, k);
-        }
+    let tiny = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
+    let mut warp = WarpDriver::new(&tiny);
+    for k in 0..15 {
+        warp.replace(k, k);
     }
     let chaos = simt::ChaosGuard::plan(
         simt::FaultPlan::seeded(0x5E1F).with_alloc_failures(1.0),
     );
-    let mut shed = tiny.handle_with_policy(MaintenancePolicy::shed());
+    let shed = MaintenancePolicy::shed();
     let mut dropped = 0u32;
     for k in 100_000..100_064 {
-        if shed.checked_insert(k, 0).is_err() {
+        if replace_with_policy(&tiny, &mut warp, &shed, &maint_grid, k, 0).is_err() {
             dropped += 1;
         }
     }
     drop(chaos);
-    println!("under an always-fail alloc plan the shed handle dropped {dropped}/64 inserts");
+    println!("under an always-fail alloc plan the shed policy dropped {dropped}/64 inserts");
     assert_eq!(dropped, 64, "every chained insert must shed under alloc faults");
-    tiny.as_raw().audit().expect("map audits clean after shedding");
+    tiny.audit().expect("table audits clean after shedding");
 
     println!("\nself-healing demo complete");
+}
+
+/// REPLACE(key, value) that heals under `policy` when the table reports
+/// memory pressure, retrying for as long as `recover` says to.
+fn replace_with_policy(
+    table: &SlabHash<KeyValue>,
+    warp: &mut WarpDriver<'_, KeyValue>,
+    policy: &MaintenancePolicy,
+    grid: &Grid,
+    key: u32,
+    value: u32,
+) -> Result<Option<u32>, TableError> {
+    let mut round = 0;
+    loop {
+        match warp.checked_replace(key, value) {
+            Err(e) if table.recover(e, policy, grid, round) => round += 1,
+            result => return result,
+        }
+    }
 }

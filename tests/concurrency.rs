@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 
 use simt::{ChaosGuard, Grid};
-use slab_hash::{KeyValue, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver};
+use slab_hash::{KeyOnly, KeyValue, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver};
 
 static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
@@ -38,6 +38,76 @@ fn racing_replaces_of_one_key_keep_uniqueness() {
     let v = warp.search(42).expect("key present");
     assert!(v < 512);
     table.audit().unwrap();
+}
+
+#[test]
+fn key_only_overlapping_replaces_insert_each_key_once() {
+    // Four batches REPLACE overlapping key windows concurrently on a
+    // key-only table: every key must report `Inserted` exactly once across
+    // all batches, and every other copy must find it present.
+    let (_l, _g, grid) = chaotic_grid();
+    let table = SlabHash::<KeyOnly>::for_expected_elements(10_000, 0.6, 0x0005_AB5E);
+    let mut batches: Vec<Vec<Request>> = (0..4u32)
+        .map(|t| (t * 2_000..t * 2_000 + 4_000).map(|k| Request::replace(k, 0)).collect())
+        .collect();
+    std::thread::scope(|scope| {
+        for batch in &mut batches {
+            let (table, grid) = (&table, &grid);
+            scope.spawn(move || table.execute_batch(batch, grid));
+        }
+    });
+
+    // The windows cover 0..10_000 with overlaps.
+    let mut inserted = vec![0u32; 10_000];
+    for r in batches.iter().flatten() {
+        match r.result {
+            OpResult::Inserted => inserted[r.key as usize] += 1,
+            OpResult::Replaced(k) => assert_eq!(k, r.key, "key-only REPLACE reports the key"),
+            ref other => panic!("REPLACE({}) returned {other:?}", r.key),
+        }
+    }
+    for (k, n) in inserted.iter().enumerate() {
+        assert_eq!(*n, 1, "key {k} reported Inserted {n} times");
+    }
+    assert_eq!(table.len(), 10_000, "uniqueness violated");
+    table.audit().unwrap();
+}
+
+#[test]
+fn concurrent_duplicate_inserts_then_delete_all_drain() {
+    // INSERT keeps duplicates: 200 values on each of 100 keys, racing into
+    // shared chains. SEARCHALL sees all of them, DELETEALL drains half the
+    // keys concurrently, and a flush leaves no tombstones or leaked slabs.
+    let (_l, _g, grid) = chaotic_grid();
+    let mut table = SlabHash::<KeyValue>::for_expected_elements(20_000, 0.6, 0x0005_AB33);
+    let mut inserts: Vec<Request> = (0..20_000).map(|i| Request::insert(i % 100, i)).collect();
+    table.execute_batch(&mut inserts, &grid);
+    assert!(inserts.iter().all(|r| r.result == OpResult::Inserted));
+    assert_eq!(table.len(), 20_000);
+
+    let mut searches: Vec<Request> = (0..100).map(Request::search_all).collect();
+    table.execute_batch(&mut searches, &grid);
+    for r in &searches {
+        match &r.result {
+            OpResult::FoundAll(values) => {
+                assert_eq!(values.len(), 200, "key {}", r.key);
+                assert!(values.iter().all(|v| v % 100 == r.key), "key {}", r.key);
+            }
+            other => panic!("SEARCHALL({}) returned {other:?}", r.key),
+        }
+    }
+
+    let mut drains: Vec<Request> = (0..50).map(Request::delete_all).collect();
+    table.execute_batch(&mut drains, &grid);
+    for r in &drains {
+        assert_eq!(r.result, OpResult::DeletedCount(200), "key {}", r.key);
+    }
+
+    table.flush(&grid);
+    assert_eq!(table.len(), 10_000);
+    let audit = table.audit().unwrap();
+    assert_eq!(audit.tombstones, 0);
+    assert!(audit.no_leaks(), "leaked slabs: {audit:?}");
 }
 
 #[test]

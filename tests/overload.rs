@@ -154,7 +154,9 @@ fn brief_pressure_recovers_to_full_service() {
     // allocate far more slabs than exist, so the broker's heal-and-retry
     // loop (compaction + epoch reclamation between dispatch rounds) is the
     // only reason the writes land. `stats.retried > 0` proves the retry
-    // path actually ran; every op succeeding proves it converges.
+    // path actually ran; every op succeeding proves it converges. The idle
+    // tick outlasts the run, so idle housekeeping never heals the heap
+    // behind the retry path's back while the client thread is descheduled.
     let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
         SlabHashConfig::with_buckets(4),
         SerialHeapSim::new(64, EMPTY_KEY),
@@ -164,6 +166,7 @@ fn brief_pressure_recovers_to_full_service() {
         max_dispatch_attempts: 8,
         default_deadline: Duration::from_secs(30),
         write_shed_headroom: 0,
+        idle_tick: Duration::from_secs(60),
         ..BrokerConfig::default()
     };
     let broker = Broker::spawn(Arc::clone(&table), cfg);

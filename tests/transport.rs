@@ -261,18 +261,34 @@ fn graceful_drain_answers_in_flight_work() {
 
     // A slow stream of calls from a sibling thread while the main thread
     // drains the server: every call must resolve (Ok, typed refusal, or
-    // typed disconnect) — none may hang.
+    // typed disconnect) — none may hang. Each call after the drain re-dials
+    // a closed port, so the client gets a tight dial budget; with the
+    // default one every such call spends its whole 2 s deadline redialing.
     let worker = std::thread::spawn(move || {
-        let mut client = WireClient::new(addr, client_cfg(7)).unwrap();
+        let mut client = WireClient::new(
+            addr,
+            WireClientConfig {
+                max_connect_attempts: 2,
+                connect_timeout: Duration::from_millis(100),
+                reconnect_cap: Duration::from_millis(20),
+                ..client_cfg(7)
+            },
+        )
+        .unwrap();
+        let started = Instant::now();
         let mut outcomes = Vec::new();
         for k in 0..200u32 {
             outcomes.push(client.call(Request::replace(k, k)));
         }
-        outcomes
+        (outcomes, started.elapsed())
     });
     std::thread::sleep(Duration::from_millis(20));
     server.shutdown();
-    let outcomes = worker.join().unwrap();
+    let (outcomes, elapsed) = worker.join().unwrap();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "200 calls across a drain took {elapsed:?}"
+    );
     let ok = outcomes.iter().filter(|o| o.is_ok()).count();
     assert!(ok > 0, "no call completed before the drain");
     for o in outcomes {
