@@ -3,8 +3,10 @@
 //! Deleted elements are only marked, never physically removed, so after
 //! enough churn a bucket's slab list can be rebuilt into fewer slabs. The
 //! paper runs FLUSH "as a separate kernel call so that no other thread can
-//! perform an operation in those buckets" — [`SlabHash::flush`] encodes that
-//! exclusivity in the type system by taking `&mut self`.
+//! perform an operation in those buckets". Here that exclusive rewrite
+//! (`compact_exclusive`) runs under one of two proofs that no operation is in
+//! flight: [`SlabHash::flush`]'s `&mut self`, or a [`Quiesced`] window that
+//! [`SlabHash::maintain`] claims whenever it finds no epoch pin live.
 //!
 //! [`SlabHash::try_flush`] is the incremental sibling that runs *against
 //! live traffic* (`&self`): it retires fully dead chained slabs (every data
@@ -17,7 +19,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use simt::warp::WARP_SIZE;
-use simt::{Grid, WarpCtx};
+use simt::{Grid, Quiesced, WarpCtx};
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
 
 use crate::entry::{EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
@@ -26,10 +28,14 @@ use crate::hash_table::SlabHash;
 use crate::maintenance::RetiredSlab;
 use crate::stats::{collect_live, live_keys_in_slab};
 
-/// Outcome of a [`SlabHash::flush`] pass.
+/// Outcome of a compaction pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlushReport {
-    /// Slabs returned to the allocator.
+    /// Chained slabs the pass took out of the chains. The exclusive
+    /// rewrite ([`SlabHash::flush`], and [`SlabHash::maintain`] when no op
+    /// is in flight) frees them on the spot; [`SlabHash::try_flush`] only
+    /// retires them, and they reach the allocator once their epoch grace
+    /// period passes.
     pub slabs_released: u64,
     /// Live elements kept (and compacted).
     pub elements_kept: u64,
@@ -44,39 +50,64 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     ///
     /// Requires `&mut self`: no concurrent operations may run during a
     /// flush, exactly as the paper's separate-kernel-call discipline.
+    /// [`maintain`](Self::maintain) runs the same rewrite from `&self`
+    /// whenever it finds no operation in flight.
     pub fn flush(&mut self, grid: &Grid) -> FlushReport {
-        // Exclusive phase: no epoch pins can be live, so every retired
-        // slab's grace period has elapsed; return them before rebuilding.
-        self.reclaim_retired();
-        let table = &*self;
-        let buckets = table.num_buckets();
+        let quiet = self
+            .maint
+            .clock
+            .quiesce()
+            .expect("`&mut self` leaves no operation holding an epoch pin");
+        self.compact_exclusive(grid, &quiet).1
+    }
+
+    /// The exclusive phase shared by [`flush`](Self::flush) and
+    /// [`maintain`](Self::maintain). `quiet` proves no operation is in
+    /// flight, so every retired slab's grace period has trivially elapsed:
+    /// they are freed first, then every bucket is rewritten by
+    /// `flush_bucket`. Returns the retired slabs freed and the rewrite's
+    /// report.
+    ///
+    /// Must not pin the epoch nor call
+    /// [`reclaim_retired`](Self::reclaim_retired), whose horizon locks the
+    /// pin registry: `quiet` already holds that lock.
+    pub(crate) fn compact_exclusive(
+        &self,
+        grid: &Grid,
+        _quiet: &Quiesced<'_>,
+    ) -> (u64, FlushReport) {
+        let reclaimed = self.release_retired(u64::MAX);
+        let buckets = self.num_buckets();
         let report = parking_lot::Mutex::new(FlushReport {
             buckets,
             ..FlushReport::default()
         });
         grid.launch_warps(buckets as usize, |ctx| {
             let bucket = ctx.warp_id as u32;
-            let (released, kept) = table.flush_bucket(bucket, ctx);
+            let (released, kept) = self.flush_bucket(bucket, ctx);
             let mut r = report.lock();
             r.slabs_released += released;
             r.elements_kept += kept;
         });
-        report.into_inner()
+        (reclaimed, report.into_inner())
     }
 
     /// Compacts one bucket. Private: callers reach it through
-    /// [`flush`](Self::flush), whose `&mut self` receiver guarantees the
+    /// `compact_exclusive`, whose [`Quiesced`] argument guarantees the
     /// exclusive phase.
     fn flush_bucket(&self, bucket: u32, ctx: &mut WarpCtx) -> (u64, u64) {
         // Pass 1: the warp walks the chain, gathering live elements and the
-        // chained slab pointers.
+        // chained slab pointers, and noting any lane or link to scrub.
         let mut live: Vec<(u32, u32)> = Vec::new();
         let mut chain: Vec<u32> = Vec::new();
+        let mut dirty = false;
         let mut ptr = BASE_SLAB;
         loop {
             let loc = self.slab_loc(bucket, ptr, ctx);
             let data = loc.storage.read_slab(loc.slab, &mut ctx.counters);
             collect_live::<L>(&data, &mut live);
+            dirty |= (0..L::ELEMS_PER_SLAB as usize)
+                .any(|e| matches!(data[L::key_lane(e)], DELETED_KEY | FROZEN_KEY));
             let next = data[ADDRESS_LANE];
             if ptr != BASE_SLAB {
                 chain.push(ptr);
@@ -84,16 +115,24 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             // FROZEN_PTR can linger only if an incremental pass died
             // mid-undo; the rewrite below normalizes it away.
             if next == EMPTY_PTR || next == FROZEN_PTR {
+                dirty |= next == FROZEN_PTR;
                 break;
             }
             ptr = next;
         }
 
-        // Pass 2: rewrite. Slab 0 is the base slab; slabs 1.. reuse the
-        // existing chain in order.
+        // A bucket with nothing to scrub and no surplus slab is already
+        // what the rewrite would produce: leave it untouched, so a pass
+        // costs one read per slab where there is no work.
         let m = L::ELEMS_PER_SLAB as usize;
         let needed_chained = live.len().saturating_sub(m).div_ceil(m);
         debug_assert!(needed_chained <= chain.len());
+        if !dirty && chain.len() == needed_chained {
+            return (0, live.len() as u64);
+        }
+
+        // Pass 2: rewrite. Slab 0 is the base slab; slabs 1.. reuse the
+        // existing chain in order.
         for slab_i in 0..=needed_chained {
             let this_ptr = if slab_i == 0 {
                 BASE_SLAB
@@ -154,22 +193,22 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     ///
     /// # Errors
     ///
-    /// * [`TableError::MaintenanceBusy`] — another `try_flush` holds the
+    /// * [`TableError::MaintenanceBusy`] — another compaction pass
+    ///   (`try_flush` or [`maintain`](Self::maintain)) holds the
     ///   single-flusher lock; nothing was modified.
     /// * [`TableError::RetryBudgetExhausted`] — an active fault plan
     ///   injected more CAS losses than the table's retry budget. Every
     ///   partially frozen slab was restored, so the table stays fully
     ///   operational and `audit()` still balances.
     pub fn try_flush(&self, grid: &Grid) -> Result<FlushReport, TableError> {
-        if self
-            .maint
-            .flush_lock
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(TableError::MaintenanceBusy);
-        }
-        let _lock = FlushLock(&self.maint.flush_lock);
+        let _lock =
+            FlushLock::acquire(&self.maint.flush_lock).ok_or(TableError::MaintenanceBusy)?;
+        self.retire_dead_slabs(grid)
+    }
+
+    /// The body of [`try_flush`](Self::try_flush), for a caller that holds
+    /// the single-flusher lock.
+    pub(crate) fn retire_dead_slabs(&self, grid: &Grid) -> Result<FlushReport, TableError> {
         let buckets = self.num_buckets();
         let report = parking_lot::Mutex::new(FlushReport {
             buckets,
@@ -386,7 +425,23 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
 
 /// Drop guard for the single-flusher lock, so a panicking bucket pass (or
 /// an early error return) never wedges future maintenance.
-struct FlushLock<'a>(&'a AtomicBool);
+pub(crate) struct FlushLock<'a>(&'a AtomicBool);
+
+impl<'a> FlushLock<'a> {
+    /// Takes the lock, or `None` when another flusher holds it. The guard
+    /// is built only after the CAS wins: a guard built for a losing caller
+    /// would release the holder's lock when it dropped.
+    pub(crate) fn acquire(flag: &'a AtomicBool) -> Option<Self> {
+        let won = flag
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok();
+        if won {
+            Some(Self(flag))
+        } else {
+            None
+        }
+    }
+}
 
 impl Drop for FlushLock<'_> {
     fn drop(&mut self) {
@@ -400,6 +455,39 @@ mod tests {
     use crate::entry::{KeyOnly, KeyValue};
     use crate::hash_table::SlabHashConfig;
     use crate::WarpDriver;
+
+    #[test]
+    fn a_losing_flusher_leaves_the_holders_lock_alone() {
+        let flag = AtomicBool::new(false);
+        let held = FlushLock::acquire(&flag).expect("the lock starts free");
+        assert!(FlushLock::acquire(&flag).is_none());
+        assert!(flag.load(Ordering::Acquire), "a losing acquire released the lock");
+        assert!(FlushLock::acquire(&flag).is_none());
+        drop(held);
+        assert!(!flag.load(Ordering::Acquire));
+        assert!(FlushLock::acquire(&flag).is_some());
+    }
+
+    #[test]
+    fn busy_maintain_neither_compacts_nor_frees_the_flush_lock() {
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
+        let mut w = WarpDriver::new(&t);
+        for k in 0..90 {
+            w.replace(k, k);
+        }
+        for k in 0..80 {
+            w.delete(k);
+        }
+        let held = FlushLock::acquire(&t.maint.flush_lock).unwrap();
+        let grid = Grid::sequential();
+        assert_eq!(t.try_flush(&grid), Err(TableError::MaintenanceBusy));
+        assert!(t.maintain(&grid).flushed.is_none());
+        assert_eq!(t.try_flush(&grid), Err(TableError::MaintenanceBusy));
+        assert_eq!(t.audit().unwrap().tombstones, 80, "a busy pass compacted");
+        drop(held);
+        assert_eq!(t.maintain(&grid).flushed.unwrap().elements_kept, 10);
+        assert_eq!(t.bucket_slab_count(0), 1);
+    }
 
     #[test]
     fn flush_reclaims_tombstoned_slabs() {
@@ -446,6 +534,28 @@ mod tests {
         before.sort_unstable();
         after.sort_unstable();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn flush_writes_only_buckets_with_work() {
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
+        let mut w = WarpDriver::new(&t);
+        for k in 0..200 {
+            w.replace(k, k);
+        }
+        let writes = |t: &SlabHash<KeyValue>| {
+            Grid::sequential()
+                .launch_warps(4, |ctx| {
+                    t.flush_bucket(ctx.warp_id as u32, ctx);
+                })
+                .counters
+                .sector_writes
+        };
+        assert_eq!(writes(&t), 0, "a clean, minimal table was rewritten");
+        w.delete(7);
+        assert!(writes(&t) > 0, "a tombstone was left in place");
+        assert_eq!(writes(&t), 0, "the rewrite left work behind");
+        assert_eq!(t.audit().unwrap().tombstones, 0);
     }
 
     #[test]

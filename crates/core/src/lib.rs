@@ -66,4 +66,4 @@ pub use hash_table::{buckets_for_utilization, SlabHash, SlabHashConfig};
 pub use maintenance::{MaintenancePolicy, MaintenanceReport, PressureMode};
 pub use hasher::UniversalHash;
 pub use ops::{OpKind, OpResult, Request, RETRY_BUDGET};
-pub use stats::AuditReport;
+pub use stats::{AuditReport, LaneCensus};

@@ -1,14 +1,18 @@
-//! Self-healing under memory pressure: concurrent compaction, allocator
-//! growth, and backpressure.
+//! Self-healing under memory pressure: compaction, allocator growth, and
+//! backpressure.
 //!
 //! The paper's CUDA implementation sizes its allocator for the peak working
 //! set and aborts when it runs out. A long-lived table with churn (inserts
 //! followed by deletes) can instead stay on bounded memory indefinitely if
 //! three mechanisms cooperate:
 //!
-//! 1. **Incremental compaction** ([`SlabHash::try_flush`]) retires
-//!    dead chained slabs *while traffic is running*, using a freeze → unlink
-//!    → epoch-retire protocol (see `flush.rs` and DESIGN.md §10).
+//! 1. **Compaction.** When no operation is in flight, [`SlabHash::maintain`]
+//!    runs the paper's compacting FLUSH: every bucket is rebuilt without
+//!    its tombstones and the surplus slabs are freed. When operations are
+//!    running it falls back to incremental compaction
+//!    ([`SlabHash::try_flush`]), which retires only fully dead chained slabs
+//!    with a freeze → unlink → epoch-retire protocol (see `flush.rs` and
+//!    DESIGN.md §10).
 //! 2. **Allocator growth** (`SlabAllocator::try_grow`) activates reserve
 //!    super blocks when the free-slab gauge sinks below its watermark.
 //! 3. **Backpressure** ([`MaintenancePolicy`]) decides what a caller does
@@ -28,7 +32,7 @@ use slab_alloc::SlabAllocator;
 use crate::backoff::Backoff;
 use crate::entry::{EntryLayout, EMPTY_KEY};
 use crate::error::TableError;
-use crate::flush::FlushReport;
+use crate::flush::{FlushLock, FlushReport};
 use crate::hash_table::SlabHash;
 
 /// A chained slab that has been unlinked from its bucket but may still be
@@ -50,7 +54,7 @@ pub(crate) struct MaintenanceState {
     pub(crate) clock: EpochClock,
     /// Unlinked slabs waiting for their epoch grace period to elapse.
     pub(crate) retired: Mutex<Vec<RetiredSlab>>,
-    /// Single-flusher lock: at most one `try_flush` pass at a time.
+    /// Single-flusher lock: at most one compaction pass at a time.
     pub(crate) flush_lock: AtomicBool,
 }
 
@@ -119,8 +123,9 @@ impl Default for MaintenancePolicy {
 /// What one [`SlabHash::maintain`] pass accomplished.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintenanceReport {
-    /// The compaction pass, if the flush lock was free (`None` when another
-    /// flusher was already running).
+    /// The compaction pass: the exclusive rewrite when no op was in flight,
+    /// else the incremental one. `None` when another flusher was already
+    /// running or the incremental pass hit a fault.
     pub flushed: Option<FlushReport>,
     /// Retired slabs whose grace period elapsed and were returned to the
     /// allocator this pass.
@@ -130,25 +135,40 @@ pub struct MaintenanceReport {
 }
 
 impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
-    /// One idempotent self-healing pass: reclaim every retired slab whose
-    /// grace period has elapsed, run an incremental compaction pass (if no
-    /// other flusher holds the lock), reclaim again, and grow the allocator
-    /// if the free-slab gauge is nearly drained.
+    /// One idempotent self-healing pass. If another flusher holds the lock,
+    /// it only reclaims retired slabs whose grace period has elapsed.
+    /// Otherwise:
     ///
-    /// Safe to call from any thread at any time, concurrently with table
-    /// traffic; `&self` only.
+    /// * **No operation in flight** (no epoch pin live): the paper's
+    ///   compacting FLUSH. Retired slabs are freed, every bucket is rebuilt
+    ///   without its tombstones, and the surplus slabs are freed. New
+    ///   operations wait at their epoch pin until the pass ends.
+    /// * **Operations running:** reclaim → [`try_flush`](Self::try_flush)
+    ///   (retire fully dead chained slabs) → reclaim, without blocking them.
+    ///
+    /// In every case it then grows the allocator if the free-slab gauge is
+    /// nearly drained. Safe to call from any thread at any time, concurrently
+    /// with table traffic; `&self` only. A caller that holds an epoch pin
+    /// of its own always gets the incremental path.
     pub fn maintain(&self, grid: &Grid) -> MaintenanceReport {
-        let mut report = MaintenanceReport {
-            reclaimed: self.reclaim_retired(),
-            ..MaintenanceReport::default()
-        };
-        match self.try_flush(grid) {
-            Ok(fr) => report.flushed = Some(fr),
-            // Busy / faulted passes are fine: the table stays consistent
-            // and a later pass picks up where this one left off.
-            Err(_) => report.flushed = None,
+        let mut report = MaintenanceReport::default();
+        match FlushLock::acquire(&self.maint.flush_lock) {
+            None => report.reclaimed = self.reclaim_retired(),
+            Some(_lock) => match self.maint.clock.quiesce() {
+                Some(quiet) => {
+                    let (reclaimed, flushed) = self.compact_exclusive(grid, &quiet);
+                    report.reclaimed = reclaimed;
+                    report.flushed = Some(flushed);
+                }
+                None => {
+                    report.reclaimed = self.reclaim_retired();
+                    // A faulted pass is fine: the table stays consistent
+                    // and a later pass picks up where this one left off.
+                    report.flushed = self.retire_dead_slabs(grid).ok();
+                    report.reclaimed += self.reclaim_retired();
+                }
+            },
         }
-        report.reclaimed += self.reclaim_retired();
         if self.allocator().free_slabs() < 64 {
             report.grew = self.allocator().try_grow();
         }
@@ -207,7 +227,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// [`maintain`](Self::maintain); also useful alone after a burst of
     /// operations drops the pin count to zero.
     pub fn reclaim_retired(&self) -> u64 {
-        let horizon = self.maint.clock.horizon();
+        self.release_retired(self.maint.clock.horizon())
+    }
+
+    /// Scrubs and frees every retired slab tagged at or below `horizon`.
+    pub(crate) fn release_retired(&self, horizon: u64) -> u64 {
         let ready: Vec<u32> = {
             let mut retired = self.maint.retired.lock().unwrap();
             let mut ready = Vec::new();
@@ -242,6 +266,16 @@ mod tests {
     use super::*;
     use crate::entry::KeyValue;
     use crate::hash_table::SlabHashConfig;
+    use crate::stats::AuditReport;
+    use crate::WarpDriver;
+
+    /// True when every bucket holds exactly the slabs its live count needs.
+    fn chains_are_minimal(a: &AuditReport) -> bool {
+        let m = KeyValue::ELEMS_PER_SLAB;
+        a.bucket_stats
+            .iter()
+            .all(|b| b.chain_slabs == b.live.div_ceil(m).max(1))
+    }
 
     #[test]
     fn policy_defaults() {
@@ -261,6 +295,83 @@ mod tests {
         assert_eq!(r.flushed.map(|f| f.slabs_released), Some(0));
         assert!(!r.grew);
         assert_eq!(t.retired_slab_count(), 0);
+    }
+
+    #[test]
+    fn maintain_compacts_only_when_no_op_is_in_flight() {
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
+        let grid = Grid::new(2);
+        let mut w = WarpDriver::new(&t);
+        for k in 0..600 {
+            w.replace(k, k + 1);
+        }
+        // Every third key dies: each slab keeps live keys, so no slab is
+        // fully dead and only the compacting rewrite can shrink a chain.
+        for k in (0..600).step_by(3) {
+            w.delete(k);
+        }
+        let churned = t.audit().unwrap();
+        assert!(!chains_are_minimal(&churned), "the fixture must leave slack");
+
+        // A live pin: only fully dead slabs may go, partly dead ones stay.
+        let pin = t.epoch_pin();
+        assert!(t.maintain(&grid).flushed.is_some());
+        let a = t.audit().unwrap();
+        assert!(a.tombstones > 0, "an op was in flight: tombstones must stay");
+        assert!(!chains_are_minimal(&a), "an op was in flight: no rewrite");
+        drop(pin);
+
+        let r = t.maintain(&grid);
+        let a = t.audit().unwrap();
+        let flushed = r.flushed.expect("the flush lock was free");
+        assert_eq!(flushed.elements_kept, 400);
+        assert!(flushed.slabs_released > 0);
+        assert_eq!(a.tombstones, 0);
+        assert_eq!(a.retired_slabs, 0);
+        assert!(chains_are_minimal(&a), "chains not minimal: {:?}", a.bucket_stats);
+        assert!(a.no_leaks(), "{a:?}");
+        for k in 0..600 {
+            let want = (k % 3 != 0).then_some(k + 1);
+            assert_eq!(w.search(k), want, "key {k}");
+        }
+    }
+
+    #[test]
+    fn quiescent_maintain_leaves_a_tombstone_free_minimal_census() {
+        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(16));
+        let grid = Grid::new(2);
+        let mut w = WarpDriver::new(&t);
+        // Churn: each round adds 500 fresh keys and deletes 400 of the
+        // oldest live ones, so tombstones pile up along growing chains.
+        let mut oldest = 0u32;
+        for round in 0..8u32 {
+            for k in round * 500..(round + 1) * 500 {
+                w.replace(k, k);
+            }
+            for k in oldest..oldest + 400 {
+                w.delete(k);
+            }
+            oldest += 400;
+        }
+        assert!(t.audit().unwrap().tombstones > 0);
+        t.maintain(&grid);
+        let a = t.audit().unwrap();
+        let m = u64::from(KeyValue::ELEMS_PER_SLAB);
+        assert_eq!(a.lanes_by_depth.len(), a.max_chain);
+        for (d, census) in a.lanes_by_depth.iter().enumerate() {
+            assert_eq!(census.tombstones, 0, "depth {d}: {census:?}");
+            // A slab at depth d >= 1 exists only in a bucket whose live
+            // elements overflow the d slabs before it.
+            let needing = a
+                .bucket_stats
+                .iter()
+                .filter(|b| d == 0 || u64::from(b.live) > d as u64 * m)
+                .count() as u64;
+            assert_eq!(census.slabs, needing, "depth {d}: {census:?}");
+        }
+        let live: u64 = a.lanes_by_depth.iter().map(|c| c.live).sum();
+        assert_eq!(live, 800);
+        assert!(a.no_leaks());
     }
 
     #[test]

@@ -45,6 +45,23 @@ pub struct AuditReport {
     /// Per-bucket occupancy observed during the walk, in bucket order.
     /// Feeds [`SlabHash::contention_heatmap`].
     pub bucket_stats: Vec<BucketStat>,
+    /// Lane census by chain depth: entry `d` sums every bucket's slab at
+    /// depth `d` (0 is the base slab), so its length is `max_chain`.
+    pub lanes_by_depth: Vec<LaneCensus>,
+}
+
+/// The data lanes of every bucket's slab at one chain depth (see
+/// [`AuditReport::lanes_by_depth`]). Frozen lanes count in none of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneCensus {
+    /// Slabs at this depth: one per bucket whose chain reaches it.
+    pub slabs: u64,
+    /// Lanes holding a live element.
+    pub live: u64,
+    /// Tombstoned lanes.
+    pub tombstones: u64,
+    /// Empty lanes.
+    pub empty: u64,
 }
 
 impl AuditReport {
@@ -52,6 +69,11 @@ impl AuditReport {
     /// bucket, or retired and awaiting reclamation.
     pub fn no_leaks(&self) -> bool {
         self.chained_slabs + self.retired_slabs == self.allocator_slabs
+    }
+
+    /// Empty slots found: the census's empty lanes summed over depths.
+    pub fn empty_lanes(&self) -> u64 {
+        self.lanes_by_depth.iter().map(|c| c.empty).sum()
     }
 
     /// Always true: slabs carry no fingerprint tags (DESIGN.md §16). Kept
@@ -167,6 +189,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let mut live = 0u64;
         let mut tombstones = 0u64;
         let mut frozen = 0u64;
+        let mut lanes_by_depth: Vec<LaneCensus> = Vec::new();
         let mut chained = 0u64;
         let mut max_chain = 0usize;
         let mut bucket_stats = Vec::with_capacity(self.num_buckets() as usize);
@@ -176,6 +199,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             let mut bucket_live = 0u32;
             let mut bucket_tombstones = 0u32;
             self.walk_bucket(b, |ptr, data| {
+                if lanes_by_depth.len() == chain_len {
+                    lanes_by_depth.push(LaneCensus::default());
+                }
+                let census = &mut lanes_by_depth[chain_len];
+                census.slabs += 1;
                 chain_len += 1;
                 if ptr != BASE_SLAB {
                     chained += 1;
@@ -195,10 +223,16 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 }
                 for e in 0..L::ELEMS_PER_SLAB as usize {
                     match data[L::key_lane(e)] {
-                        EMPTY_KEY => {}
-                        DELETED_KEY => bucket_tombstones += 1,
+                        EMPTY_KEY => census.empty += 1,
+                        DELETED_KEY => {
+                            census.tombstones += 1;
+                            bucket_tombstones += 1;
+                        }
                         FROZEN_KEY => frozen += 1,
-                        _ => bucket_live += 1,
+                        _ => {
+                            census.live += 1;
+                            bucket_live += 1;
+                        }
                     }
                 }
             });
@@ -226,6 +260,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             retired_slabs: self.retired_slab_count(),
             double_frees: self.allocator().double_frees(),
             bucket_stats,
+            lanes_by_depth,
         })
     }
 
@@ -333,6 +368,15 @@ mod tests {
         assert_eq!(a.tombstones, 10);
         assert!(a.no_leaks());
         assert!(a.max_chain >= 2);
+        // The census partitions every data lane of every slab by depth.
+        assert_eq!(a.lanes_by_depth.len(), a.max_chain);
+        assert_eq!(a.lanes_by_depth[0].slabs, 2, "one base slab per bucket");
+        let slabs: u64 = a.lanes_by_depth.iter().map(|c| c.slabs).sum();
+        assert_eq!(slabs, 2 + a.chained_slabs);
+        let live: u64 = a.lanes_by_depth.iter().map(|c| c.live).sum();
+        let dead: u64 = a.lanes_by_depth.iter().map(|c| c.tombstones).sum();
+        assert_eq!((live, dead), (90, 10));
+        assert_eq!(live + dead + a.empty_lanes(), slabs * u64::from(KeyOnly::ELEMS_PER_SLAB));
     }
 
     #[test]

@@ -25,10 +25,15 @@
 //! state — rather than with how many warps happen to overlap. Warps pin on
 //! every batch, so a steady-state batch loop stays allocation-free however
 //! the executors interleave.
+//!
+//! [`EpochClock::quiesce`] is the exclusive counterpart: it holds the pin
+//! registry's lock while no pin is live, so an owner can rewrite memory in
+//! place (the paper's compacting FLUSH) while every new pin waits.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// A monotonic epoch clock with registered pins (active launches).
 #[derive(Debug, Default)]
@@ -87,6 +92,30 @@ impl EpochClock {
     /// Number of active pins (in-flight launches).
     pub fn active_pins(&self) -> usize {
         self.pins.lock().iter().map(|&(_, count)| count).sum()
+    }
+
+    /// Claims a quiescent window: `Some` iff no pin is live, and while the
+    /// returned guard lives every [`pin`](Self::pin) blocks. A pin either
+    /// registered before this check (so it fails) or waits for the window
+    /// to close, so nothing pinned can observe memory rewritten inside it.
+    ///
+    /// The holder must not call [`pin`](Self::pin), [`horizon`](Self::horizon)
+    /// or [`active_pins`](Self::active_pins): they take the same lock.
+    pub fn quiesce(&self) -> Option<Quiesced<'_>> {
+        let pins = self.pins.lock();
+        pins.is_empty().then_some(Quiesced { _pins: pins })
+    }
+}
+
+/// A window with no live pin, held by [`EpochClock::quiesce`]; new pins
+/// wait until it drops.
+pub struct Quiesced<'c> {
+    _pins: MutexGuard<'c, Vec<(u64, usize)>>,
+}
+
+impl fmt::Debug for Quiesced<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Quiesced")
     }
 }
 
@@ -184,6 +213,27 @@ mod tests {
         let more: Vec<_> = (0..64).map(|_| c.pin()).collect();
         assert_eq!(c.pins.lock().capacity(), cap);
         drop(more);
+    }
+
+    #[test]
+    fn quiesce_fails_while_pinned_and_blocks_new_pins() {
+        let c = EpochClock::new();
+        let pin = c.pin();
+        assert!(c.quiesce().is_none(), "a live pin refuses the window");
+        drop(pin);
+        let quiet = c.quiesce().expect("no pins: the window opens");
+        let pinned = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _pin = c.pin();
+                pinned.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!pinned.load(Ordering::SeqCst), "pin ran inside the window");
+            drop(quiet);
+        });
+        assert!(pinned.load(Ordering::SeqCst));
+        assert_eq!(c.active_pins(), 0);
     }
 
     #[test]
