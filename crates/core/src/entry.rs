@@ -27,14 +27,10 @@ pub const EMPTY_KEY: u32 = 0xFFFF_FFFF;
 /// Reserved key: a deleted slot (tombstone).
 pub const DELETED_KEY: u32 = 0xFFFF_FFFE;
 
-/// Reserved key: a data lane frozen by incremental compaction. While a dead
-/// chained slab is being unlinked, its empty/tombstone lanes are CASed to
-/// this sentinel so no racing insert can claim them mid-unlink. Readers skip
-/// it like any non-matching key; writers never see it as a candidate slot.
-pub const FROZEN_KEY: u32 = 0xFFFF_FFFD;
-
-/// Largest key a caller may store (everything below the reserved range).
-pub const MAX_KEY: u32 = FROZEN_KEY - 1;
+/// Largest key a caller may store. `u32::MAX - 2` is reserved too, though
+/// no slab uses it, so the range that clients and load generators validate
+/// against stays put.
+pub const MAX_KEY: u32 = u32::MAX - 3;
 
 /// The auxiliary lane (paper §IV-B: "lane 30 is used as an auxiliary
 /// element").
@@ -130,8 +126,8 @@ impl EntryLayout for KeyOnly {
 pub fn validate_key(key: u32) {
     assert!(
         key <= MAX_KEY,
-        "key {key:#x} collides with the reserved EMPTY/DELETED/FROZEN \
-         sentinels (keys must be <= {MAX_KEY:#x})"
+        "key {key:#x} is in the reserved sentinel range \
+         (keys must be <= {MAX_KEY:#x})"
     );
 }
 
@@ -184,11 +180,7 @@ mod tests {
     fn sentinels_are_adjacent_at_the_top() {
         assert_eq!(EMPTY_KEY, u32::MAX);
         assert_eq!(DELETED_KEY, u32::MAX - 1);
-        assert_eq!(FROZEN_KEY, u32::MAX - 2);
         assert_eq!(MAX_KEY, u32::MAX - 3);
-        // FROZEN_KEY must match the allocator's FROZEN_PTR so a frozen slab
-        // reads as "all sentinel" in one glance.
-        assert_eq!(FROZEN_KEY, slab_alloc::FROZEN_PTR);
         validate_key(0);
         validate_key(MAX_KEY);
     }

@@ -27,11 +27,6 @@ pub enum TableError {
         /// The budget that was exhausted.
         budget: u32,
     },
-    /// A maintenance pass (incremental compaction) was requested while
-    /// another flusher held the single-flusher lock. Nothing was modified;
-    /// retry after the current pass finishes, or treat it as "maintenance
-    /// already in progress" and move on.
-    MaintenanceBusy,
 }
 
 impl std::fmt::Display for TableError {
@@ -41,9 +36,6 @@ impl std::fmt::Display for TableError {
             TableError::RetryBudgetExhausted { budget } => {
                 write!(f, "retry budget ({budget} attempts) exhausted")
             }
-            TableError::MaintenanceBusy => {
-                write!(f, "another maintenance pass holds the flush lock")
-            }
         }
     }
 }
@@ -52,7 +44,7 @@ impl std::error::Error for TableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TableError::OutOfSlabs(e) => Some(e),
-            TableError::RetryBudgetExhausted { .. } | TableError::MaintenanceBusy => None,
+            TableError::RetryBudgetExhausted { .. } => None,
         }
     }
 }

@@ -113,7 +113,9 @@ pub struct SlabHash<L: EntryLayout, A: SlabAllocator = SlabAlloc> {
     alloc: A,
     hash: UniversalHash,
     retry_budget: u32,
-    pub(crate) maint: crate::maintenance::MaintenanceState,
+    /// Live-pin count: every operation pins it, and `maintain` compacts
+    /// only in a window with no pin live.
+    pub(crate) clock: simt::EpochClock,
     _layout: PhantomData<fn() -> L>,
 }
 
@@ -163,7 +165,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             alloc,
             hash: UniversalHash::new(config.seed, config.num_buckets),
             retry_budget: config.retry_budget,
-            maint: crate::maintenance::MaintenanceState::new(),
+            clock: simt::EpochClock::new(),
             _layout: PhantomData,
         }
     }
@@ -174,12 +176,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         self.retry_budget
     }
 
-    /// Pins the current reclamation epoch for the duration of an operation,
-    /// so concurrent compaction never frees a slab this warp may still
-    /// traverse.
+    /// Pins the epoch for the duration of an operation, so no compaction
+    /// pass rewrites a chain this warp may still traverse.
     #[inline]
     pub(crate) fn epoch_pin(&self) -> simt::EpochPin<'_> {
-        self.maint.clock.pin()
+        self.clock.pin()
     }
 
     /// Number of buckets, B.

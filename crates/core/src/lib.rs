@@ -59,7 +59,7 @@ pub mod stats;
 pub use backoff::{Backoff, BackoffConfig};
 pub use batch::BatchBuffer;
 pub use driver::WarpDriver;
-pub use entry::{EntryLayout, KeyOnly, KeyValue, DELETED_KEY, EMPTY_KEY, FROZEN_KEY, MAX_KEY};
+pub use entry::{EntryLayout, KeyOnly, KeyValue, DELETED_KEY, EMPTY_KEY, MAX_KEY};
 pub use error::TableError;
 pub use flush::FlushReport;
 pub use hash_table::{buckets_for_utilization, SlabHash, SlabHashConfig};

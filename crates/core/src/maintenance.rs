@@ -8,11 +8,9 @@
 //!
 //! 1. **Compaction.** When no operation is in flight, [`SlabHash::maintain`]
 //!    runs the paper's compacting FLUSH: every bucket is rebuilt without
-//!    its tombstones and the surplus slabs are freed. When operations are
-//!    running it falls back to incremental compaction
-//!    ([`SlabHash::try_flush`]), which retires only fully dead chained slabs
-//!    with a freeze → unlink → epoch-retire protocol (see `flush.rs` and
-//!    DESIGN.md §10).
+//!    its tombstones and the surplus slabs are freed. When an operation is
+//!    running, or another maintainer holds the window, it compacts nothing
+//!    and a later pass catches up (see `flush.rs` and DESIGN.md §10).
 //! 2. **Allocator growth** (`SlabAllocator::try_grow`) activates reserve
 //!    super blocks when the free-slab gauge sinks below its watermark.
 //! 3. **Backpressure** ([`MaintenancePolicy`]) decides what a caller does
@@ -23,50 +21,14 @@
 //! [`SlabHash::maintain`] bundles 1 + 2 into one idempotent pass that a
 //! background thread (or an inline retry loop) can call at any time.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
-
-use simt::{EpochClock, Grid, WarpCtx};
+use simt::Grid;
 use slab_alloc::SlabAllocator;
 
 use crate::backoff::Backoff;
-use crate::entry::{EntryLayout, EMPTY_KEY};
+use crate::entry::EntryLayout;
 use crate::error::TableError;
-use crate::flush::{FlushLock, FlushReport};
+use crate::flush::FlushReport;
 use crate::hash_table::SlabHash;
-
-/// A chained slab that has been unlinked from its bucket but may still be
-/// traversed by operations that started before the unlink. It becomes
-/// reclaimable once the epoch horizon passes `tag`.
-pub(crate) struct RetiredSlab {
-    /// Allocator pointer of the unlinked slab.
-    pub(crate) ptr: u32,
-    /// Epoch at which the slab was unlinked; safe to free when
-    /// `horizon() >= tag`.
-    pub(crate) tag: u64,
-}
-
-/// Shared maintenance state embedded in every [`SlabHash`]: the reclamation
-/// epoch clock, the retired-slab list awaiting its grace period, and the
-/// single-flusher lock.
-pub(crate) struct MaintenanceState {
-    /// Epoch clock; every table operation pins it, `try_flush` advances it.
-    pub(crate) clock: EpochClock,
-    /// Unlinked slabs waiting for their epoch grace period to elapse.
-    pub(crate) retired: Mutex<Vec<RetiredSlab>>,
-    /// Single-flusher lock: at most one compaction pass at a time.
-    pub(crate) flush_lock: AtomicBool,
-}
-
-impl MaintenanceState {
-    pub(crate) fn new() -> Self {
-        Self {
-            clock: EpochClock::new(),
-            retired: Mutex::new(Vec::new()),
-            flush_lock: AtomicBool::new(false),
-        }
-    }
-}
 
 /// What a policy-driven caller does when the table reports memory pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,56 +85,43 @@ impl Default for MaintenancePolicy {
 /// What one [`SlabHash::maintain`] pass accomplished.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintenanceReport {
-    /// The compaction pass: the exclusive rewrite when no op was in flight,
-    /// else the incremental one. `None` when another flusher was already
-    /// running or the incremental pass hit a fault.
+    /// The compaction pass. `None` when no quiescent window could be
+    /// claimed: an operation was in flight, or another maintainer held the
+    /// window.
     pub flushed: Option<FlushReport>,
-    /// Retired slabs whose grace period elapsed and were returned to the
-    /// allocator this pass.
+    /// Always 0: compaction frees its surplus slabs directly (counted in
+    /// `flushed`), so nothing is left awaiting reclamation. Kept because
+    /// the benchmark reports it.
     pub reclaimed: u64,
     /// Whether the allocator activated reserve capacity this pass.
     pub grew: bool,
 }
 
 impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
-    /// One idempotent self-healing pass. If another flusher holds the lock,
-    /// it only reclaims retired slabs whose grace period has elapsed.
-    /// Otherwise:
+    /// One idempotent self-healing pass:
     ///
     /// * **No operation in flight** (no epoch pin live): the paper's
-    ///   compacting FLUSH. Retired slabs are freed, every bucket is rebuilt
-    ///   without its tombstones, and the surplus slabs are freed. New
-    ///   operations wait at their epoch pin until the pass ends.
-    /// * **Operations running:** reclaim → [`try_flush`](Self::try_flush)
-    ///   (retire fully dead chained slabs) → reclaim, without blocking them.
+    ///   compacting FLUSH. Every bucket is rebuilt without its tombstones
+    ///   and the surplus slabs are freed. New operations wait at their
+    ///   epoch pin until the pass ends.
+    /// * **Otherwise** (an operation holds a pin, or another maintainer
+    ///   holds the window): no compaction. The pass never blocks on either.
     ///
-    /// In every case it then grows the allocator if the free-slab gauge is
+    /// In both cases it then grows the allocator if the free-slab gauge is
     /// nearly drained. Safe to call from any thread at any time, concurrently
     /// with table traffic; `&self` only. A caller that holds an epoch pin
-    /// of its own always gets the incremental path.
+    /// of its own never compacts.
     pub fn maintain(&self, grid: &Grid) -> MaintenanceReport {
-        let mut report = MaintenanceReport::default();
-        match FlushLock::acquire(&self.maint.flush_lock) {
-            None => report.reclaimed = self.reclaim_retired(),
-            Some(_lock) => match self.maint.clock.quiesce() {
-                Some(quiet) => {
-                    let (reclaimed, flushed) = self.compact_exclusive(grid, &quiet);
-                    report.reclaimed = reclaimed;
-                    report.flushed = Some(flushed);
-                }
-                None => {
-                    report.reclaimed = self.reclaim_retired();
-                    // A faulted pass is fine: the table stays consistent
-                    // and a later pass picks up where this one left off.
-                    report.flushed = self.retire_dead_slabs(grid).ok();
-                    report.reclaimed += self.reclaim_retired();
-                }
-            },
+        let flushed = self
+            .clock
+            .quiesce()
+            .map(|quiet| self.compact_exclusive(grid, &quiet));
+        let grew = self.allocator().free_slabs() < 64 && self.allocator().try_grow();
+        MaintenanceReport {
+            flushed,
+            reclaimed: 0,
+            grew,
         }
-        if self.allocator().free_slabs() < 64 {
-            report.grew = self.allocator().try_grow();
-        }
-        report
     }
 
     /// Policy-driven reaction to a failed operation. Returns `true` if the
@@ -203,7 +152,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 // only way forward, so insist on it even above the gauge
                 // threshold.
                 if matches!(err, TableError::OutOfSlabs(_))
-                    && report.reclaimed == 0
                     && report.flushed.map_or(0, |f| f.slabs_released) == 0
                     && !report.grew
                 {
@@ -221,48 +169,14 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             }
         }
     }
-
-    /// Returns retired slabs whose epoch grace period has elapsed to the
-    /// allocator (scrubbed back to all-`EMPTY_KEY` first). Called from
-    /// [`maintain`](Self::maintain); also useful alone after a burst of
-    /// operations drops the pin count to zero.
-    pub fn reclaim_retired(&self) -> u64 {
-        self.release_retired(self.maint.clock.horizon())
-    }
-
-    /// Scrubs and frees every retired slab tagged at or below `horizon`.
-    pub(crate) fn release_retired(&self, horizon: u64) -> u64 {
-        let ready: Vec<u32> = {
-            let mut retired = self.maint.retired.lock().unwrap();
-            let mut ready = Vec::new();
-            retired.retain(|r| {
-                let due = r.tag <= horizon;
-                if due {
-                    ready.push(r.ptr);
-                }
-                !due
-            });
-            ready
-        };
-        let mut ctx = WarpCtx::for_test(usize::MAX);
-        for &ptr in &ready {
-            let slab = self.allocator().resolve(ptr, &mut ctx);
-            slab.storage
-                .clear_slab(slab.slab, EMPTY_KEY, &mut ctx.counters);
-            self.allocator().deallocate(ptr, &mut ctx);
-        }
-        ready.len() as u64
-    }
-
-    /// Slabs currently unlinked but not yet reclaimed (awaiting their epoch
-    /// grace period).
-    pub fn retired_slab_count(&self) -> u64 {
-        self.maint.retired.lock().unwrap().len() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use super::*;
     use crate::entry::KeyValue;
     use crate::hash_table::SlabHashConfig;
@@ -294,46 +208,98 @@ mod tests {
         assert_eq!(r.reclaimed, 0);
         assert_eq!(r.flushed.map(|f| f.slabs_released), Some(0));
         assert!(!r.grew);
-        assert_eq!(t.retired_slab_count(), 0);
     }
 
-    #[test]
-    fn maintain_compacts_only_when_no_op_is_in_flight() {
+    /// A table with four buckets whose every third key is deleted: each
+    /// slab keeps live keys, so only the compacting rewrite shrinks a chain.
+    fn churned_table() -> SlabHash<KeyValue> {
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
-        let grid = Grid::new(2);
         let mut w = WarpDriver::new(&t);
         for k in 0..600 {
             w.replace(k, k + 1);
         }
-        // Every third key dies: each slab keeps live keys, so no slab is
-        // fully dead and only the compacting rewrite can shrink a chain.
         for k in (0..600).step_by(3) {
             w.delete(k);
         }
-        let churned = t.audit().unwrap();
-        assert!(!chains_are_minimal(&churned), "the fixture must leave slack");
+        assert!(
+            !chains_are_minimal(&t.audit().unwrap()),
+            "the fixture must leave slack"
+        );
+        t
+    }
 
-        // A live pin: only fully dead slabs may go, partly dead ones stay.
+    #[test]
+    fn maintain_compacts_only_when_no_op_is_in_flight() {
+        let t = churned_table();
+        let grid = Grid::new(2);
+        let launches = |g: &Grid| g.pool_stats().map_or(0, |p| p.launches);
+
+        // A live pin: the pass launches nothing, so it writes no sector,
+        // and the table reads exactly as before.
+        let (elements, audit) = (t.collect_elements(), t.audit().unwrap());
+        let before = launches(&grid);
         let pin = t.epoch_pin();
-        assert!(t.maintain(&grid).flushed.is_some());
-        let a = t.audit().unwrap();
-        assert!(a.tombstones > 0, "an op was in flight: tombstones must stay");
-        assert!(!chains_are_minimal(&a), "an op was in flight: no rewrite");
+        assert!(t.maintain(&grid).flushed.is_none(), "an op was in flight");
         drop(pin);
+        assert_eq!(launches(&grid), before, "a skipped pass launched a kernel");
+        assert_eq!(t.collect_elements(), elements);
+        assert_eq!(t.audit().unwrap(), audit);
 
         let r = t.maintain(&grid);
         let a = t.audit().unwrap();
-        let flushed = r.flushed.expect("the flush lock was free");
+        let flushed = r.flushed.expect("no op in flight");
+        assert!(
+            launches(&grid) > before,
+            "the rewrite runs as a pooled launch"
+        );
         assert_eq!(flushed.elements_kept, 400);
         assert!(flushed.slabs_released > 0);
         assert_eq!(a.tombstones, 0);
-        assert_eq!(a.retired_slabs, 0);
-        assert!(chains_are_minimal(&a), "chains not minimal: {:?}", a.bucket_stats);
+        assert!(
+            chains_are_minimal(&a),
+            "chains not minimal: {:?}",
+            a.bucket_stats
+        );
         assert!(a.no_leaks(), "{a:?}");
+        let mut w = WarpDriver::new(&t);
         for k in 0..600 {
             let want = (k % 3 != 0).then_some(k + 1);
             assert_eq!(w.search(k), want, "key {k}");
         }
+    }
+
+    #[test]
+    fn a_second_maintainer_skips_a_held_window_without_blocking() {
+        let t = churned_table();
+        let audit = t.audit().unwrap();
+        let pinned = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Opened inside the scope, so a failing assert drops it before
+            // the scope joins the threads that wait on it.
+            let quiet = t.clock.quiesce().expect("no op in flight");
+            let (tx, rx) = mpsc::channel();
+            let table = &t;
+            scope.spawn(move || tx.send(table.maintain(&Grid::sequential())).unwrap());
+            let r = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("maintain blocked on a held window");
+            assert!(r.flushed.is_none(), "two passes in one window");
+            // The loser left the holder's window closed: a pin still waits.
+            scope.spawn(|| {
+                let _pin = t.epoch_pin();
+                pinned.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !pinned.load(Ordering::SeqCst),
+                "a pin ran inside the window"
+            );
+            drop(quiet);
+        });
+        assert!(pinned.load(Ordering::SeqCst));
+        assert_eq!(t.audit().unwrap(), audit, "a skipped pass compacted");
+        assert!(t.maintain(&Grid::sequential()).flushed.is_some());
+        assert_eq!(t.audit().unwrap().tombstones, 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use simt::memory::{pack_pair, unpack_pair};
 use simt::telemetry::EventKind;
 use simt::warp::{ballot, ballot_eq, ffs, WARP_SIZE};
 use simt::WarpCtx;
-use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
+use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR};
 
 use crate::entry::{validate_key, EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY};
 use crate::error::TableError;
@@ -34,14 +34,6 @@ use crate::hash_table::SlabHash;
 /// below this; only a genuine livelock (or a fault plan injecting failures
 /// at probability 1) can burn through it.
 pub const RETRY_BUDGET: u32 = 4096;
-
-/// End-of-chain test for read-only traversal: an empty next pointer, or a
-/// tail pinned to [`FROZEN_PTR`] by an in-flight incremental flush (the
-/// frozen slab is the last slab of its chain and holds no live keys).
-#[inline]
-fn at_end(next_ptr: u32) -> bool {
-    next_ptr == EMPTY_PTR || next_ptr == FROZEN_PTR
-}
 
 /// The operation a lane requests (paper §III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -255,9 +247,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             reqs.len()
         );
         let budget = self.retry_budget();
-        // Pin the reclamation epoch for the whole warp operation: any slab
-        // this warp can reach stays mapped until the pin drops, even if a
-        // concurrent try_flush unlinks it mid-traversal.
+        // Pin the epoch for the whole warp operation: no compaction pass
+        // can rewrite a chain this warp may still traverse.
         let _pin = self.epoch_pin();
         let mut kinds = [OpKind::None; WARP_SIZE];
         let mut keys = [EMPTY_KEY; WARP_SIZE];
@@ -337,10 +328,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
 
             let cas_failures_before = ctx.counters.cas_failures;
             let next_before = next;
-            // Set when a mutating traversal ran into a FROZEN_PTR tail and
-            // restarted from the bucket head; billed to the retry budget so
-            // a wedged flusher can't induce an unbounded restart loop.
-            let mut frozen_restart = false;
             let read_data = self.read_slab(src_bucket, next, ctx);
             match kinds[src_lane] {
                 OpKind::Search => {
@@ -348,7 +335,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     if let Some(lane) = ffs(found) {
                         let value = read_data[L::value_lane(lane)];
                         finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(value));
-                    } else if at_end(read_data[ADDRESS_LANE]) {
+                    } else if read_data[ADDRESS_LANE] == EMPTY_PTR {
                         finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
                     } else {
                         next = read_data[ADDRESS_LANE];
@@ -361,7 +348,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         found_all[src_lane].push(read_data[L::value_lane(lane)]);
                         found &= !(1 << lane);
                     }
-                    if at_end(read_data[ADDRESS_LANE]) {
+                    if read_data[ADDRESS_LANE] == EMPTY_PTR {
                         let values = std::mem::take(&mut found_all[src_lane]);
                         let result = if values.is_empty() {
                             OpResult::NotFound
@@ -395,7 +382,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         }
                         // CAS lost: retry — re-read the same slab next round.
                     } else if let Err(e) =
-                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data)
                     {
                         finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
                     }
@@ -422,7 +409,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             finish(reqs, &mut active, ctx, retries[src_lane],result);
                         }
                     } else if let Err(e) =
-                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data, &mut frozen_restart)
+                        self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data)
                     {
                         finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
                     }
@@ -447,7 +434,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             }
                         }
                         // CAS lost: re-read and retry.
-                    } else if at_end(read_data[ADDRESS_LANE]) {
+                    } else if read_data[ADDRESS_LANE] == EMPTY_PTR {
                         // End of list: "the operation terminates successfully".
                         let result = if kinds[src_lane] == OpKind::Delete {
                             OpResult::NotFound
@@ -470,11 +457,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             }
 
             // Bound the retry loop: every lost (or injected) CAS in this
-            // round was on behalf of the source lane's request, as was any
-            // restart off a frozen tail; a request that burns the whole
-            // budget fails instead of livelocking.
-            let penalty = (ctx.counters.cas_failures - cas_failures_before) as u32
-                + u32::from(frozen_restart);
+            // round was on behalf of the source lane's request; a request
+            // that burns the whole budget fails instead of livelocking.
+            let penalty = (ctx.counters.cas_failures - cas_failures_before) as u32;
             if active[src_lane] && penalty > 0 {
                 retries[src_lane] += penalty;
                 if retries[src_lane] > budget {
@@ -631,17 +616,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         bucket: u32,
         next: &mut u32,
         read_data: &[u32; WARP_SIZE],
-        frozen_restart: &mut bool,
     ) -> Result<(), TableError> {
         let next_ptr = read_data[ADDRESS_LANE];
-        if next_ptr == FROZEN_PTR {
-            // An incremental flush pinned this (dead) tail slab mid-unlink.
-            // No slab may be appended to it — restart from the bucket head;
-            // by the time we re-arrive the slab is gone (or thawed).
-            *next = BASE_SLAB;
-            *frozen_restart = true;
-            return Ok(());
-        }
         if next_ptr != EMPTY_PTR {
             *next = next_ptr;
             return Ok(());
@@ -666,11 +642,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             // deallocated".
             ctx.counters.cas_failures += 1;
             self.allocator().deallocate(new_slab, ctx);
-            // The winner is usually another appender, but it can also be
-            // the flusher freezing this tail (an all-tombstone slab has no
-            // REPLACE candidates yet is still dead): FROZEN_PTR must not be
-            // followed, so restart from the bucket head.
-            *next = if old == FROZEN_PTR { BASE_SLAB } else { old };
+            *next = old;
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! reproduce the paper's core design claim.
 
 use simt::WarpCtx;
-use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
+use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR};
 
 use crate::entry::{validate_key, EntryLayout, ADDRESS_LANE, EMPTY_KEY};
 use crate::error::TableError;
@@ -30,8 +30,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         reqs: &mut [Request],
     ) {
         assert!(reqs.len() <= 32);
-        // Same epoch discipline as the warp-cooperative path: slabs this
-        // batch can reach stay mapped until the pin drops.
+        // Same epoch discipline as the warp-cooperative path: no
+        // compaction pass rewrites a chain this batch may still traverse.
         let _pin = self.epoch_pin();
         for req in reqs.iter_mut() {
             match req.op {
@@ -82,7 +82,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 }
             }
             let next = self.lane_read(ctx, bucket, ptr, ADDRESS_LANE);
-            if next == EMPTY_PTR || next == FROZEN_PTR {
+            if next == EMPTY_PTR {
                 return OpResult::NotFound;
             }
             ptr = next;
@@ -152,12 +152,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             }
             // Slab exhausted: follow or grow the chain.
             let next = self.lane_read(ctx, bucket, ptr, ADDRESS_LANE);
-            if next == FROZEN_PTR {
-                // An incremental flush pinned this tail mid-unlink; restart
-                // from the bucket head.
-                ptr = BASE_SLAB;
-                continue;
-            }
             if next != EMPTY_PTR {
                 ptr = next;
                 continue;
@@ -181,7 +175,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             } else {
                 ctx.counters.cas_failures += 1;
                 self.allocator().deallocate(new_slab, ctx);
-                ptr = if old == FROZEN_PTR { BASE_SLAB } else { old };
+                ptr = old;
             }
         }
     }
@@ -224,7 +218,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 }
             }
             let next = self.lane_read(ctx, bucket, ptr, ADDRESS_LANE);
-            if next == EMPTY_PTR || next == FROZEN_PTR {
+            if next == EMPTY_PTR {
                 return OpResult::NotFound;
             }
             ptr = next;

@@ -9,9 +9,9 @@ use std::collections::HashSet;
 
 use simt::telemetry::{BucketStat, Heatmap, Trace};
 use simt::WarpCtx;
-use slab_alloc::{is_allocated_ptr, SlabAllocator, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
+use slab_alloc::{is_allocated_ptr, SlabAllocator, BASE_SLAB, EMPTY_PTR};
 
-use crate::entry::{EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY, FROZEN_KEY};
+use crate::entry::{EntryLayout, ADDRESS_LANE, AUX_LANE, DELETED_KEY, EMPTY_KEY};
 use crate::hash_table::SlabHash;
 
 /// Summary of a structural audit (see [`SlabHash::audit`]).
@@ -33,13 +33,6 @@ pub struct AuditReport {
     pub committed_bytes: u64,
     /// Longest bucket chain (in slabs, counting the base slab).
     pub max_chain: usize,
-    /// Data lanes holding [`FROZEN_KEY`], i.e. mid-retirement by an
-    /// in-flight [`try_flush`](SlabHash::try_flush). Zero on a quiescent
-    /// table: both the success and every undo path thaw them.
-    pub frozen_lanes: u64,
-    /// Slabs unlinked by incremental compaction but still awaiting their
-    /// epoch grace period (not reachable from any bucket, not yet freed).
-    pub retired_slabs: u64,
     /// Double frees the allocator refused (host-side total).
     pub double_frees: u64,
     /// Per-bucket occupancy observed during the walk, in bucket order.
@@ -51,7 +44,7 @@ pub struct AuditReport {
 }
 
 /// The data lanes of every bucket's slab at one chain depth (see
-/// [`AuditReport::lanes_by_depth`]). Frozen lanes count in none of them.
+/// [`AuditReport::lanes_by_depth`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneCensus {
     /// Slabs at this depth: one per bucket whose chain reaches it.
@@ -65,10 +58,9 @@ pub struct LaneCensus {
 }
 
 impl AuditReport {
-    /// True when every allocated slab is accounted for: reachable from some
-    /// bucket, or retired and awaiting reclamation.
+    /// True when every allocated slab is reachable from some bucket.
     pub fn no_leaks(&self) -> bool {
-        self.chained_slabs + self.retired_slabs == self.allocator_slabs
+        self.chained_slabs == self.allocator_slabs
     }
 
     /// Empty slots found: the census's empty lanes summed over depths.
@@ -88,8 +80,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// (`BASE_SLAB` first) and contents. Host-side; transaction counts go to
     /// a scratch context.
     pub(crate) fn walk_bucket(&self, bucket: u32, mut f: impl FnMut(u32, &[u32; 32])) {
-        // Pin the reclamation epoch so concurrent maintenance can't free a
-        // slab out from under this walk.
+        // Pin the epoch so no compaction pass rewrites the chain under this
+        // walk.
         let _pin = self.epoch_pin();
         let mut ctx = WarpCtx::for_test(usize::MAX);
         let mut ptr = BASE_SLAB;
@@ -100,7 +92,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             let data = self.read_slab(bucket, ptr, &mut ctx);
             f(ptr, &data);
             let next = data[ADDRESS_LANE];
-            if next == EMPTY_PTR || next == FROZEN_PTR {
+            if next == EMPTY_PTR {
                 return;
             }
             ptr = next;
@@ -188,7 +180,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let mut seen = HashSet::new();
         let mut live = 0u64;
         let mut tombstones = 0u64;
-        let mut frozen = 0u64;
         let mut lanes_by_depth: Vec<LaneCensus> = Vec::new();
         let mut chained = 0u64;
         let mut max_chain = 0usize;
@@ -228,7 +219,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             census.tombstones += 1;
                             bucket_tombstones += 1;
                         }
-                        FROZEN_KEY => frozen += 1,
                         _ => {
                             census.live += 1;
                             bucket_live += 1;
@@ -256,8 +246,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             allocator_slabs: self.allocator().allocated_slabs(),
             committed_bytes: self.allocator().committed_bytes(),
             max_chain,
-            frozen_lanes: frozen,
-            retired_slabs: self.retired_slab_count(),
             double_frees: self.allocator().double_frees(),
             bucket_stats,
             lanes_by_depth,
@@ -280,13 +268,12 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     }
 }
 
-/// Counts live keys in one slab's lanes (frozen lanes are dead by
-/// construction: only empty/tombstoned slots ever freeze).
+/// Counts live keys in one slab's lanes.
 pub(crate) fn live_keys_in_slab<L: EntryLayout>(data: &[u32; 32]) -> usize {
     (0..L::ELEMS_PER_SLAB as usize)
         .filter(|&e| {
             let k = data[L::key_lane(e)];
-            k != EMPTY_KEY && k != DELETED_KEY && k != FROZEN_KEY
+            k != EMPTY_KEY && k != DELETED_KEY
         })
         .count()
 }
@@ -296,7 +283,7 @@ pub(crate) fn collect_live<L: EntryLayout>(data: &[u32; 32], out: &mut Vec<(u32,
     for e in 0..L::ELEMS_PER_SLAB as usize {
         let lane = L::key_lane(e);
         let k = data[lane];
-        if k != EMPTY_KEY && k != DELETED_KEY && k != FROZEN_KEY {
+        if k != EMPTY_KEY && k != DELETED_KEY {
             out.push((k, data[L::value_lane(lane)]));
         }
     }

@@ -625,7 +625,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                 break;
             }
 
-            // One recovery pass (compact/reclaim/grow + jittered backoff,
+            // One recovery pass (compact/grow + jittered backoff,
             // per the policy) covers the whole retry cohort.
             let first_err = retry[0].1;
             let heal_again =

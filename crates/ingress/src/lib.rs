@@ -19,7 +19,7 @@
 //!   ([`IngressError::ShedWrite`]); reads keep flowing. Writes cost slabs,
 //!   reads do not — shedding them first is the graceful order.
 //! * **Bounded retries** — retryable table failures get re-dispatched after
-//!   the table's own recovery pass (compact, reclaim, grow, jittered
+//!   the table's own recovery pass (compact, grow, jittered
 //!   backoff), capped by attempts *and* by the deadline.
 //! * **Circuit breaking** — sustained write failures trip a breaker that
 //!   refuses writes outright for a cooldown, then probes its way back
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn block_policy_retries_through_a_tiny_allocator() {
         // An allocator small enough that bulk inserts exhaust it; the block
-        // policy must heal (reclaim/grow) and retry rather than error out.
+        // policy must heal (compact/grow) and retry rather than error out.
         let alloc = SlabAlloc::new(SlabAllocConfig::small(4, 32));
         let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
             SlabHashConfig::with_buckets(8),

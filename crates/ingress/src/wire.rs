@@ -306,6 +306,8 @@ fn op_kind_from(tag: u8) -> Result<OpKind, WireError> {
     })
 }
 
+// Error tag 3 is retired (it named a maintenance-busy error that no longer
+// exists) and decodes as `UnknownTag`, so `VERSION` stays put.
 fn encode_table_error(buf: &mut Vec<u8>, e: TableError) {
     match e {
         TableError::OutOfSlabs(AllocError::OutOfSlabs {
@@ -321,7 +323,6 @@ fn encode_table_error(buf: &mut Vec<u8>, e: TableError) {
             buf.push(2);
             put_u32(buf, budget);
         }
-        TableError::MaintenanceBusy => buf.push(3),
     }
 }
 
@@ -333,7 +334,6 @@ fn decode_table_error(r: &mut Reader<'_>) -> Result<TableError, WireError> {
         }),
         1 => TableError::OutOfSlabs(AllocError::Injected),
         2 => TableError::RetryBudgetExhausted { budget: r.u32()? },
-        3 => TableError::MaintenanceBusy,
         t => return Err(WireError::UnknownTag(t)),
     })
 }
@@ -768,7 +768,6 @@ mod tests {
             })),
             OpResult::Failed(TableError::OutOfSlabs(AllocError::Injected)),
             OpResult::Failed(TableError::RetryBudgetExhausted { budget: 64 }),
-            OpResult::Failed(TableError::MaintenanceBusy),
         ];
         for (i, res) in results.into_iter().enumerate() {
             frames.push(Frame::Reply(WireReply {
@@ -784,7 +783,7 @@ mod tests {
             },
             IngressError::ShedWrite,
             IngressError::BreakerOpen,
-            IngressError::Table(TableError::MaintenanceBusy),
+            IngressError::Table(TableError::RetryBudgetExhausted { budget: 8 }),
             IngressError::BrokerGone,
         ];
         for (i, e) in errors.into_iter().enumerate() {
@@ -969,6 +968,28 @@ mod tests {
             buf[8..12].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(decode_frame(&buf), Err(WireError::UnknownTag(tag)));
         }
+    }
+
+    #[test]
+    fn retired_table_error_tag_decodes_as_unknown_tag() {
+        let mut buf = Vec::new();
+        encode_frame(
+            &Frame::Reply(WireReply {
+                req_id: 5,
+                body: ReplyBody::Result(OpResult::Failed(TableError::OutOfSlabs(
+                    AllocError::Injected,
+                ))),
+            }),
+            &mut buf,
+        );
+        // Patch the error tag (after the 8-byte req_id, the body tag and
+        // the `Failed` tag) and re-checksum.
+        assert_eq!(buf[HEADER_LEN + 10], 1);
+        buf[HEADER_LEN + 10] = 3;
+        let len = (buf.len() - HEADER_LEN) as u32;
+        let crc = frame_crc(VERSION, KIND_REPLY, len, &buf[HEADER_LEN..]);
+        buf[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_frame(&buf), Err(WireError::UnknownTag(3)));
     }
 
     #[test]

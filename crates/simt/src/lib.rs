@@ -16,8 +16,8 @@
 //! * [`grid`] — a warp scheduler that runs simulated warps concurrently
 //!   across CPU cores (real races, real lock-freedom);
 //! * [`counters`] — exact transaction accounting per warp;
-//! * [`epoch`] — epoch-based grace periods (per-launch pins) for deferred
-//!   reclamation of concurrently unlinked memory;
+//! * [`epoch`] — per-launch pins and the quiescent window an exclusive
+//!   rewrite (the paper's FLUSH) runs in;
 //! * [`model`] — a calibrated roofline model of the paper's Tesla K40c that
 //!   converts counted transactions into estimated device time;
 //! * [`telemetry`] (re-exported crate) — launch traces, work-distribution

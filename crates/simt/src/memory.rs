@@ -234,7 +234,7 @@ impl SlabStorage {
     }
 
     /// Resets every lane of `slab` to `fill`. Exclusive-phase helper; every
-    /// scrub path (flush rebuild, surplus release, epoch reclaim) goes
+    /// scrub path (flush rebuild, surplus release) goes
     /// through here.
     pub fn clear_slab(&self, slab: usize, fill: u32, counters: &mut PerfCounters) {
         counters.sector_writes += WORDS_PER_SLAB as u64;

@@ -6,9 +6,9 @@
 //! The slab hash's warp-cooperative work sharing strategy (paper §IV-A) is
 //! built entirely on these primitives, so we model them exactly: a warp's
 //! per-lane state is a `[T; 32]` array and each intrinsic is a pure
-//! horizontal function over it.
+//! cross-lane function over it.
 //!
-//! The horizontal primitives are branchless u32 bitmask arithmetic (fixed-
+//! The cross-lane primitives are branchless u32 bitmask arithmetic (fixed-
 //! shape compare chains the optimizer lowers to packed vector compares plus
 //! movemask), so a simulated warp round — ballot, eq-ballot, ffs,
 //! match-any — costs a handful of host instructions instead of 32 branchy

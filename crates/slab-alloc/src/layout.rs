@@ -41,12 +41,6 @@ pub const EMPTY_PTR: u32 = 0xFFFF_FFFF;
 /// (`BASE_SLAB` in the paper's pseudocode).
 pub const BASE_SLAB: u32 = 0xFFFF_FFFE;
 
-/// A frozen next-pointer: incremental compaction CASes a dead slab's
-/// `EMPTY_PTR` tail to this sentinel so no racing insert can extend the
-/// chain through it while it is being unlinked. Readers treat it as
-/// end-of-chain; writers that want to append restart from the bucket head.
-pub const FROZEN_PTR: u32 = 0xFFFF_FFFD;
-
 /// A decoded slab address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabAddr {
@@ -129,11 +123,8 @@ mod tests {
     fn sentinels_never_decode() {
         assert_eq!(SlabAddr::decode(EMPTY_PTR), None);
         assert_eq!(SlabAddr::decode(BASE_SLAB), None);
-        assert_eq!(SlabAddr::decode(FROZEN_PTR), None);
         assert!(is_sentinel(EMPTY_PTR));
         assert!(is_sentinel(BASE_SLAB));
-        assert!(is_sentinel(FROZEN_PTR));
-        assert!(!is_allocated_ptr(FROZEN_PTR));
         // Anything in the reserved super block is a sentinel.
         assert!(is_sentinel(0xFF00_0000));
         assert!(!is_sentinel(0xFE00_0000));

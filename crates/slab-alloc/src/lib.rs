@@ -44,6 +44,6 @@ pub mod super_block;
 pub mod traits;
 
 pub use baseline::{HallocSim, SerialHeapSim};
-pub use layout::{is_allocated_ptr, is_sentinel, SlabAddr, BASE_SLAB, EMPTY_PTR, FROZEN_PTR};
+pub use layout::{is_allocated_ptr, is_sentinel, SlabAddr, BASE_SLAB, EMPTY_PTR};
 pub use slab_alloc::{ResidentState, SlabAlloc, SlabAllocConfig};
 pub use traits::{AllocError, SlabAllocator, SlabRef};

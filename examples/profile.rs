@@ -189,20 +189,19 @@ fn main() {
     table.execute_batch(&mut dels, &grid);
     let maint = table.maintain(&grid);
     println!(
-        "\nmaintenance after full churn: released {} slabs, reclaimed {}, retired pending {}",
+        "\nmaintenance after full churn: released {} slabs",
         maint.flushed.map_or(0, |f| f.slabs_released),
-        maint.reclaimed,
-        table.retired_slab_count(),
     );
     for gauge in table.allocator().pressure_gauges() {
         println!("  gauge {gauge}");
     }
     let audit = table.audit().expect("post-churn audit");
     println!(
-        "post-churn audit: live {}, frozen lanes {}, retired {}, double frees {}",
-        audit.live_elements, audit.frozen_lanes, audit.retired_slabs, audit.double_frees,
+        "post-churn audit: live {}, double frees {}, no_leaks {}",
+        audit.live_elements,
+        audit.double_frees,
+        audit.no_leaks(),
     );
-    assert_eq!(audit.frozen_lanes, 0);
     assert_eq!(audit.double_frees, 0);
     assert!(audit.no_leaks(), "maintenance must account for every slab");
 

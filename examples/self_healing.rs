@@ -2,8 +2,9 @@
 //! indefinitely on an allocator far too small for its cumulative demand.
 //!
 //! Three mechanisms cooperate (DESIGN.md §10):
-//! 1. concurrent incremental compaction (`try_flush`) retires dead slabs
-//!    behind an epoch grace period while traffic keeps running;
+//! 1. compaction: `maintain` runs the paper's FLUSH whenever no operation
+//!    is in flight, rebuilding every bucket without its tombstones and
+//!    freeing the surplus slabs;
 //! 2. the allocator's free-headroom watermark activates reserve super
 //!    blocks *before* pressure turns into `OutOfSlabs`;
 //! 3. a `MaintenancePolicy` turns residual failures into heal-and-retry
@@ -46,14 +47,13 @@ fn main() {
         table.allocator().active_super_blocks(),
         table.allocator().capacity_slabs(),
     );
-    println!("cycle  allocated   peak  retired  released  reclaimed  active-SB");
+    println!("cycle  allocated   peak  released  active-SB");
 
     // A pinned resident set that must survive every cycle of churn.
     let pinned: Vec<(u32, u32)> = (0..500).map(|i| (2_000_000 + i, i)).collect();
     table.bulk_build(&pinned, &grid);
 
     let mut total_released = 0u64;
-    let mut total_reclaimed = 0u64;
     for cycle in 0..50u32 {
         // Insert a 2 000-key batch, then delete it: pure churn.
         let base = cycle * 10_000;
@@ -63,19 +63,15 @@ fn main() {
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         table.bulk_delete(&keys, &grid);
 
-        // One idempotent maintenance pass: reclaim + compact + reclaim +
-        // grow-if-low. In production this is a background thread; here it
-        // rides the cycle boundary.
+        // One idempotent maintenance pass: compact + grow-if-low. It rides
+        // the cycle boundary, where no operation is in flight.
         let report = table.maintain(&grid);
         let released = report.flushed.map_or(0, |f| f.slabs_released);
         total_released += released;
-        total_reclaimed += report.reclaimed;
         if cycle % 5 == 0 {
             println!(
-                "{cycle:>5}  {:>9}  {peak:>5}  {:>7}  {released:>8}  {:>9}  {:>9}",
+                "{cycle:>5}  {:>9}  {peak:>5}  {released:>8}  {:>9}",
                 table.allocator().allocated_slabs(),
-                table.retired_slab_count(),
-                report.reclaimed,
                 table.allocator().active_super_blocks(),
             );
         }
@@ -92,7 +88,7 @@ fn main() {
     }
 
     println!(
-        "\n50 cycles: {total_released} slabs released, {total_reclaimed} reclaimed, \
+        "\n50 cycles: {total_released} slabs released, \
          allocator never exceeded {} of {} slabs",
         table.allocator().peak_outstanding_slabs(),
         table.allocator().capacity_slabs(),
@@ -122,9 +118,8 @@ fn main() {
     table.bulk_delete(&crowd.iter().map(|p| p.0).collect::<Vec<_>>(), &grid);
     let report = table.maintain(&grid);
     println!(
-        "crowd gone: released {} slabs, reclaimed {}, {} still allocated",
+        "crowd gone: released {} slabs, {} still allocated",
         report.flushed.map_or(0, |f| f.slabs_released),
-        report.reclaimed,
         table.allocator().allocated_slabs(),
     );
 
@@ -138,17 +133,13 @@ fn main() {
 
     let audit = table.audit().expect("audit after churn");
     println!(
-        "audit: live {}, chained slabs {}, retired {}, frozen lanes {}, double frees {}, \
-         no_leaks {}",
+        "audit: live {}, chained slabs {}, double frees {}, no_leaks {}",
         audit.live_elements,
         audit.chained_slabs,
-        audit.retired_slabs,
-        audit.frozen_lanes,
         audit.double_frees,
         audit.no_leaks(),
     );
     assert_eq!(audit.live_elements, pinned.len() as u64);
-    assert_eq!(audit.frozen_lanes, 0);
     assert!(audit.no_leaks());
 
     // --- Backpressure policies on a retry loop ------------------------------

@@ -1,9 +1,9 @@
 //! End-to-end tests of the self-healing maintenance loop: a churning table
 //! on an undersized allocator survives indefinitely because compaction
-//! (the quiescent rewrite, or the incremental pass + epoch reclamation) +
-//! allocator growth keep returning dead slabs; both compaction paths race
-//! live traffic without hiding a single live key; and every failure
-//! injected into the flusher leaves the table auditable.
+//! (the quiescent rewrite) + allocator growth keep returning dead slabs;
+//! the rewrite races live searchers without hiding a single live key; and
+//! fault-injected churn healed by the policy loop leaves the table
+//! auditable.
 //!
 //! Tests that activate a fault plan serialize behind a mutex: the plan
 //! epoch is process-global, so a concurrent guard would reseed this
@@ -23,20 +23,19 @@ use slab_hash::{
 static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Insert with the block policy's heal-and-retry loop; panics only when the
-/// policy itself gives up (which the soak treats as a lost table). Returns
-/// how many recovery rounds the insert needed.
+/// policy itself gives up (which the soak treats as a lost table).
 fn insert_healing<A: SlabAllocator>(
     t: &SlabHash<KeyValue, A>,
     w: &mut WarpDriver<'_, KeyValue, A>,
     grid: &Grid,
     key: u32,
     value: u32,
-) -> u32 {
+) {
     let policy = MaintenancePolicy::block();
     let mut round = 0;
     loop {
         match w.checked_replace(key, value) {
-            Ok(_) => return round,
+            Ok(_) => return,
             Err(e) => {
                 assert!(
                     t.recover(e, &policy, grid, round),
@@ -48,19 +47,18 @@ fn insert_healing<A: SlabAllocator>(
     }
 }
 
-type SoakTable = SlabHash<KeyValue, SerialHeapSim>;
-
-/// ≥100 insert → delete → `compact` cycles on an allocator an order of
-/// magnitude too small for the cumulative churn. Without compaction the
-/// heap would exhaust within three cycles; with it the table runs
-/// unattended, a pinned resident set survives every cycle, and the final
-/// audit balances to the slab. Returns the recovery rounds the inserts
-/// needed.
-fn churn_soak(compact: impl Fn(&SoakTable, &Grid, u32)) -> u32 {
+/// ≥100 insert → delete → `maintain` cycles on an allocator an order of
+/// magnitude too small for the cumulative churn.
+/// Without compaction the heap would exhaust within three cycles; with it
+/// the table runs unattended, a pinned resident set survives every cycle,
+/// and the final audit balances to the slab. `maintain` runs the
+/// compacting rewrite because no operation is in flight between cycles.
+#[test]
+fn churn_soak_on_undersized_allocator() {
     // 4 buckets over a 32-slab serialized heap (no growth possible).
     // Each cycle chains ~12 slabs; 120 cycles demand ~1400 slab
     // allocations — the heap holds 32, so survival proves reclamation.
-    let t = SoakTable::with_allocator(
+    let t = SlabHash::<KeyValue, SerialHeapSim>::with_allocator(
         SlabHashConfig {
             seed: 0x50AC,
             ..SlabHashConfig::with_buckets(4)
@@ -69,19 +67,25 @@ fn churn_soak(compact: impl Fn(&SoakTable, &Grid, u32)) -> u32 {
     );
     let grid = Grid::sequential();
     let mut w = WarpDriver::new(&t);
-    let mut heals = 0;
+    let compact = |cycle: u32| {
+        let report = t.maintain(&grid);
+        assert!(
+            report.flushed.is_some(),
+            "cycle {cycle}: single-threaded maintain found no quiescent window"
+        );
+    };
 
     // A pinned resident set that must survive the entire soak.
     let pinned: Vec<u32> = (0..30).map(|i| 1_000_000 + i * 7).collect();
     for &k in &pinned {
-        heals += insert_healing(&t, &mut w, &grid, k, k ^ 0xA5A5);
+        insert_healing(&t, &mut w, &grid, k, k ^ 0xA5A5);
     }
 
     let mut peak_slabs = 0u64;
     for cycle in 0..120u32 {
         let base = cycle * 1_000;
         for k in 0..200 {
-            heals += insert_healing(&t, &mut w, &grid, base + k, base + k + 1);
+            insert_healing(&t, &mut w, &grid, base + k, base + k + 1);
         }
         peak_slabs = peak_slabs.max(t.allocator().allocated_slabs());
         for k in 0..200 {
@@ -100,7 +104,7 @@ fn churn_soak(compact: impl Fn(&SoakTable, &Grid, u32)) -> u32 {
         }
         // Deleting 200 keys tombstones whole chained slabs; compaction
         // must actually turn them back into allocator capacity.
-        compact(&t, &grid, cycle);
+        compact(cycle);
         for &k in &pinned {
             assert_eq!(
                 w.search(k),
@@ -113,171 +117,11 @@ fn churn_soak(compact: impl Fn(&SoakTable, &Grid, u32)) -> u32 {
     // Bounded peak: the table never outgrew the undersized heap (naive
     // demand is ~40x larger), and what remains accounts exactly.
     assert!(peak_slabs <= 32, "heap overrun: peak {peak_slabs}");
-    compact(&t, &grid, 120);
+    compact(120);
     let audit = t.audit().expect("soaked table must audit");
     assert_eq!(audit.live_elements, pinned.len() as u64);
-    assert_eq!(audit.frozen_lanes, 0, "a frozen lane leaked past unfreeze");
-    assert_eq!(audit.retired_slabs, 0, "a retired slab was never reclaimed");
     assert_eq!(audit.double_frees, 0);
     assert!(audit.no_leaks(), "slab accounting imbalance: {audit:?}");
-    heals
-}
-
-/// Tentpole acceptance: the soak healed by `maintain`, which runs the
-/// compacting rewrite because no operation is in flight between cycles.
-#[test]
-fn churn_soak_on_undersized_allocator() {
-    churn_soak(|t, grid, cycle| {
-        let report = t.maintain(grid);
-        assert!(
-            report.flushed.is_some(),
-            "cycle {cycle}: single-threaded maintain cannot find the flush lock held"
-        );
-    });
-}
-
-/// The same soak healed only by the incremental pass: `try_flush` retires
-/// fully dead slabs and `reclaim_retired` returns them once the epoch
-/// horizon passes, so the concurrent protocol alone keeps memory bounded.
-/// No insert ever needs `recover`, whose `maintain` would compact instead.
-#[test]
-fn churn_soak_on_undersized_allocator_with_incremental_compaction() {
-    let retired = AtomicU64::new(0);
-    let reclaimed = AtomicU64::new(0);
-    let heals = churn_soak(|t, grid, cycle| {
-        let report = t.try_flush(grid).expect("one flusher and no fault plan");
-        retired.fetch_add(report.slabs_released, Ordering::Relaxed);
-        reclaimed.fetch_add(t.reclaim_retired(), Ordering::Relaxed);
-        assert_eq!(t.retired_slab_count(), 0, "cycle {cycle}: no pin held");
-    });
-    assert_eq!(heals, 0, "an insert needed maintain's rewrite to survive");
-    let retired = retired.into_inner();
-    assert!(retired > 0);
-    assert_eq!(reclaimed.into_inner(), retired);
-}
-
-/// Acceptance: the incremental pass races live inserts and searches and
-/// never hides a live key — the freeze → unlink → epoch-retire protocol
-/// keeps unlinked slabs readable until every in-flight operation drains.
-/// The flusher calls `try_flush` directly, because `maintain` would take
-/// the exclusive rewrite whenever it caught the searchers between ops.
-#[test]
-fn concurrent_compaction_races_live_traffic() {
-    // Each writer round appends a block that dies, then a block that
-    // lives, so every round buries whole dead slabs between live ones.
-    const ROUNDS: u32 = 40;
-    let dead_block = |r: u32| 100_000 + r * 1_000..100_000 + r * 1_000 + 600;
-    let live_block = |r: u32| 500_000 + r * 1_000..500_000 + r * 1_000 + 120;
-    let t = SlabHash::<KeyValue>::new(SlabHashConfig {
-        seed: 0xF1A5,
-        ..SlabHashConfig::with_buckets(8)
-    });
-    // Keys are inserted in order, so each bucket's chain holds them in
-    // order: the middle half dies, leaving whole chained slabs dead
-    // between live ones before the race starts.
-    let seeded = |k: u32| !(500..1_500).contains(&k);
-    {
-        let mut w = WarpDriver::new(&t);
-        for k in 0..2_000 {
-            w.replace(k, k + 1);
-        }
-        for k in 500..1_500 {
-            w.delete(k);
-        }
-    }
-
-    let stop = AtomicBool::new(false);
-    let rounds_done = AtomicU64::new(0);
-    let start = std::sync::Barrier::new(4);
-    let (retired, reclaimed) = std::thread::scope(|scope| {
-        // Maintenance thread: continuous incremental compact + reclaim
-        // passes, each unlinking the slabs the writer killed since the
-        // last one while the readers walk past them.
-        let flusher = scope.spawn(|| {
-            let grid = Grid::sequential();
-            let (mut retired, mut reclaimed) = (0u64, 0u64);
-            start.wait();
-            while !stop.load(Ordering::Acquire) {
-                let report = t.try_flush(&grid).expect("one flusher and no fault plan");
-                retired += report.slabs_released;
-                reclaimed += t.reclaim_retired();
-            }
-            (retired, reclaimed)
-        });
-        // Reader threads: every live key, seeded or written by a finished
-        // round, must stay visible through every phase of the unlink.
-        let readers: Vec<_> = (0..2)
-            .map(|tid| {
-                let (t, start, rounds_done) = (&t, &start, &rounds_done);
-                scope.spawn(move || {
-                    let mut w = WarpDriver::with_warp_id(t, tid + 1);
-                    start.wait();
-                    // At least 60 passes, and on until the writer is done.
-                    for pass in 0.. {
-                        let rounds = rounds_done.load(Ordering::Acquire) as u32;
-                        if pass >= 60 && rounds == ROUNDS {
-                            break;
-                        }
-                        let keys = (0..2_000).filter(|&k| seeded(k));
-                        for k in keys.chain((0..rounds).flat_map(live_block)) {
-                            assert_eq!(
-                                w.search(k),
-                                Some(k + 1),
-                                "pass {pass}: live key {k} hidden by racing compaction"
-                            );
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Writer thread: keeps allocating slabs (reusing the ones the
-        // flusher frees) and killing whole slabs while the flusher runs.
-        let writer = scope.spawn(|| {
-            let mut w = WarpDriver::with_warp_id(&t, 9);
-            start.wait();
-            for r in 0..ROUNDS {
-                for k in dead_block(r).chain(live_block(r)) {
-                    w.replace(k, k + 1);
-                }
-                for k in dead_block(r) {
-                    w.delete(k);
-                }
-                rounds_done.store(u64::from(r + 1), Ordering::Release);
-            }
-        });
-        let traffic: Vec<_> = readers.into_iter().chain([writer]).map(|h| h.join()).collect();
-        stop.store(true, Ordering::Release);
-        let flushed = flusher.join();
-        for outcome in traffic {
-            if let Err(panic) = outcome {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        flushed.unwrap()
-    });
-    assert!(retired > 0, "the fixture left no dead slab to retire");
-    assert!(reclaimed <= retired);
-
-    // Post-race: no pin is held, so the horizon frees every retirement.
-    t.try_flush(&Grid::sequential()).unwrap();
-    t.reclaim_retired();
-    let mut w = WarpDriver::new(&t);
-    for k in 0..2_000 {
-        let expect = seeded(k).then_some(k + 1);
-        assert_eq!(w.search(k), expect, "seeded key {k}");
-    }
-    for r in 0..ROUNDS {
-        for k in live_block(r) {
-            assert_eq!(w.search(k), Some(k + 1), "round {r}: live key {k} lost");
-        }
-        for k in dead_block(r) {
-            assert_eq!(w.search(k), None, "round {r}: dead key {k} back");
-        }
-    }
-    let audit = t.audit().unwrap();
-    assert_eq!(audit.frozen_lanes, 0);
-    assert_eq!(audit.retired_slabs, 0);
-    assert!(audit.no_leaks(), "race leaked a slab: {audit:?}");
 }
 
 /// The quiescence gate: `maintain` rewrites chains in place only while no
@@ -286,20 +130,20 @@ fn concurrent_compaction_races_live_traffic() {
 /// `execute_buffer` shares the maintainer's `Grid`: while a pass holds the
 /// window its pool warps block in `pin()`, so the pass's own launch must
 /// fall back to scoped spawning rather than wait for the pool. A watchdog
-/// turns that deadlock into a failure.
+/// turns that deadlock, or a window that never opens, into a failure.
 #[test]
 fn quiescent_compaction_races_searchers_on_a_shared_grid() {
     // A trial's first pass decides most of its chance to expose a broken
     // gate, so the race runs on several fresh tables.
     let (done, finished) = mpsc::channel();
     let race = std::thread::spawn(move || {
-        for seed in 0x0C0A..0x0C0E {
+        for seed in 0x0C0A..0x0C12 {
             compaction_race_trial(seed);
         }
         done.send(()).unwrap();
     });
     if finished.recv_timeout(Duration::from_secs(120)).is_err() && !race.is_finished() {
-        panic!("maintain deadlocked against pool warps blocked in pin()");
+        panic!("maintain deadlocked against pool warps blocked in pin(), or found no window");
     }
     if let Err(panic) = race.join() {
         std::panic::resume_unwind(panic);
@@ -312,6 +156,10 @@ fn compaction_race_trial(seed: u64) {
     // searched, 1 churns, 3 is dead from the start.
     const QUARTER: u32 = 2_000;
     const ROUNDS: u32 = 10;
+    // A pass that finds an op in flight compacts nothing, so only passes
+    // that claimed a window count: the searchers go on until this many
+    // have rewritten the chains between their walks.
+    const REWRITES: u64 = 16;
     let t = SlabHash::<KeyValue>::new(SlabHashConfig {
         seed,
         ..SlabHashConfig::with_buckets(4)
@@ -330,7 +178,7 @@ fn compaction_race_trial(seed: u64) {
     let grid = Grid::new(2);
     let stop = AtomicBool::new(false);
     let churning = AtomicBool::new(true);
-    let passes = AtomicU64::new(0);
+    let rewrites = AtomicU64::new(0);
     let searching = AtomicU64::new(0);
     std::thread::scope(|scope| {
         // The maintainer starts once both searchers are walking, and
@@ -342,8 +190,9 @@ fn compaction_race_trial(seed: u64) {
                 std::thread::yield_now();
             }
             while !stop.load(Ordering::Acquire) {
-                t.maintain(&grid);
-                passes.fetch_add(1, Ordering::Relaxed);
+                if t.maintain(&grid).flushed.is_some() {
+                    rewrites.fetch_add(1, Ordering::Relaxed);
+                }
                 std::thread::sleep(Duration::from_micros(200));
             }
         });
@@ -382,23 +231,24 @@ fn compaction_race_trial(seed: u64) {
             }
             churning.store(false, Ordering::Release);
         });
-        // Searchers: SEARCH batches of the even keys on private
-        // sequential grids. Each warp holds its pin across 32 chain
-        // walks, so a pass that ignored the pin would move keys under it.
+        // Searchers: SEARCH batches of the live keys, residue 0 for one
+        // and 2 for the other, on private sequential grids. Each warp holds
+        // its pin across 32 chain walks, so a pass that ignored the pin
+        // would move keys under it.
         let searchers: Vec<_> = (0..2)
-            .map(|_| {
-                let (t, passes, stop, churning) = (&t, &passes, &stop, &churning);
+            .map(|residue| {
+                let (t, rewrites, stop, churning) = (&t, &rewrites, &stop, &churning);
                 let searching = &searching;
                 scope.spawn(move || {
-                    let keys: Vec<u32> = (0..4 * QUARTER).step_by(2).collect();
+                    let keys: Vec<u32> = (2 * residue..4 * QUARTER).step_by(4).collect();
                     let seq = Grid::sequential();
                     searching.fetch_add(1, Ordering::Release);
                     // At least 2 sweeps, and on until the churn is done
-                    // and 128 maintain passes have raced them.
+                    // and REWRITES passes have claimed a window.
                     for sweep in 0.. {
                         let raced = sweep >= 2
                             && !churning.load(Ordering::Acquire)
-                            && passes.load(Ordering::Relaxed) >= 128;
+                            && rewrites.load(Ordering::Relaxed) >= REWRITES;
                         if raced || stop.load(Ordering::Acquire) {
                             break;
                         }
@@ -409,6 +259,16 @@ fn compaction_race_trial(seed: u64) {
                                 Some(k + 1),
                                 "sweep {sweep}: live key {k} hidden by a racing rewrite"
                             );
+                        }
+                        // Two searchers back to back leave almost no
+                        // window open: wait after each sweep until a pass
+                        // claims one, which it can only do once neither
+                        // searcher is walking.
+                        let seen = rewrites.load(Ordering::Acquire);
+                        while rewrites.load(Ordering::Acquire) == seen
+                            && !stop.load(Ordering::Acquire)
+                        {
+                            std::thread::sleep(Duration::from_micros(100));
                         }
                     }
                 })
@@ -428,56 +288,11 @@ fn compaction_race_trial(seed: u64) {
     });
 
     // Quiet now: one pass leaves the chains tombstone-free.
-    t.maintain(&grid);
+    assert!(t.maintain(&grid).flushed.is_some(), "no op in flight");
     let audit = t.audit().unwrap();
     assert_eq!(audit.live_elements, u64::from(3 * QUARTER));
     assert_eq!(audit.tombstones, 0);
-    assert_eq!(audit.frozen_lanes, 0);
-    assert_eq!(audit.retired_slabs, 0);
     assert!(audit.no_leaks(), "race leaked a slab: {audit:?}");
-}
-
-/// Satellite: a fault plan makes `try_flush` fail mid-retire; the error is
-/// structured, the undo path restores every frozen lane, and a clean retry
-/// finishes the job.
-#[test]
-fn try_flush_under_faults_fails_clean_and_retries() {
-    let _l = CHAOS_LOCK.lock();
-    let t = SlabHash::<KeyValue>::new(
-        SlabHashConfig {
-            seed: 0xFA11,
-            ..SlabHashConfig::with_buckets(2)
-        }
-        .with_retry_budget(8),
-    );
-    let grid = Grid::sequential();
-    let mut w = WarpDriver::new(&t);
-    for k in 0..300 {
-        w.replace(k, k);
-    }
-    for k in 0..300 {
-        w.delete(k);
-    }
-
-    let chaos = ChaosGuard::plan(FaultPlan::seeded(0xDEAD).with_cas_failures(1.0));
-    let err = t
-        .try_flush(&grid)
-        .expect_err("every freeze CAS is injected-lost; the budget must burn");
-    assert_eq!(err, TableError::RetryBudgetExhausted { budget: 8 });
-    drop(chaos);
-
-    // The failed pass left no frozen lanes and no half-unlinked slabs.
-    let audit = t.audit().unwrap();
-    assert_eq!(audit.frozen_lanes, 0, "failed flush leaked frozen lanes");
-    assert!(audit.no_leaks(), "failed flush leaked slabs: {audit:?}");
-
-    // A clean pass succeeds and the chains actually shrink.
-    let report = t.try_flush(&grid).expect("clean retry");
-    assert!(report.slabs_released > 0, "retry released nothing");
-    t.maintain(&grid);
-    let audit = t.audit().unwrap();
-    assert_eq!(audit.live_elements, 0);
-    assert!(audit.no_leaks());
 }
 
 /// Satellite: chaos-grid churn — yields, spurious CAS losses, and injected
@@ -525,7 +340,6 @@ fn chaos_churn_heals_under_fault_plan() {
         t.maintain(&seq);
     }
     let audit = t.audit().unwrap();
-    assert_eq!(audit.frozen_lanes, 0);
     assert!(audit.no_leaks(), "chaos churn leaked: {audit:?}");
 }
 

@@ -152,7 +152,7 @@ fn overload_soak_sheds_instead_of_collapsing() {
 fn brief_pressure_recovers_to_full_service() {
     // Block policy over a fixed 64-slab heap with no growth: churn cycles
     // allocate far more slabs than exist, so the broker's heal-and-retry
-    // loop (compaction + epoch reclamation between dispatch rounds) is the
+    // loop (compaction between dispatch rounds) is the
     // only reason the writes land. `stats.retried > 0` proves the retry
     // path actually ran; every op succeeding proves it converges. The idle
     // tick outlasts the run, so idle housekeeping never heals the heap
