@@ -2,7 +2,11 @@
 //! retry, and reply routing.
 //!
 //! One broker thread owns the receive side of the bounded submission queue.
-//! Each cycle it drains up to [`BrokerConfig::max_batch`] envelopes, runs the
+//! Each cycle it drains up to [`BrokerConfig::max_batch`] envelopes as one
+//! cohort. A submitter that finds the broker idle (nothing queued, no cohort
+//! running) and has no ticket of its own outstanding runs its request as a
+//! one-envelope cohort on its own thread instead (caller-runs); both entries
+//! run the same cohort body under one lock. A cohort runs the
 //! admission pass (deadlines first, then the circuit breaker, then the
 //! allocator-headroom write shed), executes the surviving requests as one
 //! warp-shaped batch on the persistent executor pool, and routes every
@@ -16,16 +20,19 @@
 //! itself fills, and every refusal is a typed reply — clients always learn
 //! the fate of their request.
 
+use std::any::Any;
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use simt::chaos::{self, Enrollment};
 use simt::telemetry::{
-    EventKind, JsonlSnapshots, MetricsRegistry, MetricsServer, RequestSpan, SessionHandle,
+    self, EventKind, JsonlSnapshots, MetricsRegistry, MetricsServer, RequestSpan, SessionHandle,
     SpanReport, Stage, LAUNCH_WARP,
 };
 use simt::{ChaosGuard, FaultPlan, Grid};
@@ -100,8 +107,10 @@ pub struct BrokerConfig {
     pub idle_tick: Duration,
     /// Grid to dispatch on; `None` builds a pooled grid sized to the host.
     pub grid: Option<Grid>,
-    /// Fault plan installed on the broker thread (inherited by its
-    /// launches), for chaos soaks.
+    /// Fault plan for chaos soaks. It is installed on the broker thread
+    /// (inherited by its launches), and a client thread that runs a cohort
+    /// inline is enrolled in it for that cohort, so every dispatched batch
+    /// sees the same faults whichever thread runs it.
     pub chaos: Option<FaultPlan>,
 }
 
@@ -148,6 +157,7 @@ impl std::fmt::Debug for BrokerConfig {
 pub struct Broker {
     tx: Option<mpsc::SyncSender<Envelope>>,
     depth: Arc<AtomicUsize>,
+    combiner: Arc<dyn Combiner>,
     thread: Option<thread::JoinHandle<IngressStats>>,
     queue_capacity: usize,
     default_deadline: Duration,
@@ -160,10 +170,10 @@ impl Broker {
     /// Spawns the broker thread over `table`.
     ///
     /// The active telemetry session (if any) is captured from the *calling*
-    /// thread, so launches dispatched by the broker land in the caller's
-    /// trace. Likewise `cfg.chaos` (if set) is installed on the broker
-    /// thread, so chaos soaks inject faults into broker-dispatched batches
-    /// without touching the rest of the process.
+    /// thread, so the broker's ingress events land in the caller's trace.
+    /// Likewise `cfg.chaos` (if set) is installed on the broker thread, so
+    /// chaos soaks inject faults into broker-dispatched batches without
+    /// touching the rest of the process.
     pub fn spawn<L, A>(table: Arc<SlabHash<L, A>>, cfg: BrokerConfig) -> Self
     where
         L: EntryLayout,
@@ -179,15 +189,36 @@ impl Broker {
         // `current_session` is thread-local: capture here, on the spawning
         // thread, and move the handle into the broker.
         let session = simt::telemetry::current_session();
+        // The broker thread builds the shared state, because the chaos
+        // enrollment that inline cohorts borrow exists only once its guard
+        // is live there; spawn waits for it so no handle can run a cohort
+        // outside the plan.
+        let (ready_tx, ready_rx) = mpsc::channel::<Arc<dyn Combiner>>();
         let thread = thread::Builder::new()
             .name("slab-ingress-broker".into())
             .spawn(move || {
-                run_broker(table, cfg, rx, depth_for_broker, session, registry_for_broker)
+                // Installed for the broker thread's lifetime: launches
+                // dispatched from here inherit the plan.
+                let _chaos = cfg.chaos.map(ChaosGuard::plan);
+                let (idle_tick, max_batch) = (cfg.idle_tick, cfg.max_batch.max(1));
+                let run = BrokerRun::new(table, cfg, session, &registry_for_broker);
+                run.refresh_gauges(0);
+                let shared = Arc::new(Shared {
+                    run: Mutex::new(run),
+                    depth: depth_for_broker,
+                    enrollment: chaos::thread_enrollment(),
+                    dead: AtomicBool::new(false),
+                    panic: Mutex::new(None),
+                });
+                let _ = ready_tx.send(Arc::clone(&shared) as Arc<dyn Combiner>);
+                run_broker(&shared, rx, idle_tick, max_batch)
             })
             .expect("spawn ingress broker thread");
+        let combiner = ready_rx.recv().expect("ingress broker thread started");
         Self {
             tx: Some(tx),
             depth,
+            combiner,
             thread: Some(thread),
             queue_capacity: capacity,
             default_deadline,
@@ -241,6 +272,7 @@ impl Broker {
         ClientHandle::new(
             self.tx.clone().expect("broker sender alive until shutdown"),
             Arc::clone(&self.depth),
+            Arc::clone(&self.combiner),
             self.default_deadline,
             self.queue_capacity,
         )
@@ -313,6 +345,109 @@ fn is_retryable(err: TableError) -> bool {
     )
 }
 
+/// Which entry a cohort came through (the label on
+/// `slab_ingress_cohorts_total`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CohortPath {
+    /// Run by the submitting thread on an idle broker.
+    Inline = 0,
+    /// Drained off the queue by the broker thread.
+    Queued = 1,
+}
+
+/// The submitter's view of the broker state, with the table's type
+/// parameters erased so a [`ClientHandle`] can hold it.
+pub(crate) trait Combiner: Send + Sync + std::fmt::Debug {
+    /// Runs `env` as a one-envelope cohort on the calling thread when the
+    /// queue is empty and no cohort is running; hands it back otherwise.
+    fn try_run_inline(&self, env: Envelope) -> Option<Envelope>;
+
+    /// True once a cohort has panicked: the broker is gone.
+    fn is_dead(&self) -> bool;
+}
+
+const PANIC_SLOT: &str =
+    "the panic slot is only stored to and taken from, never held across a panic";
+
+/// The broker state every cohort runs under, whichever thread runs it.
+struct Shared<L: EntryLayout, A: SlabAllocator> {
+    run: Mutex<BrokerRun<L, A>>,
+    /// Envelopes sent but not yet taken by a cohort. The broker thread
+    /// takes its share off only while it holds `run` (AcqRel, pairing with
+    /// the Acquire load in `try_run_inline`), so a submitter that reads zero
+    /// and then wins `try_lock` cannot overtake anything queued.
+    depth: Arc<AtomicUsize>,
+    /// The broker thread's failure plan, carried into inline cohorts.
+    enrollment: Option<Enrollment>,
+    /// Set once an inline cohort panicked; the broker thread re-raises
+    /// `panic` the next time it wakes.
+    dead: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<L: EntryLayout, A: SlabAllocator> std::fmt::Debug for Shared<L, A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BrokerShared")
+            .field("dead", &self.dead.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+impl<L, A> Combiner for Shared<L, A>
+where
+    L: EntryLayout,
+    A: SlabAllocator + Send + Sync + 'static,
+{
+    fn try_run_inline(&self, env: Envelope) -> Option<Envelope> {
+        if self.depth.load(Ordering::Acquire) != 0 {
+            return Some(env);
+        }
+        let Ok(mut run) = self.run.try_lock() else {
+            return Some(env);
+        };
+        if self.is_dead() {
+            return Some(env);
+        }
+        // Run exactly as the broker thread would: in its failure plan, and
+        // outside any trace session this client thread has open.
+        let _enrolled = chaos::participate_in(self.enrollment);
+        let _hidden = telemetry::hide_sessions();
+        // A panic must neither unwind into the submitter nor poison `run`.
+        // The envelope drops while unwinding, so its ticket resolves to
+        // `BrokerGone`, and the broker thread re-raises the payload.
+        let cohort = panic::catch_unwind(AssertUnwindSafe(|| {
+            run.cohort(vec![env], &self.depth, CohortPath::Inline);
+        }));
+        if let Err(payload) = cohort {
+            *self.panic.lock().expect(PANIC_SLOT) = Some(payload);
+            self.dead.store(true, Ordering::Release);
+        }
+        None
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Acquire)
+    }
+}
+
+impl<L: EntryLayout, A: SlabAllocator> Shared<L, A> {
+    /// Locks the broker state for the broker thread, first re-raising an
+    /// inline cohort's panic so the thread dies as if the cohort had been
+    /// its own.
+    fn lock_alive(&self) -> MutexGuard<'_, BrokerRun<L, A>> {
+        let run = self
+            .run
+            .lock()
+            .expect("only the broker thread's own panic poisons its state, and ends it");
+        if self.dead.load(Ordering::Acquire) {
+            drop(run);
+            let payload = self.panic.lock().expect(PANIC_SLOT).take();
+            panic::resume_unwind(payload.expect("`dead` is set only after the payload is stored"));
+        }
+        run
+    }
+}
+
 struct BrokerRun<L: EntryLayout, A: SlabAllocator> {
     table: Arc<SlabHash<L, A>>,
     cfg: BrokerConfig,
@@ -328,45 +463,28 @@ struct BrokerRun<L: EntryLayout, A: SlabAllocator> {
 }
 
 fn run_broker<L, A>(
-    table: Arc<SlabHash<L, A>>,
-    cfg: BrokerConfig,
+    shared: &Shared<L, A>,
     rx: mpsc::Receiver<Envelope>,
-    depth: Arc<AtomicUsize>,
-    session: Option<SessionHandle>,
-    registry: Arc<MetricsRegistry>,
+    idle_tick: Duration,
+    max_batch: usize,
 ) -> IngressStats
 where
     L: EntryLayout,
     A: SlabAllocator + Send + Sync + 'static,
 {
-    // Installed for the broker thread's lifetime: launches dispatched from
-    // here inherit the plan, so chaos soaks fault broker batches only.
-    let _chaos = cfg.chaos.map(ChaosGuard::plan);
-    let grid = cfg.grid.clone().unwrap_or_else(|| {
-        Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
-    });
-    let mut run = BrokerRun {
-        breaker: CircuitBreaker::new(cfg.breaker),
-        breaker_billed: [0; 3],
-        batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
-        metrics: IngressMetrics::register(&registry),
-        table,
-        cfg,
-        grid,
-        session,
-        stats: IngressStats::default(),
-    };
-    let mut envelopes: Vec<Envelope> = Vec::with_capacity(run.cfg.max_batch.max(1));
-    run.refresh_gauges(0);
+    let depth = &shared.depth;
+    let mut envelopes: Vec<Envelope> = Vec::with_capacity(max_batch);
 
     loop {
         // Block (briefly) for the first envelope; Disconnected means every
         // sender is gone AND the buffer is drained — `sync_channel` delivers
         // buffered messages before reporting disconnect, so no queued
         // request is ever dropped on shutdown.
-        match rx.recv_timeout(run.cfg.idle_tick) {
+        let received = rx.recv_timeout(idle_tick);
+        let mut run = shared.lock_alive();
+        match received {
             Ok(env) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
+                depth.fetch_sub(1, Ordering::AcqRel);
                 envelopes.push(env);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -377,37 +495,70 @@ where
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
         // Opportunistically coalesce whatever else is already queued.
-        while envelopes.len() < run.cfg.max_batch.max(1) {
+        while envelopes.len() < max_batch {
             match rx.try_recv() {
                 Ok(env) => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
+                    depth.fetch_sub(1, Ordering::AcqRel);
                     envelopes.push(env);
                 }
                 Err(_) => break,
             }
         }
-        // The coalesced cohort leaves the queue here: one shared timestamp
-        // closes every envelope's queue-wait stage.
+        run.cohort(std::mem::take(&mut envelopes), depth, CohortPath::Queued);
+    }
+    let mut run = shared.lock_alive();
+    run.refresh_gauges(0);
+    std::mem::take(&mut run.stats)
+}
+
+impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
+    fn new(
+        table: Arc<SlabHash<L, A>>,
+        cfg: BrokerConfig,
+        session: Option<SessionHandle>,
+        registry: &Arc<MetricsRegistry>,
+    ) -> Self {
+        let grid = cfg.grid.clone().unwrap_or_else(|| {
+            Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
+        });
+        Self {
+            breaker: CircuitBreaker::new(cfg.breaker),
+            breaker_billed: [0; 3],
+            batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
+            metrics: IngressMetrics::register(registry),
+            table,
+            cfg,
+            grid,
+            session,
+            stats: IngressStats::default(),
+        }
+    }
+
+    /// The one cohort body both entries run: close every envelope's
+    /// queue-wait stage at one shared timestamp, bill the submission,
+    /// sample the queue depth, then admit, dispatch and answer, and
+    /// refresh the gauges.
+    fn cohort(&mut self, mut envelopes: Vec<Envelope>, depth: &AtomicUsize, path: CohortPath) {
         let drained_at = Instant::now();
         for env in &mut envelopes {
             env.span.mark_at(Stage::QueueWait, drained_at);
         }
         let backlog = depth.load(Ordering::Relaxed);
-        run.stats.submitted += envelopes.len() as u64;
-        run.metrics.submitted.add(envelopes.len() as u64);
-        run.stats
+        self.stats.submitted += envelopes.len() as u64;
+        self.metrics.submitted.add(envelopes.len() as u64);
+        if path == CohortPath::Inline {
+            self.stats.inline_cohorts += 1;
+        }
+        self.metrics.cohorts[path as usize].inc();
+        self.stats
             .histograms
             .queue_depth
             .record((envelopes.len() + backlog) as u64);
-        run.emit("dispatch", (envelopes.len() + backlog) as u32);
-        run.process_batch(std::mem::take(&mut envelopes));
-        run.refresh_gauges(depth.load(Ordering::Relaxed));
+        self.emit("dispatch", (envelopes.len() + backlog) as u32);
+        self.process_batch(envelopes);
+        self.refresh_gauges(depth.load(Ordering::Relaxed));
     }
-    run.refresh_gauges(0);
-    run.stats
-}
 
-impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
     fn emit(&self, action: &'static str, depth: u32) {
         if let Some(session) = &self.session {
             session.emit(LAUNCH_WARP, EventKind::Ingress { action, depth });
@@ -415,16 +566,19 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
     }
 
     /// Refreshes the live gauges: queue depth, allocator pressure, executor
-    /// pool, breaker state. Called once per broker cycle — gauges are
+    /// pool, breaker state. Called once per cohort and idle tick — gauges are
     /// sampled, not billed, so scrape-time values are at most one idle tick
     /// stale.
     fn refresh_gauges(&self, queued: usize) {
         let m = &self.metrics;
         m.queue_depth.set(queued as u64);
         let alloc = self.table.allocator();
-        m.alloc_free.set(alloc.free_slabs());
-        m.alloc_allocated.set(alloc.allocated_slabs());
-        m.alloc_capacity.set(alloc.capacity_slabs());
+        // `free_slabs` is O(1) on `SlabAlloc`; `allocated_slabs` is the
+        // bitmap scan `audit()` trusts, too slow for every cohort.
+        let (free, capacity) = (alloc.free_slabs(), alloc.capacity_slabs());
+        m.alloc_free.set(free);
+        m.alloc_allocated.set(capacity - free);
+        m.alloc_capacity.set(capacity);
         m.alloc_committed.set(alloc.committed_bytes());
         if let Some(pool) = self.grid.pool_stats() {
             m.pool_workers_alive.set(pool.workers_alive as u64);

@@ -7,6 +7,11 @@
 //! [`submit_blocking`](ClientHandle::submit_blocking) retries with jittered
 //! backoff only until the request's own deadline. Every accepted submission
 //! yields a [`Ticket`] that resolves to exactly one [`Reply`].
+//!
+//! A handle with no unresolved ticket that finds the broker idle runs its
+//! request on its own thread (caller-runs), so a closed-loop caller's
+//! ticket is already answered when `submit` returns. A handle with a ticket
+//! outstanding always queues, which keeps its requests in submission order.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -15,7 +20,7 @@ use std::time::{Duration, Instant};
 use simt::telemetry::{RequestSpan, SpanReport};
 use slab_hash::{Backoff, OpKind, OpResult, Request};
 
-use crate::broker::Envelope;
+use crate::broker::{Combiner, Envelope};
 use crate::error::IngressError;
 
 /// Distinct jitter seed per handle, so blocked clients decorrelate.
@@ -51,7 +56,18 @@ impl Reply {
 /// A claim on one future [`Reply`].
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) rx: mpsc::Receiver<Reply>,
+    rx: mpsc::Receiver<Reply>,
+    /// The minting handle's unresolved-ticket count, given back on drop.
+    in_flight: Arc<AtomicUsize>,
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        // Release pairs with `try_inline`'s Acquire load: a ticket dropped
+        // on another thread (a wire connection's writer) is seen as gone
+        // only after everything its thread did before the drop.
+        self.in_flight.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl Ticket {
@@ -90,22 +106,26 @@ impl Ticket {
 /// is what lets the broker drain and exit.
 #[derive(Debug)]
 pub struct ClientHandle {
-    pub(crate) tx: mpsc::SyncSender<Envelope>,
-    pub(crate) depth: Arc<AtomicUsize>,
-    pub(crate) default_deadline: Duration,
-    pub(crate) capacity: usize,
+    tx: mpsc::SyncSender<Envelope>,
+    depth: Arc<AtomicUsize>,
+    combiner: Arc<dyn Combiner>,
+    /// Tickets this handle minted that are still alive. Each clone counts
+    /// its own; a handle with any outstanding never runs inline.
+    in_flight: Arc<AtomicUsize>,
+    default_deadline: Duration,
+    capacity: usize,
     client_id: u64,
 }
 
 impl Clone for ClientHandle {
     fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-            default_deadline: self.default_deadline,
-            capacity: self.capacity,
-            client_id: NEXT_CLIENT.fetch_add(1, Ordering::Relaxed),
-        }
+        Self::new(
+            self.tx.clone(),
+            Arc::clone(&self.depth),
+            Arc::clone(&self.combiner),
+            self.default_deadline,
+            self.capacity,
+        )
     }
 }
 
@@ -113,12 +133,15 @@ impl ClientHandle {
     pub(crate) fn new(
         tx: mpsc::SyncSender<Envelope>,
         depth: Arc<AtomicUsize>,
+        combiner: Arc<dyn Combiner>,
         default_deadline: Duration,
         capacity: usize,
     ) -> Self {
         Self {
             tx,
             depth,
+            combiner,
+            in_flight: Arc::new(AtomicUsize::new(0)),
             default_deadline,
             capacity,
             client_id: NEXT_CLIENT.fetch_add(1, Ordering::Relaxed),
@@ -140,6 +163,24 @@ impl ClientHandle {
         self.depth.load(Ordering::Relaxed)
     }
 
+    fn ticket(&self, rx: mpsc::Receiver<Reply>) -> Ticket {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        Ticket {
+            rx,
+            in_flight: Arc::clone(&self.in_flight),
+        }
+    }
+
+    /// Caller-runs: when this handle has no ticket outstanding, offers
+    /// `env` to an idle broker to run on this thread. Hands it back to be
+    /// queued otherwise.
+    fn try_inline(&self, env: Envelope) -> Option<Envelope> {
+        if self.in_flight.load(Ordering::Acquire) != 0 {
+            return Some(env);
+        }
+        self.combiner.try_run_inline(env)
+    }
+
     fn envelope(
         &self,
         req: Request,
@@ -147,6 +188,9 @@ impl ClientHandle {
     ) -> Result<(Envelope, mpsc::Receiver<Reply>), IngressError> {
         if req.op == OpKind::None {
             return Err(IngressError::EmptyRequest);
+        }
+        if self.combiner.is_dead() {
+            return Err(IngressError::BrokerGone);
         }
         // The span is minted here, at submission: its correlation id and
         // submit timestamp ride the envelope through the whole pipeline.
@@ -167,23 +211,34 @@ impl ClientHandle {
 
     /// Non-blocking submit with the default deadline budget: enqueue or fail
     /// fast with [`IngressError::QueueFull`].
+    ///
+    /// When this handle has no ticket outstanding and the broker is idle
+    /// (nothing queued, no cohort running), the request runs on the calling
+    /// thread and the returned ticket is already answered. That run is the
+    /// broker's own cohort body, whose admission and retry rules stop at the
+    /// request's deadline. A busy broker is never waited for, and a full
+    /// queue is still [`IngressError::QueueFull`] at once.
     pub fn submit(&self, req: Request) -> Result<Ticket, IngressError> {
         self.submit_with_deadline(req, self.default_deadline)
     }
 
-    /// Non-blocking submit with an explicit deadline budget.
+    /// Non-blocking submit with an explicit deadline budget; may run the
+    /// request inline, as [`submit`](Self::submit) describes.
     pub fn submit_with_deadline(
         &self,
         req: Request,
         budget: Duration,
     ) -> Result<Ticket, IngressError> {
         let (env, rx) = self.envelope(req, budget)?;
+        let Some(env) = self.try_inline(env) else {
+            return Ok(self.ticket(rx));
+        };
         // Increment *before* the send: the broker decrements after receiving,
         // and a receive can only follow the send, so the gauge never goes
         // negative. A failed send just undoes the increment.
         self.depth.fetch_add(1, Ordering::Relaxed);
         match self.tx.try_send(env) {
-            Ok(()) => Ok(Ticket { rx }),
+            Ok(()) => Ok(self.ticket(rx)),
             Err(mpsc::TrySendError::Full(_)) => {
                 self.depth.fetch_sub(1, Ordering::Relaxed);
                 Err(IngressError::QueueFull {
@@ -200,16 +255,20 @@ impl ClientHandle {
     /// Blocking submit: retries a full queue with jittered exponential
     /// backoff until the request's own deadline budget runs out — the
     /// closed-loop client's natural backpressure. Never blocks past the
-    /// deadline.
+    /// deadline. May run the request inline, as [`submit`](Self::submit)
+    /// describes.
     pub fn submit_blocking(&self, req: Request, budget: Duration) -> Result<Ticket, IngressError> {
-        let (mut env, rx) = self.envelope(req, budget)?;
+        let (env, rx) = self.envelope(req, budget)?;
+        let Some(mut env) = self.try_inline(env) else {
+            return Ok(self.ticket(rx));
+        };
         let mut backoff = Backoff::new(self.client_id);
         loop {
             // Same increment-first discipline as `submit_with_deadline`, so
             // the broker-side decrement can never underflow the gauge.
             self.depth.fetch_add(1, Ordering::Relaxed);
             match self.tx.try_send(env) {
-                Ok(()) => return Ok(Ticket { rx }),
+                Ok(()) => return Ok(self.ticket(rx)),
                 Err(mpsc::TrySendError::Full(returned)) => {
                     self.depth.fetch_sub(1, Ordering::Relaxed);
                     if Instant::now() >= returned.deadline {

@@ -4,7 +4,9 @@
 //! into a service: many concurrent clients submit point operations over a
 //! bounded queue, one broker thread coalesces them into warp-shaped batches,
 //! dispatches on the persistent executor pool, and routes a typed reply back
-//! to each client. The interesting part is what happens past saturation —
+//! to each client. A client with nothing in flight that finds the broker
+//! idle runs its own request through the same admission and dispatch code
+//! on its own thread (caller-runs), skipping the broker thread's wake-up. The interesting part is what happens past saturation —
 //! every overload mechanism degrades gracefully instead of collapsing:
 //!
 //! * **Bounded queues** — submission is `try_send` onto a fixed-capacity

@@ -63,6 +63,8 @@ pub(crate) struct IngressMetrics {
     pub retried: Counter,
     /// Batches dispatched onto the grid.
     pub batches: Counter,
+    /// Cohorts run, labeled by entry: `path="inline"|"queued"`.
+    pub cohorts: [Counter; 2],
     /// Breaker trips (transitions into Open).
     pub breaker_open: Counter,
     /// Breaker state transitions, labeled `state="open|half_open|closed"`.
@@ -118,6 +120,14 @@ impl IngressMetrics {
                 &[("state", state)],
             )
         });
+        // Indexed by `CohortPath`.
+        let cohorts = ["inline", "queued"].map(|path| {
+            registry.counter_with(
+                "slab_ingress_cohorts_total",
+                "Cohorts run, by entry: on the submitting thread or off the queue",
+                &[("path", path)],
+            )
+        });
         let maintenance = MAINTAIN_REASONS.map(|(reason, _)| {
             registry.counter_with(
                 "slab_ingress_maintenance_total",
@@ -150,6 +160,7 @@ impl IngressMetrics {
                 "slab_ingress_batches_total",
                 "Coalesced batches dispatched onto the grid",
             ),
+            cohorts,
             breaker_open: registry.counter(
                 "slab_ingress_breaker_open_total",
                 "Circuit-breaker trips (sustained-failure episodes)",

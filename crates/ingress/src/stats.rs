@@ -112,6 +112,10 @@ pub struct IngressStats {
     pub retried: u64,
     /// Batches dispatched onto the grid.
     pub batches: u64,
+    /// Cohorts a submitting thread ran itself on an idle broker
+    /// (caller-runs); every other cohort was drained off the queue by the
+    /// broker thread.
+    pub inline_cohorts: u64,
 }
 
 impl IngressStats {

@@ -457,6 +457,14 @@ impl SlabAllocator for SlabAlloc {
             * UNITS_PER_BLOCK as u64
     }
 
+    /// O(1): capacity minus the `outstanding` gauge, which `try_allocate`
+    /// and `deallocate` (the only bitmap mutation sites) keep exact. The
+    /// trait default popcounts every bitmap word through
+    /// `allocated_slabs()`, which stays the scan `audit()` trusts.
+    fn free_slabs(&self) -> u64 {
+        self.capacity_slabs().saturating_sub(self.outstanding.value())
+    }
+
     fn try_grow(&self) -> bool {
         let grew = self.grow();
         if grew {
@@ -802,6 +810,31 @@ mod tests {
             }
         });
         assert_eq!(alloc.allocated_slabs(), 0, "leak or double-free detected");
+    }
+
+    #[test]
+    fn free_slab_gauge_matches_the_bitmap_scan_after_a_storm() {
+        let alloc = SlabAlloc::new(SlabAllocConfig::small(2, 2));
+        let grid = simt::Grid::new(8);
+        grid.launch_warps(32, |ctx| {
+            let mut st = alloc.new_warp_state();
+            let mut held = Vec::new();
+            for round in 0..200 {
+                held.push(alloc.allocate(&mut st, ctx));
+                if round % 3 == 0 {
+                    let p = held.swap_remove(round % held.len());
+                    alloc.deallocate(p, ctx);
+                }
+            }
+            // Keep every other survivor, so the check runs against a
+            // partly full heap rather than an empty one.
+            for p in held.into_iter().step_by(2) {
+                alloc.deallocate(p, ctx);
+            }
+        });
+        let allocated = alloc.allocated_slabs();
+        assert!(allocated > 0);
+        assert_eq!(alloc.free_slabs(), alloc.capacity_slabs() - allocated);
     }
 }
 

@@ -59,7 +59,8 @@ pub use heatmap::{BucketStat, Heatmap, HotBucket};
 pub use histogram::{Histograms, LogHistogram, HISTOGRAM_BUCKETS};
 pub use metrics::{Counter, GaugeMetric, HistogramMetric, HistogramSnapshot, MetricsRegistry};
 pub use sink::{
-    current_session, MemorySink, SessionHandle, TraceConfig, TraceSession, TraceSink, WarpTracer,
+    current_session, hide_sessions, HiddenSessions, MemorySink, SessionHandle, TraceConfig,
+    TraceSession, TraceSink, WarpTracer,
 };
 pub use span::{RequestSpan, SpanReport, Stage, STAGES, STAGE_COUNT};
 pub use trace::Trace;

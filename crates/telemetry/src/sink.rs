@@ -16,6 +16,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -200,6 +201,34 @@ pub fn current_session() -> Option<SessionHandle> {
     })
 }
 
+/// RAII guard from [`hide_sessions`]: the calling thread's sessions are
+/// hidden until it drops. Not `Send`: it must drop on the thread it hid.
+pub struct HiddenSessions {
+    stashed: Vec<Arc<Shared>>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+/// Hides the calling thread's sessions until the returned guard drops, so
+/// work this thread runs on behalf of another context (an ingress cohort
+/// run by a client thread for the broker) traces exactly as it would on
+/// that context's own thread.
+pub fn hide_sessions() -> HiddenSessions {
+    HiddenSessions {
+        stashed: SESSIONS.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        _thread_bound: PhantomData,
+    }
+}
+
+impl Drop for HiddenSessions {
+    fn drop(&mut self) {
+        SESSIONS.with(|s| {
+            let mut s = s.borrow_mut();
+            let begun_while_hidden = std::mem::replace(&mut *s, std::mem::take(&mut self.stashed));
+            s.extend(begun_while_hidden);
+        });
+    }
+}
+
 /// A per-warp-executor event recorder: a bounded ring flushed to the
 /// session sink when the executor finishes (or on explicit
 /// [`WarpTracer::flush`]).
@@ -281,6 +310,17 @@ mod tests {
         let trace = outer.finish();
         assert!(trace.events().is_empty());
         assert!(current_session().is_none());
+    }
+
+    #[test]
+    fn hidden_sessions_come_back_on_drop() {
+        let session = TraceSession::begin(TraceConfig::default());
+        {
+            let _hidden = hide_sessions();
+            assert!(current_session().is_none());
+        }
+        current_session().unwrap().emit(0, EventKind::WarpBegin);
+        assert_eq!(session.finish().events().len(), 1);
     }
 
     #[test]

@@ -367,6 +367,39 @@ fn double_free_shows_up_in_the_audit() {
     assert!(audit.no_leaks(), "refused frees must not skew accounting");
 }
 
+/// `SlabAlloc::free_slabs` reads the `outstanding` gauge instead of
+/// popcounting the bitmaps; after churn and a compacting `maintain` (which
+/// frees whole chains) it must still equal the bitmap scan exactly.
+#[test]
+fn free_slab_gauge_matches_the_bitmap_scan_after_churn_and_maintain() {
+    let t = SlabHash::<KeyValue, _>::with_allocator(
+        SlabHashConfig::with_buckets(8),
+        SlabAlloc::new(SlabAllocConfig::small(2, 4)),
+    );
+    let grid = Grid::new(4);
+    let check = |when: &str| {
+        let alloc = t.allocator();
+        assert_eq!(
+            alloc.free_slabs(),
+            alloc.capacity_slabs() - alloc.allocated_slabs(),
+            "free-slab gauge drifted from the bitmap {when}"
+        );
+    };
+    for round in 0..8u32 {
+        let base = round * 4_000;
+        let writes = (0..4_000).map(|k| Request::replace(base + k, k));
+        let deletes = (0..3_000).map(|k| Request::delete(base + k));
+        for mut batch in [writes.collect::<Vec<_>>(), deletes.collect()] {
+            t.execute_batch(&mut batch, &grid);
+            assert!(batch.iter().all(|r| !matches!(r.result, OpResult::Failed(_))));
+        }
+        check("after churn");
+        t.maintain(&grid);
+        check("after maintain");
+    }
+    assert!(t.audit().unwrap().no_leaks());
+}
+
 /// Satellite: the per-table retry budget is a builder option; a tiny budget
 /// surfaces `RetryBudgetExhausted { budget }` with the configured value.
 #[test]

@@ -339,6 +339,73 @@ fn broker_death_resolves_every_outstanding_ticket() {
     drop(broker);
 }
 
+/// Kills the broker from inside an inline cohort: a serial `call` on an idle
+/// broker runs on the calling thread, and its armed REPLACE must allocate.
+/// Returns the broker and the dead handle for the caller to tear down.
+fn die_inline() -> (Broker, slab_ingress::ClientHandle) {
+    let armed = Arc::new(AtomicBool::new(false));
+    // One bucket: its base slab holds 15 pairs, so the 16th key chains.
+    let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
+        SlabHashConfig::with_buckets(1),
+        KillSwitchAlloc {
+            inner: SerialHeapSim::new(4096, EMPTY_KEY),
+            armed: Arc::clone(&armed),
+        },
+    ));
+    // No idle ticks: the broker thread never holds the lock, so every
+    // serial call below runs inline.
+    let cfg = BrokerConfig {
+        default_deadline: Duration::from_secs(10),
+        idle_tick: Duration::from_secs(60),
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::spawn(table, cfg);
+    let inline =
+        broker
+            .metrics()
+            .counter_with("slab_ingress_cohorts_total", "", &[("path", "inline")]);
+    let client = broker.handle();
+    for k in 1..=15u32 {
+        client.call(Request::replace(k, k)).expect("healthy broker");
+    }
+    assert_eq!(inline.get(), 15);
+
+    armed.store(true, Ordering::SeqCst);
+    assert_eq!(
+        client.call(Request::replace(100, 100)),
+        Err(IngressError::BrokerGone),
+        "the panicking inline cohort's own ticket resolves to BrokerGone"
+    );
+    assert_eq!(inline.get(), 16, "the armed request ran inline");
+    // The panic stayed on the broker's side: this thread is still running,
+    // and later submits fail fast with the typed error.
+    for handle in [client.clone(), broker.handle()] {
+        assert_eq!(
+            handle.submit(Request::search(1)).unwrap_err(),
+            IngressError::BrokerGone
+        );
+    }
+    (broker, client)
+}
+
+#[test]
+fn inline_cohort_death_keeps_the_broker_death_contract() {
+    let (broker, client) = die_inline();
+    drop(client);
+    // The broker thread wakes on the closed queue and re-raises the inline
+    // cohort's panic, which `shutdown` propagates.
+    let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| broker.shutdown()));
+    assert!(
+        shutdown.is_err(),
+        "shutdown must re-raise the cohort's panic"
+    );
+
+    // `drop` absorbs the same panic and releases everything.
+    let (broker, client) = die_inline();
+    drop(client);
+    drop(broker);
+}
+
 #[test]
 fn pool_worker_death_mid_load_resolves_all_tickets() {
     let grid = Grid::new(4);
