@@ -217,12 +217,19 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     #[inline]
     pub(crate) fn slab_loc(&self, bucket: u32, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_> {
         if ptr == BASE_SLAB {
-            SlabRef {
-                storage: &self.base,
-                slab: bucket as usize,
-            }
+            self.base_slab(bucket)
         } else {
             self.alloc.resolve(ptr, ctx)
+        }
+    }
+
+    /// The head slab of `bucket` in the base array (decoding it costs
+    /// nothing on device either).
+    #[inline]
+    pub(crate) fn base_slab(&self, bucket: u32) -> SlabRef<'_> {
+        SlabRef {
+            storage: &self.base,
+            slab: bucket as usize,
         }
     }
 

@@ -253,6 +253,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let mut kinds = [OpKind::None; WARP_SIZE];
         let mut keys = [EMPTY_KEY; WARP_SIZE];
         let mut values = [0u32; WARP_SIZE];
+        let mut buckets = [0u32; WARP_SIZE];
         let mut active = [false; WARP_SIZE];
         for (lane, req) in reqs.iter_mut().enumerate() {
             if req.op != OpKind::None {
@@ -260,10 +261,12 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 kinds[lane] = req.op;
                 keys[lane] = req.key;
                 values[lane] = req.value;
+                buckets[lane] = self.hash_fn().bucket(req.key);
                 active[lane] = true;
                 req.result = OpResult::Pending;
             }
         }
+        self.prefetch_chains(&buckets, ballot(&active, |a| a));
         // Scratch for the multi-result operations.
         let mut found_all: [Vec<u32>; WARP_SIZE] = std::array::from_fn(|_| Vec::new());
         let mut deleted_count = [0u32; WARP_SIZE];
@@ -292,10 +295,10 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             }
             last_work_queue = work_queue;
 
-            // next_prior(): lowest active lane; shuffle its key; hash it.
+            // next_prior(): lowest active lane; shuffle its key and bucket.
             let src_lane = ffs(work_queue).expect("non-empty work queue");
             let src_key = keys[src_lane];
-            let src_bucket = self.hash_fn().bucket(src_key);
+            let src_bucket = buckets[src_lane];
             rounds_per_req[src_lane] += 1;
 
             // Telemetry snapshots for this round; `retries` stays live for
@@ -479,6 +482,46 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     backoff.wait_attempt(retries[src_lane].min(12));
                 }
             }
+        }
+    }
+
+    /// Prefetches every slab of every chain the lanes in `lanes` are about
+    /// to walk, so the WCWS loop's dependent `ReadSlab()`s hit cache.
+    ///
+    /// A GPU hides each warp's chain of dependent slab reads behind its
+    /// other resident warps; a host core runs one warp at a time, so each
+    /// read would be a cache miss in series. Walking all distinct buckets
+    /// depth by depth (group prefetching, Chen et al., ICDE 2004) keeps one
+    /// load per chain in flight at once instead. Lanes that share a bucket
+    /// walk it once. The walk is host-only: it bills no counter, decodes
+    /// pointers through the unbilled [`SlabAllocator::locate`], and has no
+    /// chaos yield site, so the modeled device never sees it. While the
+    /// caller holds its epoch pin chains only grow, so every next pointer
+    /// the walk reads names a slab still in its chain.
+    fn prefetch_chains(&self, buckets: &[u32; WARP_SIZE], mut lanes: u32) {
+        // The first `walking` entries are the slabs prefetched last.
+        let mut cursors = [self.base_slab(0); WARP_SIZE];
+        let mut walking = 0;
+        while let Some(lane) = ffs(lanes) {
+            lanes &= !ballot_eq(buckets, buckets[lane]);
+            let head = self.base_slab(buckets[lane]);
+            head.storage.prefetch(head.slab);
+            cursors[walking] = head;
+            walking += 1;
+        }
+        while walking > 0 {
+            let mut still = 0;
+            for i in 0..walking {
+                let at = cursors[i];
+                let next = at.storage.peek_lane(at.slab, ADDRESS_LANE);
+                if next != EMPTY_PTR {
+                    let slab = self.allocator().locate(next);
+                    slab.storage.prefetch(slab.slab);
+                    cursors[still] = slab;
+                    still += 1;
+                }
+            }
+            walking = still;
         }
     }
 
@@ -926,6 +969,71 @@ mod tests {
             "a miss reads every slab in the chain"
         );
     }
+
+    #[test]
+    fn modeled_counts_are_pinned_on_chained_buckets() {
+        // The roofline model, `alloc_cmp`'s lookups/op and `ablation`'s
+        // WCWS speedups are read from these counters, so host-side work
+        // that hides latency (the warp-start chain prefetch) must leave
+        // them exactly as they were. A regular SlabAlloc bills one shared
+        // lookup per chained-slab decode, which is what such work must not
+        // add to.
+        use simt::{Grid, PerfCounters};
+        use slab_alloc::{SlabAlloc, SlabAllocConfig};
+        let t = SlabHash::<KeyValue>::with_allocator(
+            SlabHashConfig::with_buckets(8),
+            SlabAlloc::new(SlabAllocConfig {
+                light: false,
+                fill: EMPTY_KEY,
+                ..SlabAllocConfig::small(2, 4)
+            }),
+        );
+        let grid = Grid::sequential();
+        let modeled = |c: PerfCounters| {
+            (
+                c.slab_reads,
+                c.sector_reads,
+                c.shared_lookups,
+                c.atomics,
+                c.warp_rounds,
+            )
+        };
+        // 600 keys over 8 buckets: about five slabs per chain.
+        let pairs: Vec<(u32, u32)> = (0..600).map(|k| (k, k + 1)).collect();
+        t.bulk_build(&pairs, &grid);
+
+        // SEARCH only, half hits and half misses: every op reads its base
+        // slab once and decodes one pointer per chained slab after it.
+        let mut searches: Vec<Request> = (0..256u32)
+            .map(|i| Request::search(if i % 2 == 0 { i * 2 } else { 10_000 + i }))
+            .collect();
+        let c = t.execute_batch(&mut searches, &grid).counters;
+        assert_eq!(c.ops, 256);
+        assert_eq!(c.shared_lookups, c.slab_reads - c.ops);
+        assert_eq!(modeled(c), PINNED_SEARCH);
+
+        // Mixed: SEARCH hits and misses, REPLACE of live and fresh keys,
+        // DELETE of live and absent keys.
+        let mut mixed: Vec<Request> = (0..256u32)
+            .map(|i| match i % 6 {
+                0 => Request::search(i),
+                1 => Request::search(20_000 + i),
+                2 => Request::replace(i, 7),
+                3 => Request::replace(30_000 + i, 9),
+                4 => Request::delete(i),
+                _ => Request::delete(40_000 + i),
+            })
+            .collect();
+        let c = t.execute_batch(&mut mixed, &grid).counters;
+        assert_eq!(c.ops, 256);
+        assert_eq!(modeled(c), PINNED_MIXED);
+        t.audit().unwrap();
+    }
+
+    /// `(slab_reads, sector_reads, shared_lookups, atomics, warp_rounds)`
+    /// of the batches in `modeled_counts_are_pinned_on_chained_buckets`.
+    const PINNED_SEARCH: (u64, u64, u64, u64, u64) = (1027, 0, 771, 0, 1027);
+    const PINNED_MIXED: (u64, u64, u64, u64, u64) = (951, 0, 784, 138, 957);
 
     #[test]
     fn values_may_use_full_u32_range() {

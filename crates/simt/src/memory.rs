@@ -3,12 +3,12 @@
 //! The paper fixes the slab size at 128 B = 32 × 32-bit lanes (§IV-B), so a
 //! warp reading one slab performs exactly one coalesced memory transaction
 //! with each thread holding 1/32 of the slab. We store a slab as sixteen
-//! `AtomicU64` words: lane *l* occupies the low half of word *l/2* when *l*
-//! is even, the high half when odd. That mapping makes a key–value pair
-//! (even/odd lane couple) one naturally aligned `u64`, so the paper's 64-bit
-//! `atomicCAS` of a pair is a single `compare_exchange`, and gives us sound
-//! 32-bit lane CAS (next pointers, key-only entries) via a CAS loop on the
-//! containing word.
+//! `AtomicU64` words, 128 B-aligned: lane *l* occupies the low half of word
+//! *l/2* when *l* is even, the high half when odd. That mapping makes a
+//! key–value pair (even/odd lane couple) one naturally aligned `u64`, so the
+//! paper's 64-bit `atomicCAS` of a pair is a single `compare_exchange`, and
+//! gives us sound 32-bit lane CAS (next pointers, key-only entries) via a
+//! CAS loop on the containing word.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,36 +68,74 @@ pub fn unpack_pair(word: u64) -> (u32, u32) {
 /// observes the writes that preceded its publication — the same guarantee
 /// CUDA's default-scope atomics give the original implementation.
 pub struct SlabStorage {
-    words: Box<[AtomicU64]>,
+    slabs: Box<[Slab]>,
 }
+
+/// One slab: sixteen words, aligned so it starts on a 128 B boundary. A
+/// full-slab read then touches exactly two 64 B host cache lines, as the
+/// device's one 128 B transaction does; unaligned, the allocator's usual
+/// 16 B offset would spread it over three.
+#[repr(C, align(128))]
+struct Slab([AtomicU64; WORDS_PER_SLAB]);
+
+const _: () = assert!(std::mem::size_of::<Slab>() == SLAB_BYTES);
 
 impl SlabStorage {
     /// Allocates `num_slabs` slabs with every lane initialized to `fill`
     /// (typically the data structure's `EMPTY_KEY` sentinel).
     pub fn new(num_slabs: usize, fill: u32) -> Self {
         let word = pack_pair(fill, fill);
-        let words = (0..num_slabs * WORDS_PER_SLAB)
-            .map(|_| AtomicU64::new(word))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self { words }
+        let slabs = (0..num_slabs)
+            .map(|_| Slab(std::array::from_fn(|_| AtomicU64::new(word))))
+            .collect();
+        Self { slabs }
     }
 
     /// Number of slabs in this storage.
     #[inline]
     pub fn num_slabs(&self) -> usize {
-        self.words.len() / WORDS_PER_SLAB
+        self.slabs.len()
     }
 
     /// Total bytes of device memory held.
     #[inline]
     pub fn bytes(&self) -> usize {
-        self.words.len() * 8
+        self.slabs.len() * SLAB_BYTES
     }
 
     #[inline]
     fn word(&self, slab: usize, word_idx: usize) -> &AtomicU64 {
-        &self.words[slab * WORDS_PER_SLAB + word_idx]
+        &self.slabs[slab].0[word_idx]
+    }
+
+    /// Asks the host to start loading both cache lines of `slab`, so a
+    /// later read of it does not wait on memory. Host-side latency hiding
+    /// only: it bills no counter, is no chaos yield site, and changes no
+    /// memory, so the modeled device never sees it. A no-op off x86-64.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn prefetch(&self, slab: usize) {
+        let slab = &self.slabs[slab].0;
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a prefetch is a hint: it never faults and never writes.
+        // Both addresses come from in-bounds references into this slab
+        // (word 0 and word 8 start its two cache lines).
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(&slab[0]).cast());
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(&slab[WORDS_PER_SLAB / 2]).cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = slab;
+    }
+
+    /// Unbilled single-lane 32-bit read, for host-side work the modeled
+    /// device never performs (the warp-start chain prefetch reads next
+    /// pointers through it). Kernels read through [`Self::read_lane`].
+    #[inline]
+    pub fn peek_lane(&self, slab: usize, lane: usize) -> u32 {
+        let (w, high) = lane_word(lane);
+        half(self.word(slab, w).load(Ordering::Acquire), high)
     }
 
     /// Warp-coalesced read of a whole slab: each lane receives its 32-bit
@@ -112,9 +150,8 @@ impl SlabStorage {
     pub fn read_slab(&self, slab: usize, counters: &mut PerfCounters) -> [u32; WARP_SIZE] {
         counters.slab_reads += 1;
         let mut lanes = [0u32; WARP_SIZE];
-        let base = slab * WORDS_PER_SLAB;
-        for w in 0..WORDS_PER_SLAB {
-            let word = self.words[base + w].load(Ordering::Acquire);
+        for (w, word) in self.slabs[slab].0.iter().enumerate() {
+            let word = word.load(Ordering::Acquire);
             lanes[2 * w] = word as u32;
             lanes[2 * w + 1] = (word >> 32) as u32;
         }
@@ -125,8 +162,7 @@ impl SlabStorage {
     #[inline]
     pub fn read_lane(&self, slab: usize, lane: usize, counters: &mut PerfCounters) -> u32 {
         counters.sector_reads += 1;
-        let (w, high) = lane_word(lane);
-        half(self.word(slab, w).load(Ordering::Acquire), high)
+        self.peek_lane(slab, lane)
     }
 
     /// Non-atomic-looking plain store of a single lane, implemented as an RMW
@@ -239,9 +275,8 @@ impl SlabStorage {
     pub fn clear_slab(&self, slab: usize, fill: u32, counters: &mut PerfCounters) {
         counters.sector_writes += WORDS_PER_SLAB as u64;
         let word = pack_pair(fill, fill);
-        let base = slab * WORDS_PER_SLAB;
-        for w in 0..WORDS_PER_SLAB {
-            self.words[base + w].store(word, Ordering::Release);
+        for w in &self.slabs[slab].0 {
+            w.store(word, Ordering::Release);
         }
     }
 }
@@ -273,6 +308,30 @@ mod tests {
             let lanes = s.read_slab(slab, &mut c);
             assert!(lanes.iter().all(|&l| l == 0xFFFF_FFFF));
         }
+    }
+
+    #[test]
+    fn every_slab_of_a_large_storage_is_128_byte_aligned() {
+        // 2^16 slabs (8 MiB): a plain word array this large comes back
+        // from the system allocator at offset 16 mod 128.
+        let n = 1 << 16;
+        let s = SlabStorage::new(n, 0);
+        assert_eq!(s.num_slabs(), n);
+        assert_eq!(s.bytes(), n * SLAB_BYTES);
+        for slab in s.slabs.iter() {
+            let addr = std::ptr::from_ref(slab) as usize;
+            assert_eq!(
+                addr % 128,
+                0,
+                "slab at {addr:#x} straddles a third cache line"
+            );
+        }
+        // Prefetching is unobservable: no counter, no change.
+        let mut c = counters();
+        s.prefetch(0);
+        s.prefetch(n - 1);
+        assert_eq!(s.peek_lane(n - 1, 31), 0);
+        assert_eq!(s.read_slab(n - 1, &mut c), [0; WARP_SIZE]);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl SlabAllocator for SerialHeapSim {
         heap.free_list.push(ptr);
     }
 
-    fn resolve(&self, ptr: u32, _ctx: &mut WarpCtx) -> SlabRef<'_> {
+    fn locate(&self, ptr: u32) -> SlabRef<'_> {
         SlabRef {
             storage: &self.storage,
             slab: ptr as usize,
@@ -266,7 +266,7 @@ impl SlabAllocator for HallocSim {
         }
     }
 
-    fn resolve(&self, ptr: u32, _ctx: &mut WarpCtx) -> SlabRef<'_> {
+    fn locate(&self, ptr: u32) -> SlabRef<'_> {
         SlabRef {
             storage: &self.storage,
             slab: ptr as usize,

@@ -429,19 +429,20 @@ impl SlabAllocator for SlabAlloc {
         }
     }
 
-    fn resolve(&self, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_> {
+    fn locate(&self, ptr: u32) -> SlabRef<'_> {
         debug_assert!(is_allocated_ptr(ptr));
         let addr = SlabAddr::decode(ptr).expect("resolving a sentinel pointer");
-        if !self.config.light {
-            // Regular SlabAlloc: the super block's 64-bit base pointer lives
-            // in shared memory and must be fetched on every lookup (§V).
-            ctx.counters.shared_lookups += 1;
-        }
         let sb = self.super_block(addr.super_block);
         SlabRef {
             storage: sb.slabs(),
             slab: addr.slab_index_in_super(),
         }
+    }
+
+    fn lookups_per_decode(&self) -> u64 {
+        // Regular SlabAlloc: the super block's 64-bit base pointer lives in
+        // shared memory and must be fetched on every lookup (§V).
+        u64::from(!self.config.light)
     }
 
     fn allocated_slabs(&self) -> u64 {

@@ -107,10 +107,26 @@ pub trait SlabAllocator: Sync {
     /// untouched.
     fn deallocate(&self, ptr: u32, ctx: &mut WarpCtx);
 
+    /// Decodes a 32-bit slab pointer into a concrete storage location and
+    /// bills nothing. Host-side work the modeled device never performs
+    /// (the warp-start chain prefetch) decodes through here; kernels call
+    /// [`SlabAllocator::resolve`].
+    fn locate(&self, ptr: u32) -> SlabRef<'_>;
+
+    /// Shared-memory lookups one pointer decode costs on device: one for
+    /// the regular SlabAlloc, whose super-block base pointers live in
+    /// shared memory (§V); none for SlabAlloc-light or the baselines.
+    fn lookups_per_decode(&self) -> u64 {
+        0
+    }
+
     /// Decodes a 32-bit slab pointer into a concrete storage location,
-    /// billing whatever the decode costs on device (the regular SlabAlloc's
-    /// shared-memory base-pointer lookup; nothing for -light).
-    fn resolve(&self, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_>;
+    /// billing what the decode costs on device
+    /// ([`SlabAllocator::lookups_per_decode`]).
+    fn resolve(&self, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_> {
+        ctx.counters.shared_lookups += self.lookups_per_decode();
+        self.locate(ptr)
+    }
 
     /// Slabs currently allocated (host-side statistic).
     fn allocated_slabs(&self) -> u64;

@@ -5,10 +5,15 @@
 //!
 //! Chaos mode is process-global, so these tests serialize behind a mutex.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use simt::{ChaosGuard, Grid};
-use slab_hash::{KeyOnly, KeyValue, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver};
+use rand::{Rng, SeedableRng};
+use simt::{ChaosGuard, Grid, WarpCtx};
+use slab_alloc::{AllocError, SlabAlloc, SlabAllocConfig, SlabAllocator, SlabRef};
+use slab_hash::{
+    KeyOnly, KeyValue, OpKind, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver, EMPTY_KEY,
+};
 
 static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
@@ -211,7 +216,6 @@ fn concurrent_inserts_reusing_tombstones_never_lose_elements() {
 
 #[test]
 fn allocator_chaos_storm_no_duplicate_slabs() {
-    use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
     let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::new(0.3);
     let alloc = SlabAlloc::new(SlabAllocConfig::small(2, 2));
@@ -247,4 +251,139 @@ fn mixed_workload_conservation_under_chaos() {
     table.execute_batch(&mut reqs, &grid);
     assert_eq!(table.len(), 500 + 400 - 300);
     table.audit().unwrap();
+}
+
+/// SlabAlloc with a count of its unbilled `locate` decodes. Kernels decode
+/// through `resolve`, which this wrapper forwards to the inner allocator's
+/// own `resolve`, so `walked` counts only the warp-start chain prefetch.
+struct WalkCountingAlloc {
+    inner: SlabAlloc,
+    walked: AtomicU64,
+}
+
+impl SlabAllocator for WalkCountingAlloc {
+    type WarpState = <SlabAlloc as SlabAllocator>::WarpState;
+
+    fn new_warp_state(&self) -> Self::WarpState {
+        self.inner.new_warp_state()
+    }
+
+    fn try_allocate(
+        &self,
+        state: &mut Self::WarpState,
+        ctx: &mut WarpCtx,
+    ) -> Result<u32, AllocError> {
+        self.inner.try_allocate(state, ctx)
+    }
+
+    fn deallocate(&self, ptr: u32, ctx: &mut WarpCtx) {
+        self.inner.deallocate(ptr, ctx)
+    }
+
+    fn locate(&self, ptr: u32) -> SlabRef<'_> {
+        self.walked.fetch_add(1, Ordering::Relaxed);
+        self.inner.locate(ptr)
+    }
+
+    fn resolve(&self, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_> {
+        self.inner.resolve(ptr, ctx)
+    }
+
+    fn allocated_slabs(&self) -> u64 {
+        self.inner.allocated_slabs()
+    }
+
+    fn capacity_slabs(&self) -> u64 {
+        self.inner.capacity_slabs()
+    }
+
+    fn metadata_bytes(&self) -> u64 {
+        self.inner.metadata_bytes()
+    }
+
+    fn committed_bytes(&self) -> u64 {
+        self.inner.committed_bytes()
+    }
+}
+
+#[test]
+fn chain_prefetch_races_writers_on_a_long_chain() {
+    // One bucket, a chain of at least 64 slabs, and warps of 32 lanes
+    // mixing SEARCH, REPLACE and DELETE on it from two threads: each
+    // warp's warp-start prefetch walks the chain while other warps append
+    // to its tail (`follow_or_allocate`'s link CAS) and tombstone inside
+    // it. Each warp owns its keys and runs its lanes in order, so a
+    // sequential oracle applying the batch in order predicts every result.
+    let _l = CHAOS_LOCK.lock();
+    let _g = ChaosGuard::new(0.2);
+    let grid = Grid::new(2);
+    let table = SlabHash::<KeyValue, _>::with_allocator(
+        SlabHashConfig::with_buckets(1),
+        WalkCountingAlloc {
+            inner: SlabAlloc::new(SlabAllocConfig {
+                fill: EMPTY_KEY,
+                ..SlabAllocConfig::small(1, 4)
+            }),
+            walked: AtomicU64::new(0),
+        },
+    );
+    const WARPS: u32 = 32;
+    let initial: Vec<(u32, u32)> = (0..1_000).map(|k| (k, k)).collect();
+    table.bulk_build(&initial, &grid);
+    let chained_before = table.bucket_slab_count(0) as u64 - 1;
+    assert!(
+        chained_before >= 63,
+        "chain of {} slabs",
+        chained_before + 1
+    );
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4A1_0000);
+    let mut reqs = Vec::new();
+    for w in 0..WARPS {
+        // Four stored keys spread along the chain, eight fresh ones.
+        let pool: Vec<u32> = (0..4)
+            .map(|j| w + WARPS * 7 * j)
+            .chain((0..8).map(|j| 10_000 + w * 8 + j))
+            .collect();
+        for lane in 0..32u32 {
+            let key = pool[rng.gen_range(0..pool.len())];
+            reqs.push(match rng.gen_range(0..3) {
+                0 => Request::search(key),
+                1 => Request::replace(key, (w << 16) | lane),
+                _ => Request::delete(key),
+            });
+        }
+    }
+    let mut oracle: HashMap<u32, u32> = initial.into_iter().collect();
+    let expected: Vec<OpResult> = reqs
+        .iter()
+        .map(|r| match r.op {
+            OpKind::Search => oracle
+                .get(&r.key)
+                .map_or(OpResult::NotFound, |&v| OpResult::Found(v)),
+            OpKind::Replace => oracle
+                .insert(r.key, r.value)
+                .map_or(OpResult::Inserted, OpResult::Replaced),
+            _ => oracle
+                .remove(&r.key)
+                .map_or(OpResult::NotFound, OpResult::Deleted),
+        })
+        .collect();
+
+    table.allocator().walked.store(0, Ordering::Relaxed);
+    table.execute_batch(&mut reqs, &grid);
+    let walked = table.allocator().walked.load(Ordering::Relaxed);
+    for (i, (r, want)) in reqs.iter().zip(&expected).enumerate() {
+        assert_eq!(&r.result, want, "request {i}: {:?}({})", r.op, r.key);
+    }
+    assert_eq!(table.len(), oracle.len());
+    assert!(table.audit().unwrap().no_leaks(), "leaked slabs");
+
+    // Each warp walked the one bucket's chain once, not once per lane:
+    // between the chain's length before the batch and after it.
+    let chained_after = table.bucket_slab_count(0) as u64 - 1;
+    assert!(
+        (u64::from(WARPS) * chained_before..=u64::from(WARPS) * chained_after).contains(&walked),
+        "{walked} decodes for {WARPS} warps over {chained_before}..={chained_after} chained slabs"
+    );
 }

@@ -230,8 +230,8 @@ impl SlabAllocator for KillSwitchAlloc {
         self.inner.deallocate(ptr, ctx)
     }
 
-    fn resolve(&self, ptr: u32, ctx: &mut WarpCtx) -> SlabRef<'_> {
-        self.inner.resolve(ptr, ctx)
+    fn locate(&self, ptr: u32) -> SlabRef<'_> {
+        self.inner.locate(ptr)
     }
 
     fn allocated_slabs(&self) -> u64 {
