@@ -1,811 +1,137 @@
-//! YCSB-style ingress benchmark: closed- and open-loop, machine-readable.
+//! Wire load client: the load half of the transport smoke test.
 //!
-//! Drives the `slab-ingress` broker the way a key-value service is actually
-//! loaded, and records what the overload machinery does about it:
+//! `ycsb --connect ADDR` drives an already-running server (see the
+//! `wire_server` binary) with C client threads, one reconnecting
+//! [`WireClient`] each and one request in flight per client: 90 % SEARCH,
+//! 10 % REPLACE over a fixed keyspace. It is deliberately failure-tolerant:
+//! transport errors are counted, not fatal, and clients redial through
+//! server restarts, so `scripts/transport_smoke.sh` can `kill -9` the
+//! server mid-load and still read a clean report.
 //!
-//! * `closed_loop` — C client threads in a call/await loop (each client has
-//!   at most one request in flight). This measures the broker's sustainable
-//!   service rate; its throughput seeds the open-loop rates.
-//! * `open_loop` — requests submitted on a fixed schedule below saturation,
-//!   latencies broker-stamped (no coordinated omission: the schedule does
-//!   not slow down when the broker does). The offered rate is derived from
-//!   a *measured knee*: short probe runs walk up fractions of the
-//!   closed-loop rate until the pacer stops running clean (sheds, timeouts,
-//!   or a blown p99), and the section runs at the last clean rate times a
-//!   safety margin. The probe ladder and chosen rate are recorded in the
-//!   output under `rate_probe`.
-//! * `open_loop_overload` — the same schedule at ~3x sustainable. The point
-//!   is not throughput but *behavior*: admitted requests keep bounded
-//!   latency while the surplus is answered with typed shed/timeout errors.
+//! Flags: `--connect HOST:PORT` (required), `--clients C` (default 4),
+//! `--duration-ms D` (default 400), `--out <path>` (default
+//! `transport_load.json`). The report carries `completed`,
+//! `transport_errors` and `reconnects`, which the smoke script asserts on.
 //!
-//! Each section reports p50/p99/p999/max latency over completed requests,
-//! shed / timed-out / error counts, and the per-stage span decomposition
-//! (queue-wait / admission / dispatch / execute / reply) with a
-//! reconciliation figure: the mean of per-stage sums against the mean
-//! end-to-end latency, both in nanosecond precision. Output:
-//! `BENCH_7.json`.
-//!
-//! Flags: `--quick` (CI sizes), `--clients C` (default 8, quick 4),
-//! `--duration-ms D` per section (default 2000, quick 400),
-//! `--read PCT` (default 90), `--rate R` (override the open-loop base rate,
-//! skipping the knee probe), `--chaos` (inject CAS failures + yields into
-//! broker dispatches), `--out <path>` (default `BENCH_7.json`).
-//!
-//! Wire-transport modes (issue 9; default output `BENCH_9.json`):
-//!
-//! * `--socket` — run the closed loop twice against the *same* preloaded
-//!   table: once in-process (broker handles) and once over a loopback TCP
-//!   [`WireServer`] with one reconnecting [`WireClient`] per thread. The
-//!   report puts the two side by side plus a `wire_tax` section (added
-//!   latency and throughput ratio), so the cost of framing + loopback TCP
-//!   is a measured number instead of folklore.
-//! * `--connect ADDR` — drive an already-running server (see the
-//!   `wire_server` binary) with the same closed loop. This mode is
-//!   deliberately failure-tolerant: transport errors are counted, not
-//!   fatal, and clients redial through server restarts — it is the load
-//!   half of the `kill -9` smoke test in CI.
+//! Performance is measured by the ledger (`ledger/`, workload
+//! `wire_closed`), not here.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use simt::FaultPlan;
 use slab_bench::Args;
-use slab_hash::{KeyValue, Request, SlabHash, SlabHashConfig};
-use slab_ingress::{
-    Broker, BrokerConfig, LatencyRecorder, LatencySummary, Reply, Ticket, WireClient,
-    WireClientConfig, WireServer, WireServerConfig, STAGES, STAGE_COUNT,
-};
+use slab_hash::Request;
+use slab_ingress::{WireClient, WireClientConfig};
 
-/// Everything one run section reports into the JSON.
+/// Keys drawn by the request mix.
+const KEYSPACE: u32 = 1 << 14;
+/// Per-call deadline budget.
+const BUDGET: Duration = Duration::from_millis(250);
+
+/// What the clients saw, summed over threads.
 #[derive(Default)]
-struct RunStats {
+struct LoadStats {
     attempted: u64,
     completed: u64,
-    shed: u64,
-    timed_out: u64,
+    refused: u64,
+    transport_errors: u64,
     errors: u64,
-    latency: LatencyRecorder,
-    /// Per-stage span durations of completed requests, in nanoseconds
-    /// (recorded raw, reported as microseconds).
-    stages: [LatencyRecorder; STAGE_COUNT],
-    /// Nanosecond sums over completed requests, for the reconciliation
-    /// figure: end-to-end span totals vs the sums of their stages.
-    latency_ns: u128,
-    stage_ns: u128,
-    wall: Duration,
+    reconnects: u64,
 }
 
-impl RunStats {
-    fn absorb(&mut self, reply: &Reply) {
-        match &reply.result {
-            Ok(_) => {
-                self.completed += 1;
-                self.latency.record(reply.latency);
-                for (i, rec) in self.stages.iter_mut().enumerate() {
-                    if reply.span.marked[i] {
-                        rec.record_raw(reply.span.stage_ns[i]);
-                    }
-                }
-                self.latency_ns += u128::from(reply.span.total_ns);
-                self.stage_ns += u128::from(reply.span.stage_sum_ns());
-            }
-            Err(e) if e.is_shed() => self.shed += 1,
-            Err(e) if e.is_timeout() => self.timed_out += 1,
-            Err(_) => self.errors += 1,
-        }
-    }
-
-    fn merge(&mut self, other: &RunStats) {
+impl LoadStats {
+    fn merge(&mut self, other: &LoadStats) {
         self.attempted += other.attempted;
         self.completed += other.completed;
-        self.shed += other.shed;
-        self.timed_out += other.timed_out;
+        self.refused += other.refused;
+        self.transport_errors += other.transport_errors;
         self.errors += other.errors;
-        self.latency.merge(&other.latency);
-        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
-            mine.merge(theirs);
-        }
-        self.latency_ns += other.latency_ns;
-        self.stage_ns += other.stage_ns;
-    }
-
-    fn throughput(&self) -> f64 {
-        self.completed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Mean end-to-end latency of completed requests, microseconds
-    /// (nanosecond-derived, so the reconciliation below is not defeated by
-    /// truncation).
-    fn mean_us(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.latency_ns as f64 / self.completed as f64 / 1e3
-    }
-
-    /// Mean of per-request stage sums, microseconds.
-    fn stage_sum_mean_us(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.stage_ns as f64 / self.completed as f64 / 1e3
-    }
-
-    /// How far the stage decomposition drifts from the end-to-end mean, in
-    /// percent. Stages telescope broker-side, so this should be ~0.
-    fn reconciliation_pct(&self) -> f64 {
-        let mean = self.mean_us();
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        (self.stage_sum_mean_us() - mean).abs() / mean * 100.0
-    }
-
-    fn stages_json(&self) -> String {
-        let parts: Vec<String> = STAGES
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| {
-                let s = self.stages[i].summary();
-                format!(
-                    "\"{}\": {{\"p50_us\": {:.3}, \"p99_us\": {:.3}, \"mean_us\": {:.3}}}",
-                    stage.name(),
-                    s.p50_us as f64 / 1e3,
-                    s.p99_us as f64 / 1e3,
-                    self.stages[i].mean() / 1e3,
-                )
-            })
-            .collect();
-        format!("{{{}}}", parts.join(", "))
-    }
-
-    fn json(&self, offered_rate: Option<f64>) -> String {
-        let s: LatencySummary = self.latency.summary();
-        let offered = offered_rate
-            .map(|r| format!("\"offered_ops_s\": {r:.0}, "))
-            .unwrap_or_default();
-        format!(
-            "{{{offered}\"throughput_ops_s\": {:.0}, \"attempted\": {}, \"completed\": {}, \
-             \"shed\": {}, \"timed_out\": {}, \"errors\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {}, \
-             \"mean_us\": {:.3}, \"stage_sum_mean_us\": {:.3}, \
-             \"stage_reconciliation_pct\": {:.3}, \"stages\": {}}}",
-            self.throughput(),
-            self.attempted,
-            self.completed,
-            self.shed,
-            self.timed_out,
-            self.errors,
-            s.p50_us,
-            s.p99_us,
-            s.p999_us,
-            s.max_us,
-            self.mean_us(),
-            self.stage_sum_mean_us(),
-            self.reconciliation_pct(),
-            self.stages_json(),
-        )
+        self.reconnects += other.reconnects;
     }
 }
 
-/// Deterministic request mix: `read_pct` % searches over a preloaded
-/// keyspace, the rest REPLACE upserts (the YCSB update flavor).
-fn request_for(i: u64, keyspace: u32, read_pct: u32) -> Request {
+/// Deterministic request mix: 90 % searches, the rest REPLACE upserts.
+fn request_for(i: u64) -> Request {
     // SplitMix64-style scramble: cheap, stateless, well distributed.
     let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    let key = 1 + (z as u32 % keyspace);
-    if (z >> 32) as u32 % 100 < read_pct {
+    let key = 1 + (z as u32 % KEYSPACE);
+    if (z >> 32) as u32 % 100 < 90 {
         Request::search(key)
     } else {
         Request::replace(key, i as u32)
     }
 }
 
-fn broker_config(chaos: bool, deadline: Duration) -> BrokerConfig {
-    BrokerConfig {
-        default_deadline: deadline,
-        chaos: chaos.then(|| FaultPlan::seeded(42).with_cas_failures(0.05).with_yields(0.01)),
-        ..BrokerConfig::default()
-    }
-}
-
-fn preload(table: &Arc<SlabHash<KeyValue>>, keyspace: u32) {
-    let broker = Broker::spawn(
-        Arc::clone(table),
-        BrokerConfig {
-            default_deadline: Duration::from_secs(30),
-            ..BrokerConfig::default()
-        },
-    );
-    let client = broker.handle();
-    let tickets: Vec<Ticket> = (1..=keyspace / 2)
-        .map(|k| {
-            client
-                .submit_blocking(Request::replace(k * 2, k), Duration::from_secs(30))
-                .expect("preload submit")
-        })
-        .collect();
-    for t in tickets {
-        t.wait().result.expect("preload insert");
-    }
-    drop(client);
-    broker.shutdown();
-}
-
-/// C threads, one outstanding request each: the broker's sustainable rate.
-fn closed_loop(
-    table: &Arc<SlabHash<KeyValue>>,
-    clients: usize,
+/// One client thread's closed loop until `duration` has passed.
+fn client_loop(
+    addr: std::net::SocketAddr,
+    c: u64,
+    start: Instant,
     duration: Duration,
-    keyspace: u32,
-    read_pct: u32,
-    chaos: bool,
-) -> RunStats {
-    let broker = Broker::spawn(
-        Arc::clone(table),
-        broker_config(chaos, Duration::from_millis(100)),
-    );
-    let start = Instant::now();
-    let joins: Vec<_> = (0..clients as u64)
-        .map(|c| {
-            let client = broker.handle();
-            std::thread::spawn(move || {
-                let mut stats = RunStats::default();
-                let mut i = c << 40;
-                let budget = client.default_deadline();
-                while start.elapsed() < duration {
-                    let req = request_for(i, keyspace, read_pct);
-                    i += 1;
-                    stats.attempted += 1;
-                    // Submit-then-wait (rather than `call`) so the reply's
-                    // span decomposition is available; latency stays
-                    // broker-stamped and the broker's own deadline machinery
-                    // bounds the wait.
-                    match client.submit_blocking(req, budget) {
-                        Ok(ticket) => stats.absorb(&ticket.wait()),
-                        Err(e) if e.is_shed() => stats.shed += 1,
-                        Err(e) if e.is_timeout() => stats.timed_out += 1,
-                        Err(_) => stats.errors += 1,
-                    }
-                }
-                stats
-            })
-        })
-        .collect();
-    let mut total = RunStats::default();
-    for join in joins {
-        total.merge(&join.join().expect("closed-loop client"));
-    }
-    total.wall = start.elapsed();
-    broker.shutdown();
-    total
-}
-
-/// Fixed-schedule submission at `rate` ops/s; replies reaped afterwards with
-/// broker-stamped latencies, so slow service can't hide behind slow issuing.
-fn open_loop(
-    table: &Arc<SlabHash<KeyValue>>,
-    rate: f64,
-    duration: Duration,
-    keyspace: u32,
-    read_pct: u32,
-    chaos: bool,
-) -> RunStats {
-    let broker = Broker::spawn(
-        Arc::clone(table),
-        broker_config(chaos, Duration::from_millis(100)),
-    );
-    let client = broker.handle();
-    let interval = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let mut stats = RunStats::default();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let start = Instant::now();
-    let mut i = 0u64;
-    loop {
-        let due = start + interval.mul_f64(i as f64);
-        if due.duration_since(start) >= duration {
-            break;
-        }
-        // Yield, don't spin: on narrow hosts a spinning pacer starves the
-        // broker thread of the very cycles it needs to drain the queue.
-        while Instant::now() < due {
-            std::thread::yield_now();
-        }
+) -> LoadStats {
+    let mut stats = LoadStats::default();
+    let cfg = WireClientConfig {
+        default_deadline: BUDGET,
+        seed: 0x59C5_B000 + c,
+        ..WireClientConfig::default()
+    };
+    let Ok(mut client) = WireClient::new(addr, cfg) else {
+        return stats;
+    };
+    let mut i = c << 40;
+    while start.elapsed() < duration {
         stats.attempted += 1;
-        match client.submit(request_for(i, keyspace, read_pct)) {
-            Ok(t) => tickets.push(t),
-            // A full queue is the open-loop shed signal: the request was
-            // refused at the door, before consuming broker time.
-            Err(e) if e.is_shed() => stats.shed += 1,
+        match client.call(request_for(i)) {
+            Ok(_) => stats.completed += 1,
+            Err(e) if e.is_overload() || e.is_timeout() => stats.refused += 1,
+            Err(e) if e.is_disconnect() => stats.transport_errors += 1,
             Err(_) => stats.errors += 1,
         }
         i += 1;
     }
-    for t in tickets {
-        stats.absorb(&t.wait());
-    }
-    stats.wall = start.elapsed();
-    drop(client);
-    broker.shutdown();
+    stats.reconnects = client.stats().reconnects;
     stats
-}
-
-/// The knee-probe record: which fractions of the closed-loop rate ran
-/// clean, and the below-saturation rate chosen from them.
-struct RateProbe {
-    /// Fractions of the closed-loop rate probed, in ladder order.
-    fractions: Vec<f64>,
-    /// Whether each probe ran clean (no sheds/timeouts/errors, bounded
-    /// p99). The ladder stops at the first dirty rung.
-    clean: Vec<bool>,
-    /// Highest offered rate that ran clean (ops/s).
-    knee_ops_s: f64,
-    /// Safety margin applied to the knee for the measured section.
-    margin: f64,
-    /// The open-loop section's offered rate: knee × margin (ops/s).
-    chosen_ops_s: f64,
-}
-
-impl RateProbe {
-    fn json(&self) -> String {
-        let fr: Vec<String> = self.fractions.iter().map(|f| format!("{f}")).collect();
-        let cl: Vec<String> = self.clean.iter().map(|c| c.to_string()).collect();
-        format!(
-            "{{\"source\": \"probe\", \"fractions\": [{}], \"clean\": [{}], \
-             \"knee_ops_s\": {:.0}, \"margin\": {}, \"chosen_ops_s\": {:.0}}}",
-            fr.join(", "),
-            cl.join(", "),
-            self.knee_ops_s,
-            self.margin,
-            self.chosen_ops_s,
-        )
-    }
-}
-
-/// Walks short open-loop probes up a ladder of fractions of the measured
-/// closed-loop rate and returns the knee: the highest offered rate the
-/// paced submitter sustains *clean* — every submission admitted and
-/// completed, p99 within a quarter of the deadline budget. The section
-/// then runs at the knee times a safety margin, replacing the hard-coded
-/// guess (an eighth of closed-loop) that tracked neither host width nor
-/// chaos mode.
-fn probe_knee(
-    table: &Arc<SlabHash<KeyValue>>,
-    sustainable: f64,
-    duration: Duration,
-    keyspace: u32,
-    read_pct: u32,
-    chaos: bool,
-) -> RateProbe {
-    const LADDER: [f64; 5] = [0.0625, 0.125, 0.25, 0.375, 0.5];
-    const MARGIN: f64 = 0.8;
-    // A probe only needs enough requests to surface queue build-up; a
-    // quarter section (floored for --quick) keeps the ladder affordable.
-    let probe_duration = (duration / 4).max(Duration::from_millis(150));
-    // "Clean" means the latency tail never approached the deadline: p99
-    // within a quarter of the 100 ms budget the sections run with.
-    let p99_bound_us = Duration::from_millis(100).as_micros() as u64 / 4;
-    let mut fractions = Vec::new();
-    let mut clean = Vec::new();
-    let mut knee = sustainable * LADDER[0];
-    for &fraction in &LADDER {
-        let rate = sustainable * fraction;
-        let stats = open_loop(table, rate, probe_duration, keyspace, read_pct, chaos);
-        let p99_us = stats.latency.summary().p99_us;
-        let ok = stats.shed == 0
-            && stats.timed_out == 0
-            && stats.errors == 0
-            && stats.completed == stats.attempted
-            && p99_us <= p99_bound_us;
-        println!(
-            "  probe @{rate:.0}/s ({:.0}% of closed): p99 {p99_us} us, \
-             {}/{} completed, {} shed, {} timed out -> {}",
-            fraction * 100.0,
-            stats.completed,
-            stats.attempted,
-            stats.shed,
-            stats.timed_out,
-            if ok { "clean" } else { "dirty" },
-        );
-        fractions.push(fraction);
-        clean.push(ok);
-        if ok {
-            knee = rate;
-        } else {
-            break;
-        }
-    }
-    RateProbe {
-        fractions,
-        clean,
-        knee_ops_s: knee,
-        margin: MARGIN,
-        chosen_ops_s: knee * MARGIN,
-    }
-}
-
-/// What one socket-mode run section reports: like [`RunStats`] but with
-/// client-measured latency (the wire tax is part of the number, which is the
-/// point) and the transport-layer failure taxonomy alongside the broker's.
-#[derive(Default)]
-struct SocketStats {
-    attempted: u64,
-    completed: u64,
-    shed: u64,
-    timed_out: u64,
-    transport_errors: u64,
-    errors: u64,
-    reconnects: u64,
-    connect_failures: u64,
-    latency: LatencyRecorder,
-    latency_ns: u128,
-    wall: Duration,
-}
-
-impl SocketStats {
-    fn merge(&mut self, other: &SocketStats) {
-        self.attempted += other.attempted;
-        self.completed += other.completed;
-        self.shed += other.shed;
-        self.timed_out += other.timed_out;
-        self.transport_errors += other.transport_errors;
-        self.errors += other.errors;
-        self.reconnects += other.reconnects;
-        self.connect_failures += other.connect_failures;
-        self.latency.merge(&other.latency);
-        self.latency_ns += other.latency_ns;
-    }
-
-    fn throughput(&self) -> f64 {
-        self.completed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn mean_us(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.latency_ns as f64 / self.completed as f64 / 1e3
-    }
-
-    fn json(&self) -> String {
-        let s: LatencySummary = self.latency.summary();
-        format!(
-            "{{\"throughput_ops_s\": {:.0}, \"attempted\": {}, \"completed\": {}, \
-             \"shed\": {}, \"timed_out\": {}, \"transport_errors\": {}, \"errors\": {}, \
-             \"reconnects\": {}, \"connect_failures\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {}, \
-             \"mean_us\": {:.3}}}",
-            self.throughput(),
-            self.attempted,
-            self.completed,
-            self.shed,
-            self.timed_out,
-            self.transport_errors,
-            self.errors,
-            self.reconnects,
-            self.connect_failures,
-            s.p50_us,
-            s.p99_us,
-            s.p999_us,
-            s.max_us,
-            self.mean_us(),
-        )
-    }
-}
-
-/// C threads, one [`WireClient`] each, one outstanding request per client:
-/// the socket twin of [`closed_loop`]. Latency is client-measured around
-/// `call_with_deadline`, so it includes encode + TCP + decode — the wire
-/// tax. Transport failures are counted and survived (clients redial on the
-/// next call), which is what lets the `--connect` smoke test `kill -9` the
-/// server mid-load and still get a clean report.
-fn socket_closed_loop(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    duration: Duration,
-    keyspace: u32,
-    read_pct: u32,
-    budget: Duration,
-) -> SocketStats {
-    let start = Instant::now();
-    let joins: Vec<_> = (0..clients as u64)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut stats = SocketStats::default();
-                let cfg = WireClientConfig {
-                    default_deadline: budget,
-                    seed: 0x59C5_B000 + c,
-                    ..WireClientConfig::default()
-                };
-                let mut client = match WireClient::new(addr, cfg) {
-                    Ok(client) => client,
-                    Err(_) => return stats,
-                };
-                let mut i = c << 40;
-                while start.elapsed() < duration {
-                    let req = request_for(i, keyspace, read_pct);
-                    i += 1;
-                    stats.attempted += 1;
-                    let t0 = Instant::now();
-                    match client.call(req) {
-                        Ok(_) => {
-                            let dt = t0.elapsed();
-                            stats.completed += 1;
-                            stats.latency.record(dt);
-                            stats.latency_ns += dt.as_nanos();
-                        }
-                        Err(e) if e.is_overload() => stats.shed += 1,
-                        Err(e) if e.is_timeout() => stats.timed_out += 1,
-                        Err(e) if e.is_disconnect() => stats.transport_errors += 1,
-                        Err(_) => stats.errors += 1,
-                    }
-                }
-                let cs = client.stats();
-                stats.reconnects = cs.reconnects;
-                stats.connect_failures = cs.connect_failures;
-                stats
-            })
-        })
-        .collect();
-    let mut total = SocketStats::default();
-    for join in joins {
-        total.merge(&join.join().expect("socket closed-loop client"));
-    }
-    total.wall = start.elapsed();
-    total
-}
-
-fn print_socket_summary(label: &str, stats: &SocketStats) {
-    println!(
-        "{label}: {:.0} ops/s, p50 {} us, p99 {} us ({} completed, {} shed, \
-         {} timed out, {} transport errors, {} reconnects)",
-        stats.throughput(),
-        stats.latency.summary().p50_us,
-        stats.latency.summary().p99_us,
-        stats.completed,
-        stats.shed,
-        stats.timed_out,
-        stats.transport_errors,
-        stats.reconnects,
-    );
-}
-
-/// `--socket`: in-process baseline and loopback-TCP run over one table,
-/// reported side by side with the measured wire tax.
-fn run_socket_mode(args: &Args) {
-    let quick = args.flag("quick");
-    let clients: usize = args.value("clients").unwrap_or(if quick { 4 } else { 8 });
-    let duration = Duration::from_millis(
-        args.value("duration-ms").unwrap_or(if quick { 400 } else { 2000 }),
-    );
-    let read_pct: u32 = args.value("read").unwrap_or(90).min(100);
-    let out: String = args.value("out").unwrap_or_else(|| "BENCH_9.json".into());
-    let keyspace: u32 = if quick { 1 << 14 } else { 1 << 17 };
-    let budget = Duration::from_millis(100);
-
-    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(
-        keyspace / 16,
-    )));
-    preload(&table, keyspace);
-    println!(
-        "wire ycsb: {clients} clients, {read_pct}% reads, {}ms/section",
-        duration.as_millis()
-    );
-
-    let in_process = closed_loop(&table, clients, duration, keyspace, read_pct, false);
-    println!(
-        "in-process closed loop: {:.0} ops/s, p50 {} us, p99 {} us",
-        in_process.throughput(),
-        in_process.latency.summary().p50_us,
-        in_process.latency.summary().p99_us,
-    );
-
-    let broker = Broker::spawn(Arc::clone(&table), broker_config(false, budget));
-    let server = WireServer::bind("127.0.0.1:0", &broker, WireServerConfig::default())
-        .expect("bind loopback wire server");
-    let socket = socket_closed_loop(
-        server.local_addr(),
-        clients,
-        duration,
-        keyspace,
-        read_pct,
-        budget,
-    );
-    print_socket_summary("socket closed loop", &socket);
-    server.shutdown();
-    broker.shutdown();
-
-    let inproc_sum = in_process.latency.summary();
-    let socket_sum = socket.latency.summary();
-    let tax_p50 = socket_sum.p50_us as i64 - inproc_sum.p50_us as i64;
-    let tax_p99 = socket_sum.p99_us as i64 - inproc_sum.p99_us as i64;
-    let ratio = if in_process.throughput() > 0.0 {
-        socket.throughput() / in_process.throughput()
-    } else {
-        0.0
-    };
-    println!(
-        "wire tax: +{tax_p50} us p50, +{tax_p99} us p99, {:.2}x in-process throughput",
-        ratio
-    );
-
-    let json = format!(
-        "{{\n  \
-         \"bench\": \"wire_transport\",\n  \
-         \"issue\": 9,\n  \
-         \"clients\": {clients},\n  \
-         \"read_pct\": {read_pct},\n  \
-         \"duration_ms\": {},\n  \
-         \"in_process\": {},\n  \
-         \"socket\": {},\n  \
-         \"wire_tax\": {{\"p50_us\": {tax_p50}, \"p99_us\": {tax_p99}, \
-         \"throughput_ratio\": {ratio:.4}}}\n\
-         }}\n",
-        duration.as_millis(),
-        in_process.json(None),
-        socket.json(),
-    );
-    std::fs::write(&out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// `--connect ADDR`: the load half of the transport smoke test. Drives an
-/// external server, surviving (and counting) its deaths and restarts.
-fn run_connect_mode(args: &Args, addr_str: &str) {
-    let quick = args.flag("quick");
-    let clients: usize = args.value("clients").unwrap_or(if quick { 4 } else { 8 });
-    let duration = Duration::from_millis(
-        args.value("duration-ms").unwrap_or(if quick { 400 } else { 2000 }),
-    );
-    let read_pct: u32 = args.value("read").unwrap_or(90).min(100);
-    let out: String = args.value("out").unwrap_or_else(|| "BENCH_9.json".into());
-    let keyspace: u32 = if quick { 1 << 14 } else { 1 << 17 };
-    let budget = Duration::from_millis(250);
-
-    let addr: std::net::SocketAddr = addr_str.parse().expect("--connect takes HOST:PORT");
-    println!(
-        "wire ycsb -> {addr}: {clients} clients, {read_pct}% reads, {}ms",
-        duration.as_millis()
-    );
-    let socket = socket_closed_loop(addr, clients, duration, keyspace, read_pct, budget);
-    print_socket_summary("socket loop", &socket);
-
-    let json = format!(
-        "{{\n  \
-         \"bench\": \"wire_transport_connect\",\n  \
-         \"issue\": 9,\n  \
-         \"addr\": \"{addr}\",\n  \
-         \"clients\": {clients},\n  \
-         \"read_pct\": {read_pct},\n  \
-         \"duration_ms\": {},\n  \
-         \"socket\": {}\n\
-         }}\n",
-        duration.as_millis(),
-        socket.json(),
-    );
-    std::fs::write(&out, json).expect("write bench json");
-    println!("wrote {out}");
 }
 
 fn main() {
     let args = Args::parse();
-    if let Some(addr) = args.value::<String>("connect") {
-        run_connect_mode(&args, &addr);
-        return;
-    }
-    if args.flag("socket") {
-        run_socket_mode(&args);
-        return;
-    }
-    let quick = args.flag("quick");
-    let clients: usize = args.value("clients").unwrap_or(if quick { 4 } else { 8 });
-    let duration = Duration::from_millis(
-        args.value("duration-ms").unwrap_or(if quick { 400 } else { 2000 }),
-    );
-    let read_pct: u32 = args.value("read").unwrap_or(90).min(100);
-    let chaos = args.flag("chaos");
-    let out: String = args.value("out").unwrap_or_else(|| "BENCH_7.json".into());
-    let keyspace: u32 = if quick { 1 << 14 } else { 1 << 17 };
+    let addr: std::net::SocketAddr = args
+        .value::<String>("connect")
+        .expect("--connect HOST:PORT is required")
+        .parse()
+        .expect("--connect takes HOST:PORT");
+    let clients: u64 = args.value("clients").unwrap_or(4);
+    let duration = Duration::from_millis(args.value("duration-ms").unwrap_or(400));
+    let out: String = args
+        .value("out")
+        .unwrap_or_else(|| "transport_load.json".into());
 
-    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(
-        keyspace / 16,
-    )));
-    preload(&table, keyspace);
     println!(
-        "ingress ycsb: {clients} clients, {read_pct}% reads, {}ms/section, chaos={chaos}",
+        "wire load -> {addr}: {clients} clients, {}ms",
         duration.as_millis()
     );
-
-    let closed = closed_loop(&table, clients, duration, keyspace, read_pct, chaos);
-    println!(
-        "closed loop: {:.0} ops/s, p99 {} us ({} completed, {} shed, {} timed out)",
-        closed.throughput(),
-        closed.latency.summary().p99_us,
-        closed.completed,
-        closed.shed,
-        closed.timed_out
-    );
-    println!(
-        "  stage decomposition (mean us): {} | sum {:.1} vs e2e {:.1} ({:.2}% drift)",
-        STAGES
-            .iter()
-            .enumerate()
-            .map(|(i, s)| format!("{} {:.1}", s.name(), closed.stages[i].mean() / 1e3))
-            .collect::<Vec<_>>()
-            .join(", "),
-        closed.stage_sum_mean_us(),
-        closed.mean_us(),
-        closed.reconciliation_pct(),
-    );
-
-    // Closed-loop throughput over-estimates what a *paced* submitter can
-    // sustain (the pacer thread contends for the same cores, and a paced
-    // single submitter misses the coalescing that closed-loop clients get),
-    // so the below-saturation section runs under a *measured* knee: short
-    // probes walk up fractions of the closed-loop rate until the pacer
-    // stops running clean, instead of trusting a fixed fraction that is
-    // wrong on any host wider or narrower than the one it was tuned on.
-    let sustainable = closed.throughput().max(1000.0);
-    let overload_rate = sustainable * 3.0;
-    let (base_rate, probe): (f64, Option<RateProbe>) = match args.value("rate") {
-        Some(rate) => (rate, None),
-        None => {
-            println!("probing the paced knee:");
-            let probe = probe_knee(&table, sustainable, duration, keyspace, read_pct, chaos);
-            println!(
-                "  knee {:.0} ops/s, running open loop at {:.0} ops/s ({}x margin)",
-                probe.knee_ops_s, probe.chosen_ops_s, probe.margin
-            );
-            (probe.chosen_ops_s, Some(probe))
-        }
-    };
-
-    let open = open_loop(&table, base_rate, duration, keyspace, read_pct, chaos);
-    println!(
-        "open loop @{:.0}/s: {:.0} ops/s, p99 {} us ({} shed, {} timed out)",
-        base_rate,
-        open.throughput(),
-        open.latency.summary().p99_us,
-        open.shed,
-        open.timed_out
-    );
-
-    let overload = open_loop(&table, overload_rate, duration, keyspace, read_pct, chaos);
-    println!(
-        "overload @{:.0}/s: {:.0} ops/s, p99 {} us ({} shed, {} timed out, {} errors)",
-        overload_rate,
-        overload.throughput(),
-        overload.latency.summary().p99_us,
-        overload.shed,
-        overload.timed_out,
-        overload.errors
-    );
-
+    let start = Instant::now();
+    let joins: Vec<_> = (0..clients)
+        .map(|c| std::thread::spawn(move || client_loop(addr, c, start, duration)))
+        .collect();
+    let mut total = LoadStats::default();
+    for join in joins {
+        total.merge(&join.join().expect("load client thread"));
+    }
     let json = format!(
-        "{{\n  \
-         \"bench\": \"ingress_overload\",\n  \
-         \"issue\": 7,\n  \
-         \"clients\": {clients},\n  \
-         \"read_pct\": {read_pct},\n  \
-         \"chaos\": {chaos},\n  \
-         \"duration_ms\": {},\n  \
-         \"rate_probe\": {},\n  \
-         \"closed_loop\": {},\n  \
-         \"open_loop\": {},\n  \
-         \"open_loop_overload\": {}\n\
-         }}\n",
+        "{{\"addr\": \"{addr}\", \"clients\": {clients}, \"duration_ms\": {}, \
+         \"attempted\": {}, \"completed\": {}, \"refused\": {}, \
+         \"transport_errors\": {}, \"errors\": {}, \"reconnects\": {}}}\n",
         duration.as_millis(),
-        probe.as_ref().map_or_else(
-            || format!("{{\"source\": \"flag\", \"chosen_ops_s\": {base_rate:.0}}}"),
-            RateProbe::json
-        ),
-        closed.json(None),
-        open.json(Some(base_rate)),
-        overload.json(Some(overload_rate)),
+        total.attempted,
+        total.completed,
+        total.refused,
+        total.transport_errors,
+        total.errors,
+        total.reconnects,
     );
-    std::fs::write(&out, json).expect("write bench json");
-    println!("wrote {out}");
+    print!("{json}");
+    std::fs::write(&out, json).expect("write load report");
 }

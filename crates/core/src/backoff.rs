@@ -15,34 +15,20 @@
 //! chaos replays stay reproducible), short waits are `spin_loop` hints, and
 //! long waits escalate to `yield_now` so a descheduled competitor can make
 //! the progress the retry depends on. The helper is deliberately cheap to
-//! construct — two `u64`s and a config — so per-warp and per-batch users
+//! construct — a `u32` and a `u64` — so per-warp and per-batch users
 //! can keep one inline without allocation.
 
 use std::time::Duration;
 
-/// Shape of the backoff curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Spin-hint ceiling at attempt 0; doubles per attempt (full jitter
-    /// picks uniformly in `[1, ceiling]`).
-    pub base_spins: u32,
-    /// Upper bound on the per-wait spin ceiling, however many attempts have
-    /// accumulated.
-    pub max_spins: u32,
-    /// Attempt number at which each wait additionally yields the thread
-    /// (spinning past a descheduled competitor is wasted work).
-    pub yield_threshold: u32,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            base_spins: 4,
-            max_spins: 256,
-            yield_threshold: 4,
-        }
-    }
-}
+/// Spin-hint ceiling at attempt 0; doubles per attempt (full jitter picks
+/// uniformly in `[1, ceiling]`).
+const BASE_SPINS: u32 = 4;
+/// Upper bound on the per-wait spin ceiling, however many attempts have
+/// accumulated.
+const MAX_SPINS: u32 = 256;
+/// Attempt number at which each wait additionally yields the thread
+/// (spinning past a descheduled competitor is wasted work).
+const YIELD_THRESHOLD: u32 = 4;
 
 /// A jittered exponential backoff state machine.
 ///
@@ -52,25 +38,18 @@ impl Default for BackoffConfig {
 /// success so the next contention episode starts from the short waits again.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    cfg: BackoffConfig,
     attempt: u32,
     /// SplitMix64 state for the jitter stream.
     rng: u64,
 }
 
 impl Backoff {
-    /// A backoff with the default curve, jitter-seeded by `seed`.
+    /// A backoff jitter-seeded by `seed`.
     ///
     /// Distinct competitors should use distinct seeds (warp id, client id,
     /// batch sequence number) so their jitter streams decorrelate.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, BackoffConfig::default())
-    }
-
-    /// A backoff with an explicit curve.
-    pub fn with_config(seed: u64, cfg: BackoffConfig) -> Self {
         Self {
-            cfg,
             attempt: 0,
             // Avoid the all-zeros SplitMix64 fixed point for seed 0.
             rng: seed ^ 0x9E37_79B9_7F4A_7C15,
@@ -100,16 +79,14 @@ impl Backoff {
     pub fn wait_attempt(&mut self, attempt: u32) {
         // Full jitter: uniform in [1, min(base · 2^attempt, max)].
         let exp = attempt.min(16);
-        let ceiling = self
-            .cfg
-            .base_spins
+        let ceiling = BASE_SPINS
             .saturating_mul(1u32.wrapping_shl(exp))
-            .clamp(1, self.cfg.max_spins.max(1));
+            .clamp(1, MAX_SPINS);
         let spins = 1 + (self.next_u64() % u64::from(ceiling)) as u32;
         for _ in 0..spins {
             std::hint::spin_loop();
         }
-        if attempt >= self.cfg.yield_threshold {
+        if attempt >= YIELD_THRESHOLD {
             std::thread::yield_now();
         }
     }
@@ -193,15 +170,8 @@ mod tests {
     #[test]
     fn curve_is_bounded_even_at_huge_attempts() {
         // `wait_attempt` must terminate quickly no matter the attempt count:
-        // the ceiling saturates at max_spins, the shift exponent is clamped.
-        let mut b = Backoff::with_config(
-            3,
-            BackoffConfig {
-                base_spins: 2,
-                max_spins: 64,
-                yield_threshold: 1,
-            },
-        );
+        // the ceiling saturates at MAX_SPINS, the shift exponent is clamped.
+        let mut b = Backoff::new(3);
         for attempt in [0, 1, 16, 1000, u32::MAX] {
             b.wait_attempt(attempt);
         }
@@ -273,19 +243,5 @@ mod tests {
         let mut b = Backoff::new(0);
         let d = b.delay(Duration::ZERO, Duration::ZERO);
         assert!(d >= Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn zero_config_never_divides_by_zero() {
-        let mut b = Backoff::with_config(
-            0,
-            BackoffConfig {
-                base_spins: 0,
-                max_spins: 0,
-                yield_threshold: 0,
-            },
-        );
-        b.wait();
-        b.wait();
     }
 }

@@ -56,7 +56,7 @@ pub mod ops;
 pub mod ops_per_thread;
 pub mod stats;
 
-pub use backoff::{Backoff, BackoffConfig};
+pub use backoff::Backoff;
 pub use batch::BatchBuffer;
 pub use driver::WarpDriver;
 pub use entry::{EntryLayout, KeyOnly, KeyValue, DELETED_KEY, EMPTY_KEY, MAX_KEY};

@@ -64,7 +64,7 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use broker::{Broker, BrokerConfig};
 pub use client::{ClientHandle, Reply, Ticket};
 pub use error::IngressError;
-pub use stats::{IngressStats, LatencyRecorder, LatencySummary};
+pub use stats::IngressStats;
 pub use transport::{
     ClientStats, TransportError, WireClient, WireClientConfig, WireFaultPlan, WireServer,
     WireServerConfig,

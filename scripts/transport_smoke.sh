@@ -46,7 +46,7 @@ start_server
 echo "server up (pid $SERVER_PID); starting load"
 
 ./target/release/ycsb --connect "$ADDR" --clients 4 --duration-ms 6000 \
-    --quick --out "$OUT" &
+    --out "$OUT" &
 LOAD_PID=$!
 
 # Kill the server hard mid-load, leave the clients failing for a moment,

@@ -26,10 +26,11 @@ const LATENCY_BOUND: Duration = Duration::from_secs(5);
 
 #[test]
 fn overload_soak_sheds_instead_of_collapsing() {
-    // A table that *will* run out: 2 super-blocks of 32 slabs, shed policy.
+    // A table that *will* run out: one block of 1024 slabs, shed policy,
+    // and 24k distinct keys written (about 1600 slabs' worth).
     let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
         SlabHashConfig::with_buckets(32),
-        SlabAlloc::new(SlabAllocConfig::small(2, 32)),
+        SlabAlloc::new(SlabAllocConfig::small(1, 1)),
     ));
     let cfg = BrokerConfig {
         queue_capacity: 256,
@@ -43,7 +44,7 @@ fn overload_soak_sheds_instead_of_collapsing() {
     let broker = Broker::spawn(Arc::clone(&table), cfg);
 
     let threads = 4u64;
-    let per_thread = 5000u64;
+    let per_thread = 8000u64;
     let joins: Vec<_> = (0..threads)
         .map(|t| {
             let client = broker.handle();
@@ -51,7 +52,7 @@ fn overload_soak_sheds_instead_of_collapsing() {
                 let mut accepted = Vec::new();
                 let mut queue_full = 0u64;
                 for i in 0..per_thread {
-                    let key = 1 + ((t * per_thread + i) % 4096) as u32;
+                    let key = 1 + (t * per_thread + i) as u32;
                     // 1-in-4 reads so the degradation order (writes shed
                     // first, reads keep flowing) is actually exercised.
                     let req = if i % 4 == 0 {
@@ -60,12 +61,20 @@ fn overload_soak_sheds_instead_of_collapsing() {
                         Request::replace(key, i as u32)
                     };
                     // Open loop: submit as fast as the queue accepts, never
-                    // wait for replies in between.
-                    match client.submit(req) {
-                        Ok(ticket) => accepted.push(ticket),
-                        Err(IngressError::QueueFull { .. }) => queue_full += 1,
-                        Err(other) => panic!("unexpected submit error: {other:?}"),
-                    }
+                    // wait for replies in between. A full queue is retried
+                    // after a yield, so every request reaches the broker and
+                    // the 1024-slab heap must cross its write-shed watermark.
+                    let ticket = loop {
+                        match client.submit(req.clone()) {
+                            Ok(ticket) => break ticket,
+                            Err(IngressError::QueueFull { .. }) => {
+                                queue_full += 1;
+                                std::thread::yield_now();
+                            }
+                            Err(other) => panic!("unexpected submit error: {other:?}"),
+                        }
+                    };
+                    accepted.push(ticket);
                 }
                 // Exactly-one-reply check: every ticket must resolve, and
                 // (the broker being alive) never to BrokerGone.
@@ -93,19 +102,21 @@ fn overload_soak_sheds_instead_of_collapsing() {
                     accepted_count,
                     "every accepted submission must get exactly one reply"
                 );
-                (accepted_count + queue_full, ok, shed, timed_out, worst)
+                (accepted_count, queue_full, ok, shed, timed_out, worst)
             })
         })
         .collect();
 
     let mut attempted = 0u64;
+    let mut queue_full = 0u64;
     let mut ok = 0u64;
     let mut shed = 0u64;
     let mut timed_out = 0u64;
     let mut worst = Duration::ZERO;
     for join in joins {
-        let (a, o, s, t, w) = join.join().expect("soak client thread panicked");
+        let (a, q, o, s, t, w) = join.join().expect("soak client thread panicked");
         attempted += a;
+        queue_full += q;
         ok += o;
         shed += s;
         timed_out += t;
@@ -113,6 +124,10 @@ fn overload_soak_sheds_instead_of_collapsing() {
     }
     assert_eq!(attempted, threads * per_thread, "no submission unaccounted");
     assert!(ok > 0, "an overloaded broker must still complete some work");
+    assert!(
+        shed + timed_out > 0,
+        "an overloaded broker must shed or time out work, not absorb it all"
+    );
     assert!(
         worst <= LATENCY_BOUND,
         "admitted-op latency unbounded: {worst:?}"
@@ -138,7 +153,8 @@ fn overload_soak_sheds_instead_of_collapsing() {
         "client-visible sheds/timeouts must be billed in broker stats"
     );
     println!(
-        "soak: {attempted} attempted, {ok} ok, {shed} shed, {timed_out} timed out, worst {worst:?}, \
+        "soak: {attempted} attempted, {queue_full} queue-full retries, {ok} ok, {shed} shed, \
+         {timed_out} timed out, worst {worst:?}, \
          broker stats: {} submitted / {} completed / {} shed / {} timed out / {} trips",
         stats.submitted,
         stats.completed,
