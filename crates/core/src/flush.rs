@@ -10,7 +10,7 @@
 //! is no compaction against live traffic: a `maintain` that cannot claim a
 //! window compacts nothing (DESIGN.md §10).
 
-use simt::{Grid, Quiesced, WarpCtx};
+use simt::{Grid, PerfCounters, Quiesced, WarpCtx, WarpScratch};
 use slab_alloc::{SlabAllocator, BASE_SLAB, EMPTY_PTR};
 
 use crate::entry::{EntryLayout, ADDRESS_LANE, DELETED_KEY, EMPTY_KEY};
@@ -20,12 +20,16 @@ use crate::stats::collect_live;
 /// Outcome of a compaction pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlushReport {
-    /// Chained slabs the pass took out of the chains and freed.
+    /// Chained slabs the pass took out of the chains and freed
+    /// (`counters.deallocations`).
     pub slabs_released: u64,
-    /// Live elements kept (and compacted).
+    /// Live elements kept (and compacted) (`counters.elements_kept`).
     pub elements_kept: u64,
     /// Buckets processed.
     pub buckets: u32,
+    /// The compaction launch's merged counters: the pass's slab reads and
+    /// writes, its deallocations, and the elements it kept.
+    pub counters: PerfCounters,
 }
 
 impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
@@ -49,37 +53,64 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// [`maintain`](Self::maintain): every bucket is rewritten by
     /// `flush_bucket`. `quiet` proves no operation is in flight.
     ///
+    /// The pass's tallies come out of the launch's merged counters, which
+    /// executors merge once each, so no bucket touches shared state.
+    ///
     /// Must not pin the epoch: `quiet` already holds the pin lock.
     pub(crate) fn compact_exclusive(&self, grid: &Grid, _quiet: &Quiesced<'_>) -> FlushReport {
         let buckets = self.num_buckets();
-        let report = parking_lot::Mutex::new(FlushReport {
+        let counters = grid
+            .launch_warps(buckets as usize, |ctx| {
+                self.flush_bucket(ctx.warp_id as u32, ctx);
+            })
+            .counters;
+        FlushReport {
+            slabs_released: counters.deallocations,
+            elements_kept: counters.elements_kept,
             buckets,
-            ..FlushReport::default()
-        });
-        grid.launch_warps(buckets as usize, |ctx| {
-            let bucket = ctx.warp_id as u32;
-            let (released, kept) = self.flush_bucket(bucket, ctx);
-            let mut r = report.lock();
-            r.slabs_released += released;
-            r.elements_kept += kept;
-        });
-        report.into_inner()
+            counters,
+        }
     }
 
-    /// Compacts one bucket. Private: callers reach it through
+    /// Compacts one bucket, billing the slabs it frees to
+    /// `ctx.counters.deallocations` and the elements it keeps to
+    /// `ctx.counters.elements_kept`. Private: callers reach it through
     /// `compact_exclusive`, whose [`Quiesced`] argument guarantees the
     /// exclusive phase.
-    fn flush_bucket(&self, bucket: u32, ctx: &mut WarpCtx) -> (u64, u64) {
+    fn flush_bucket(&self, bucket: u32, ctx: &mut WarpCtx) {
+        // The executor's reusable lists: a pass allocates nothing per
+        // bucket.
+        let WarpScratch {
+            pairs: mut live,
+            words: mut chain,
+        } = std::mem::take(&mut ctx.scratch);
+        live.clear();
+        chain.clear();
+        self.compact_bucket(bucket, ctx, &mut live, &mut chain);
+        ctx.scratch = WarpScratch {
+            pairs: live,
+            words: chain,
+        };
+    }
+
+    /// `flush_bucket`'s body over the executor's cleared scratch lists:
+    /// `live` gathers the bucket's live pairs, `chain` its chained slab
+    /// pointers (base excluded), both in chain order.
+    fn compact_bucket(
+        &self,
+        bucket: u32,
+        ctx: &mut WarpCtx,
+        live: &mut Vec<(u32, u32)>,
+        chain: &mut Vec<u32>,
+    ) {
         // Pass 1: the warp walks the chain, gathering live elements and the
         // chained slab pointers, and noting any tombstone to scrub.
-        let mut live: Vec<(u32, u32)> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new();
         let mut dirty = false;
         let mut ptr = BASE_SLAB;
         loop {
             let loc = self.slab_loc(bucket, ptr, ctx);
             let data = loc.storage.read_slab(loc.slab, &mut ctx.counters);
-            collect_live::<L>(&data, &mut live);
+            collect_live::<L>(&data, live);
             dirty |= (0..L::ELEMS_PER_SLAB as usize).any(|e| data[L::key_lane(e)] == DELETED_KEY);
             let next = data[ADDRESS_LANE];
             if ptr != BASE_SLAB {
@@ -90,6 +121,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             }
             ptr = next;
         }
+        ctx.counters.elements_kept += live.len() as u64;
 
         // A bucket with nothing to scrub and no surplus slab is already
         // what the rewrite would produce: leave it untouched, so a pass
@@ -98,7 +130,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let needed_chained = live.len().saturating_sub(m).div_ceil(m);
         debug_assert!(needed_chained <= chain.len());
         if !dirty && chain.len() == needed_chained {
-            return (0, live.len() as u64);
+            return;
         }
 
         // Pass 2: rewrite. Slab 0 is the base slab; slabs 1.. reuse the
@@ -138,13 +170,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         }
 
         // Pass 3: scrub and release the surplus slabs.
-        let released = (chain.len() - needed_chained) as u64;
         for &freed in &chain[needed_chained..] {
             let loc = self.slab_loc(bucket, freed, ctx);
             loc.storage.clear_slab(loc.slab, EMPTY_KEY, &mut ctx.counters);
             self.allocator().deallocate(freed, ctx);
         }
-        (released, live.len() as u64)
     }
 }
 

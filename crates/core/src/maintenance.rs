@@ -21,6 +21,8 @@
 //! [`SlabHash::maintain`] bundles 1 + 2 into one idempotent pass that a
 //! background thread (or an inline retry loop) can call at any time.
 
+use std::time::{Duration, Instant};
+
 use simt::Grid;
 use slab_alloc::SlabAllocator;
 
@@ -89,6 +91,10 @@ pub struct MaintenanceReport {
     /// claimed: an operation was in flight, or another maintainer held the
     /// window.
     pub flushed: Option<FlushReport>,
+    /// How long the pass held its quiescent window: new operations waited
+    /// at their epoch pin for up to this long. Zero when no window was
+    /// claimed.
+    pub pause: Duration,
     /// Always 0: compaction frees its surplus slabs directly (counted in
     /// `flushed`), so nothing is left awaiting reclamation. Kept because
     /// the benchmark reports it.
@@ -112,13 +118,19 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// with table traffic; `&self` only. A caller that holds an epoch pin
     /// of its own never compacts.
     pub fn maintain(&self, grid: &Grid) -> MaintenanceReport {
-        let flushed = self
-            .clock
-            .quiesce()
-            .map(|quiet| self.compact_exclusive(grid, &quiet));
+        let (flushed, pause) = match self.clock.quiesce() {
+            Some(quiet) => {
+                let opened = Instant::now();
+                let flushed = self.compact_exclusive(grid, &quiet);
+                drop(quiet);
+                (Some(flushed), opened.elapsed())
+            }
+            None => (None, Duration::ZERO),
+        };
         let grew = self.allocator().free_slabs() < 64 && self.allocator().try_grow();
         MaintenanceReport {
             flushed,
+            pause,
             reclaimed: 0,
             grew,
         }
@@ -239,7 +251,9 @@ mod tests {
         let (elements, audit) = (t.collect_elements(), t.audit().unwrap());
         let before = launches(&grid);
         let pin = t.epoch_pin();
-        assert!(t.maintain(&grid).flushed.is_none(), "an op was in flight");
+        let skipped = t.maintain(&grid);
+        assert!(skipped.flushed.is_none(), "an op was in flight");
+        assert_eq!(skipped.pause, Duration::ZERO, "a skipped pass paused");
         drop(pin);
         assert_eq!(launches(&grid), before, "a skipped pass launched a kernel");
         assert_eq!(t.collect_elements(), elements);
@@ -248,6 +262,7 @@ mod tests {
         let r = t.maintain(&grid);
         let a = t.audit().unwrap();
         let flushed = r.flushed.expect("no op in flight");
+        assert!(r.pause > Duration::ZERO, "the rewrite held its window");
         assert!(
             launches(&grid) > before,
             "the rewrite runs as a pooled launch"

@@ -587,10 +587,12 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
         m.breaker_state.set(breaker_state_code(self.breaker.state()));
     }
 
-    /// Runs one maintenance pass and counts it against its trigger.
+    /// Runs one maintenance pass, counts it against its trigger, and bills
+    /// the window it held.
     fn maintain(&mut self, reason: MaintainReason) {
-        self.table.maintain(&self.grid);
+        let report = self.table.maintain(&self.grid);
         self.metrics.bill_maintenance(reason);
+        self.metrics.bill_pause(&report);
     }
 
     /// Idle cycles are spent healing: if the allocator is inside the write
@@ -748,8 +750,9 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                             // enclosing loop holds a borrow of
                             // `self.batch`.)
                             if !healed {
-                                self.table.maintain(&self.grid);
+                                let report = self.table.maintain(&self.grid);
                                 self.metrics.bill_maintenance(MaintainReason::Dispatch);
+                                self.metrics.bill_pause(&report);
                                 healed = true;
                             }
                             let span = env.answer(Err(IngressError::Table(err)));

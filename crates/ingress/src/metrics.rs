@@ -15,6 +15,7 @@ use simt::telemetry::{
     Counter, GaugeMetric, HistogramMetric, MetricsRegistry, SpanReport, STAGES, STAGE_COUNT,
 };
 use simt::PerfCounters;
+use slab_hash::MaintenanceReport;
 
 use crate::breaker::BreakerState;
 
@@ -71,6 +72,9 @@ pub(crate) struct IngressMetrics {
     pub breaker_transitions: [Counter; 3],
     /// Maintenance passes, labeled by trigger.
     maintenance: [Counter; 4],
+    /// How long each compacting pass held its quiescent window; recorded
+    /// in nanoseconds, exported in seconds.
+    maint_pause_seconds: HistogramMetric,
     /// Live submission-queue depth.
     pub queue_depth: GaugeMetric,
     /// Breaker state as a code: 0 closed, 1 half-open, 2 open.
@@ -167,6 +171,13 @@ impl IngressMetrics {
             ),
             breaker_transitions,
             maintenance,
+            maint_pause_seconds: registry.histogram_with(
+                "slab_maint_pause_seconds",
+                "Time each compacting maintenance pass held its quiescent \
+                 window, stalling new table operations",
+                &[],
+                1e-9,
+            ),
             queue_depth: registry.gauge(
                 "slab_ingress_queue_depth",
                 "Requests sitting in the bounded submission queue right now",
@@ -235,6 +246,16 @@ impl IngressMetrics {
     /// Counts one maintenance pass against its trigger.
     pub(crate) fn bill_maintenance(&self, reason: MaintainReason) {
         self.maintenance[reason as usize].inc();
+    }
+
+    /// Records the window a compacting pass held; a pass that claimed no
+    /// window paused nothing and records nothing. The passes
+    /// `SlabHash::recover` runs are counted (`reason="recover"`) but not
+    /// timed: their reports stay inside `recover`.
+    pub(crate) fn bill_pause(&self, report: &MaintenanceReport) {
+        if report.flushed.is_some() {
+            self.maint_pause_seconds.record(report.pause.as_nanos() as u64);
+        }
     }
 
     /// Counts one breaker transition into `state` (also refreshed as the

@@ -71,6 +71,10 @@ pub struct PerfCounters {
     /// more (DESIGN.md §16). Kept because the benchmark's
     /// `slab.tag_reads_per_op` reads it.
     pub tag_reads: u64,
+    /// Live elements a compaction (FLUSH) warp kept in its bucket. Billed
+    /// only by the compaction kernel, which reports the sum as
+    /// `FlushReport::elements_kept`.
+    pub elements_kept: u64,
 }
 
 impl PerfCounters {
@@ -102,6 +106,7 @@ impl PerfCounters {
             timed_out,
             breaker_open,
             tag_reads,
+            elements_kept,
         } = *other;
         self.slab_reads += slab_reads;
         self.sector_reads += sector_reads;
@@ -123,6 +128,7 @@ impl PerfCounters {
         self.timed_out += timed_out;
         self.breaker_open += breaker_open;
         self.tag_reads += tag_reads;
+        self.elements_kept += elements_kept;
     }
 
     /// Total bytes moved through the memory system under the transaction
@@ -211,6 +217,7 @@ mod tests {
             timed_out: 18,
             breaker_open: 19,
             tag_reads: 20,
+            elements_kept: 21,
         };
         let doubled = a + a;
         // Exhaustive by construction: both the input literal above and this
@@ -238,6 +245,7 @@ mod tests {
             timed_out: 36,
             breaker_open: 38,
             tag_reads: 40,
+            elements_kept: 42,
         };
         assert_eq!(doubled, expected);
     }

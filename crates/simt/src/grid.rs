@@ -4,7 +4,8 @@
 //! scheduler multiplexes over its streaming multiprocessors. We reproduce the
 //! structure directly: work items (one per simulated GPU thread) are split
 //! into warp-sized chunks and a pool of OS threads drains them by bumping a
-//! shared atomic claim counter. Warps that run on different OS threads
+//! shared atomic claim counter, one run of warps per bump (see
+//! [`CLAIMS_PER_EXECUTOR`]). Warps that run on different OS threads
 //! execute *genuinely concurrently*, so every inter-warp race in the paper's
 //! lock-free algorithms (CAS retries, allocate-then-link races,
 //! delete/search interleavings) is exercised for real, not emulated.
@@ -17,6 +18,7 @@
 //! that launch.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -27,6 +29,74 @@ use telemetry::{EventKind, Histograms, SessionHandle, WarpTracer, LAUNCH_WARP};
 use crate::counters::PerfCounters;
 use crate::pool::{ChunkDispenser, Pool};
 use crate::warp::WARP_SIZE;
+
+/// Claims each executor makes, at most, to drain one launch.
+///
+/// An executor claims a run of `max(1, warps / (executors * 64))`
+/// consecutive warp ids with one `fetch_add`, so a launch of up to
+/// `executors * 64` warps is claimed one warp at a time, while a
+/// whole-table launch (FLUSH's one warp per bucket, tens of thousands of
+/// warps) pays about 64 claims per executor instead of one contended
+/// atomic per warp. 64 keeps the load imbalance at the end of a launch
+/// under 1/64 of an executor's share. On a 2-thread grid, an empty
+/// 43,418-warp launch took 2.9–4.3 ms with per-warp claims and
+/// 0.11–0.12 ms with runs (DESIGN.md §11).
+pub const CLAIMS_PER_EXECUTOR: usize = 64;
+
+/// Warps one claim takes when `executors` drain `num_warps` warps.
+fn claim_run(num_warps: usize, executors: usize) -> usize {
+    (num_warps / (executors * CLAIMS_PER_EXECUTOR)).max(1)
+}
+
+/// Lists a kernel reuses across the warps an executor runs, in place of a
+/// fresh allocation per warp (FLUSH gathers a bucket's live pairs and
+/// chain pointers here).
+///
+/// Each executor thread keeps one across launches: a launch lends it to
+/// the executor's [`WarpCtx`] and takes it back when the executor
+/// finishes. A thread's scratch starts with room for a 16-slab bucket,
+/// and pool workers create theirs as they start, so a kernel whose lists
+/// stay within that room allocates nothing on a pool worker; a launching
+/// thread allocates its scratch in its first launch, and a scoped
+/// fallback thread in the one launch it serves.
+#[derive(Debug, Default)]
+pub struct WarpScratch {
+    /// Key-value pairs, at most one per lane of a slab.
+    pub pairs: Vec<(u32, u32)>,
+    /// Words, at least one per slab (FLUSH: slab pointers).
+    pub words: Vec<u32>,
+}
+
+/// Slabs a thread's fresh [`WarpScratch`] holds without growing: a
+/// FLUSH bucket of up to 16 slabs, several times a chain at a table's
+/// target load.
+const SCRATCH_SLABS: usize = 16;
+
+thread_local! {
+    /// This thread's executor scratch, while no launch has it on loan.
+    static EXECUTOR_SCRATCH: Cell<WarpScratch> = Cell::new(WarpScratch {
+        pairs: Vec::with_capacity(SCRATCH_SLABS * WARP_SIZE),
+        words: Vec::with_capacity(SCRATCH_SLABS * WARP_SIZE),
+    });
+}
+
+impl WarpScratch {
+    /// Creates the calling thread's executor scratch now rather than in
+    /// its first launch; pool workers call it as they start.
+    pub(crate) fn prepare_thread() {
+        EXECUTOR_SCRATCH.with(|_| {});
+    }
+
+    /// Takes the calling thread's scratch for one executor invocation.
+    fn lend() -> Self {
+        EXECUTOR_SCRATCH.take()
+    }
+
+    /// Returns a scratch lent by [`lend`](Self::lend) to its thread.
+    fn give_back(self) {
+        EXECUTOR_SCRATCH.set(self);
+    }
+}
 
 /// Per-warp execution context handed to kernels.
 ///
@@ -45,6 +115,9 @@ pub struct WarpCtx {
     /// Trace recorder, present when the launching thread had an active
     /// [`telemetry::TraceSession`].
     pub tracer: Option<WarpTracer>,
+    /// The executor's reusable lists (see [`WarpScratch`]). Empty in a
+    /// context made by [`WarpCtx::for_test`].
+    pub scratch: WarpScratch,
     /// `counters.ops` when the current warp chunk began (for the
     /// `warp_end` event's ops delta).
     ops_at_warp_begin: u64,
@@ -70,6 +143,7 @@ impl WarpCtx {
             counters: PerfCounters::default(),
             histograms: Histograms::default(),
             tracer: session.map(SessionHandle::tracer),
+            scratch: WarpScratch::default(),
             ops_at_warp_begin: 0,
         }
     }
@@ -286,6 +360,7 @@ impl Grid {
     {
         let dispenser = ChunkDispenser::new(items, WARP_SIZE);
         let warps = dispenser.num_chunks();
+        let run = claim_run(warps, self.executors(warps));
         let containment = Containment::default();
         let session = telemetry::current_session();
         if let Some(s) = &session {
@@ -296,18 +371,16 @@ impl Grid {
         // execution, not host bookkeeping.
         let start = Instant::now();
         let (counters, histograms) = self.run_warps(warps, session.as_ref(), |warp_ctx| {
-            while !containment.poisoned() {
-                let Some((warp_id, chunk)) = dispenser.next() else {
-                    break;
-                };
-                warp_ctx.warp_id = warp_id;
-                warp_ctx.begin_warp();
-                let ok = containment.run_warp(warp_id, || kernel(warp_ctx, chunk));
-                warp_ctx.end_warp();
-                if !ok {
-                    break;
+            let mut completed = 0;
+            'claims: while let Some(chunks) = dispenser.claim(run) {
+                for (warp_id, chunk) in chunks {
+                    if !containment.run_warp(warp_ctx, warp_id, |ctx| kernel(ctx, chunk)) {
+                        break 'claims;
+                    }
+                    completed += 1;
                 }
             }
+            containment.count_completed(completed);
         });
         let wall = start.elapsed();
         if let Some(s) = &session {
@@ -347,6 +420,7 @@ impl Grid {
         F: Fn(&mut WarpCtx) + Sync,
     {
         let next_warp = AtomicUsize::new(0);
+        let run = claim_run(num_warps, self.executors(num_warps));
         let containment = Containment::default();
         let session = telemetry::current_session();
         if let Some(s) = &session {
@@ -359,21 +433,21 @@ impl Grid {
         }
         // As in `try_launch`: time the kernel, not the setup.
         let start = Instant::now();
-        let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |warp_ctx| loop {
-            if containment.poisoned() {
-                break;
+        let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |warp_ctx| {
+            let mut completed = 0;
+            'claims: loop {
+                let first = next_warp.fetch_add(run, Ordering::Relaxed);
+                if first >= num_warps {
+                    break;
+                }
+                for warp_id in first..num_warps.min(first + run) {
+                    if !containment.run_warp(warp_ctx, warp_id, &kernel) {
+                        break 'claims;
+                    }
+                    completed += 1;
+                }
             }
-            let warp_id = next_warp.fetch_add(1, Ordering::Relaxed);
-            if warp_id >= num_warps {
-                break;
-            }
-            warp_ctx.warp_id = warp_id;
-            warp_ctx.begin_warp();
-            let ok = containment.run_warp(warp_id, || kernel(warp_ctx));
-            warp_ctx.end_warp();
-            if !ok {
-                break;
-            }
+            containment.count_completed(completed);
         });
         let wall = start.elapsed();
         if let Some(s) = &session {
@@ -392,6 +466,12 @@ impl Grid {
         })
     }
 
+    /// Executors a launch of `warps` warps wakes: never more than there are
+    /// warps to run.
+    fn executors(&self, warps: usize) -> usize {
+        self.num_threads.min(warps.max(1))
+    }
+
     /// Runs `body` on each executor with a fresh warp context and merges
     /// the resulting counter and histogram blocks. Bodies must not unwind
     /// (the `try_` launch entry points catch per-warp panics before they
@@ -408,11 +488,12 @@ impl Grid {
     where
         B: Fn(&mut WarpCtx) + Sync,
     {
-        // Don't wake more executors than there are warps to run.
-        let executors = self.num_threads.min(expected_warps.max(1));
+        let executors = self.executors(expected_warps);
         if executors == 1 {
             let mut ctx = WarpCtx::bound(0, session);
+            ctx.scratch = WarpScratch::lend();
             body(&mut ctx);
+            std::mem::take(&mut ctx.scratch).give_back();
             // `ctx` drops after the return value is built, flushing its
             // trace ring to the session sink before the launch returns.
             return (ctx.counters, ctx.histograms);
@@ -429,7 +510,9 @@ impl Grid {
         let executor = || {
             let _enroll = crate::chaos::participate_in(enrollment);
             let mut ctx = WarpCtx::bound(usize::MAX, session);
+            ctx.scratch = WarpScratch::lend();
             body(&mut ctx);
+            std::mem::take(&mut ctx.scratch).give_back();
             let mut blocks = merged.lock();
             blocks.0.merge(&ctx.counters);
             blocks.1.merge(&ctx.histograms);
@@ -454,6 +537,10 @@ impl Grid {
 
 /// Shared panic-containment state for one `try_` launch: the poison flag,
 /// the completed-warp count, and the first captured panic.
+///
+/// Executors read `poisoned` before every warp but write `completed` only
+/// once, when they finish, so the flag's cache line stays shared while
+/// warps run.
 #[derive(Default)]
 struct Containment {
     poisoned: AtomicBool,
@@ -462,20 +549,25 @@ struct Containment {
 }
 
 impl Containment {
-    /// True once any warp has panicked; executors drain without starting
-    /// new work.
-    fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Runs one warp body, catching a panic. Returns `false` when the
-    /// executor should stop (this warp panicked).
-    fn run_warp(&self, warp_id: usize, warp_body: impl FnOnce()) -> bool {
-        match catch_unwind(AssertUnwindSafe(warp_body)) {
-            Ok(()) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                true
-            }
+    /// Runs warp `warp_id` on `ctx`, catching a panic. Returns `false`
+    /// when the executor should stop: the launch was already poisoned, so
+    /// the warp did not start, or this warp panicked. The warp counts as
+    /// completed exactly when this returns `true`.
+    fn run_warp(
+        &self,
+        ctx: &mut WarpCtx,
+        warp_id: usize,
+        kernel: impl FnOnce(&mut WarpCtx),
+    ) -> bool {
+        if self.poisoned.load(Ordering::Acquire) {
+            return false;
+        }
+        ctx.warp_id = warp_id;
+        ctx.begin_warp();
+        let outcome = catch_unwind(AssertUnwindSafe(|| kernel(ctx)));
+        ctx.end_warp();
+        match outcome {
+            Ok(()) => true,
             Err(payload) => {
                 self.poisoned.store(true, Ordering::Release);
                 let mut slot = self.failure.lock();
@@ -485,6 +577,11 @@ impl Containment {
                 false
             }
         }
+    }
+
+    /// Adds one executor invocation's completed warps to the launch total.
+    fn count_completed(&self, warps: usize) {
+        self.completed.fetch_add(warps, Ordering::Relaxed);
     }
 
     /// Converts the containment outcome into the launch result.
@@ -682,6 +779,131 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn small_launches_claim_one_warp_at_a_time() {
+        for executors in 1..=3 {
+            let small = executors * CLAIMS_PER_EXECUTOR;
+            assert_eq!(claim_run(1, executors), 1);
+            assert_eq!(claim_run(small - 1, executors), 1);
+            assert_eq!(claim_run(small, executors), 1);
+            assert_eq!(claim_run(2 * small, executors), 2);
+        }
+        // One warp per bucket of a 43,418-bucket table on a 2-thread grid.
+        assert_eq!(claim_run(43_418, 2), 339);
+    }
+
+    /// Warp counts on both sides of one-warp claims and of run boundaries.
+    const RUN_CLAIM_WARPS: [usize; 5] = [1, 127, 128, 8_193, 100_003];
+
+    #[test]
+    fn run_claims_run_every_warp_exactly_once() {
+        for threads in 1..=3 {
+            let grid = Grid::new(threads);
+            for warps in RUN_CLAIM_WARPS {
+                let hits: Vec<AtomicU64> = (0..warps).map(|_| AtomicU64::new(0)).collect();
+                let report = grid.launch_warps(warps, |ctx| {
+                    hits[ctx.warp_id].fetch_add(1, Ordering::Relaxed);
+                    ctx.counters.ops += 1;
+                });
+                assert_eq!(report.warps, warps, "{threads} threads");
+                assert_eq!(report.counters.ops, warps as u64, "{threads} threads");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{threads} threads, {warps} warps: a warp ran twice or never"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_run_claims_hand_each_chunk_to_its_warp_once() {
+        for threads in 1..=3 {
+            let grid = Grid::new(threads);
+            for warps in RUN_CLAIM_WARPS {
+                // The last warp is partial: three lanes short.
+                let mut items = vec![0u8; warps * WARP_SIZE - 3];
+                let report = grid.launch(&mut items, |ctx, chunk| {
+                    let expected = if ctx.warp_id + 1 == warps {
+                        WARP_SIZE - 3
+                    } else {
+                        WARP_SIZE
+                    };
+                    assert_eq!(chunk.len(), expected, "warp {}", ctx.warp_id);
+                    for item in chunk.iter_mut() {
+                        *item += 1;
+                    }
+                    ctx.counters.ops += 1;
+                });
+                assert_eq!(report.warps, warps, "{threads} threads");
+                assert_eq!(report.counters.ops, warps as u64, "{threads} threads");
+                assert!(
+                    items.iter().all(|&v| v == 1),
+                    "{threads} threads, {warps} warps: an item was visited twice or never"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_run_claims_keep_warp_id_order() {
+        let grid = Grid::sequential();
+        for warps in RUN_CLAIM_WARPS {
+            let order = parking_lot::Mutex::new(Vec::with_capacity(warps));
+            grid.launch_warps(warps, |ctx| order.lock().push(ctx.warp_id));
+            assert!(order.into_inner().into_iter().eq(0..warps));
+            let mut items = vec![(); warps * WARP_SIZE];
+            let order = parking_lot::Mutex::new(Vec::with_capacity(warps));
+            grid.launch(&mut items, |ctx, _| order.lock().push(ctx.warp_id));
+            assert!(order.into_inner().into_iter().eq(0..warps));
+        }
+    }
+
+    #[test]
+    fn a_poisoned_launch_starts_no_further_warp_on_any_executor() {
+        // Every executor of a launch checks the one `Containment` before
+        // each warp, so a warp claimed after the poison never starts,
+        // whichever executor claimed it.
+        let containment = Containment::default();
+        let (mut a, mut b) = (WarpCtx::for_test(0), WarpCtx::for_test(0));
+        assert!(containment.run_warp(&mut a, 0, |_| {}));
+        assert!(!containment.run_warp(&mut a, 1, |_| panic!("warp 1 down")));
+        let mut started = false;
+        assert!(!containment.run_warp(&mut b, 2, |_| started = true));
+        assert!(!started, "a warp started on a poisoned launch");
+        containment.count_completed(1);
+        let report = LaunchReport {
+            counters: PerfCounters::default(),
+            histograms: Histograms::default(),
+            wall: Duration::ZERO,
+            warps: 3,
+        };
+        let err = containment.into_result(report).expect_err("warp 1 panicked");
+        assert_eq!((err.warp_id, err.completed_warps), (1, 1));
+    }
+
+    #[test]
+    fn sequential_mid_run_panic_stops_at_the_faulting_warp() {
+        // 8,193 warps on one executor claim runs of 128; warp 300 sits in
+        // the middle of the third run.
+        let grid = Grid::sequential();
+        let started = AtomicU64::new(0);
+        let err = grid
+            .try_launch_warps(8_193, |ctx| {
+                started.fetch_add(1, Ordering::Relaxed);
+                if ctx.warp_id == 300 {
+                    panic!("warp 300 down");
+                }
+            })
+            .expect_err("warp 300 must fail the launch");
+        assert_eq!(err.warp_id, 300);
+        assert_eq!(err.completed_warps, 300);
+        assert_eq!(
+            started.load(Ordering::Relaxed),
+            301,
+            "a warp started after the poison"
+        );
     }
 
     #[test]

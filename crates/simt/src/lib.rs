@@ -59,7 +59,7 @@ pub use telemetry;
 pub use chaos::{disable_chaos, set_chaos, ChaosGuard, FaultPlan};
 pub use counters::PerfCounters;
 pub use epoch::{EpochClock, EpochPin, Quiesced};
-pub use grid::{Grid, LaunchError, LaunchReport, WarpCtx};
+pub use grid::{Grid, LaunchError, LaunchReport, WarpCtx, WarpScratch};
 pub use pool::PoolStats;
 pub use memory::{pack_pair, unpack_pair, SlabStorage, SLAB_BYTES, WORDS_PER_SLAB};
 pub use model::{GpuEstimate, GpuModel, ResourceBreakdown};

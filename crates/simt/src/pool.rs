@@ -12,9 +12,9 @@
 //!   they park again when the warp queue drains. The launching thread
 //!   participates as an executor itself, so a width-`n` grid keeps `n - 1`
 //!   workers.
-//! * [`ChunkDispenser`] — hands out disjoint warp-sized `&mut` chunks of the
-//!   launch's work items with a single `fetch_add` per warp: no queue
-//!   allocation, no lock on the hot path.
+//! * [`ChunkDispenser`] — hands out disjoint runs of warp-sized `&mut`
+//!   chunks of the launch's work items with a single `fetch_add` per run:
+//!   no queue allocation, no lock on the hot path.
 //!
 //! # Why this module is allowed `unsafe`
 //!
@@ -140,9 +140,10 @@ impl Pool {
             work_done: Condvar::new(),
         });
         // A thread's runtime startup (stack-overflow handler, a copy of the
-        // thread name) allocates on the new thread itself. Waiting for every
-        // worker to check in keeps that inside pool creation instead of in
-        // whichever later launch a late-scheduled worker first joins.
+        // thread name) allocates on the new thread itself, and so does its
+        // executor scratch. Waiting for every worker to check in keeps that
+        // inside pool creation instead of in whichever later launch a
+        // late-scheduled worker first joins.
         let ready = std::sync::Arc::new(Barrier::new(workers + 1));
         let workers = (0..workers)
             .map(|i| {
@@ -151,6 +152,7 @@ impl Pool {
                 std::thread::Builder::new()
                     .name(format!("simt-warp-executor-{}", i + 1))
                     .spawn(move || {
+                        crate::grid::WarpScratch::prepare_thread();
                         ready.wait();
                         drop(ready);
                         worker_loop(&shared);
@@ -345,9 +347,9 @@ fn worker_loop(shared: &Shared) {
 
 /// Lock-free dispenser of disjoint warp-sized `&mut` chunks.
 ///
-/// Replaces the old `Mutex<vec::IntoIter>` warp queue: claiming a warp is
-/// one `fetch_add`, and the chunk's bounds come from offset arithmetic — no
-/// per-launch `Vec` of chunks, no lock.
+/// Replaces the old `Mutex<vec::IntoIter>` warp queue: claiming a run of
+/// warps is one `fetch_add`, and the chunks' bounds come from offset
+/// arithmetic — no per-launch `Vec` of chunks, no lock.
 pub(crate) struct ChunkDispenser<'a, T> {
     base: *mut T,
     len: usize,
@@ -356,11 +358,11 @@ pub(crate) struct ChunkDispenser<'a, T> {
     _items: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: the only way to reach the underlying elements is `next()`, and the
-// internal `fetch_add` is the sole source of chunk indices, so each disjoint
-// chunk is handed out at most once — concurrent callers can never obtain
-// aliasing `&mut` slices. `T: Send` is required because chunks move to other
-// threads.
+// SAFETY: the only way to reach the underlying elements is `claim()`, and
+// the internal `fetch_add` is the sole source of chunk indices, so each
+// disjoint chunk is handed out at most once — concurrent callers can never
+// obtain aliasing `&mut` slices. `T: Send` is required because chunks move
+// to other threads.
 unsafe impl<T: Send> Sync for ChunkDispenser<'_, T> {}
 // SAFETY: same reasoning; the dispenser is just a claim counter over a
 // borrowed slice of `Send` elements.
@@ -384,21 +386,27 @@ impl<'a, T> ChunkDispenser<'a, T> {
         self.len.div_ceil(self.chunk)
     }
 
-    /// Claims the next chunk: its index and the exclusive slice, or `None`
-    /// once all chunks are taken.
-    pub(crate) fn next(&self) -> Option<(usize, &'a mut [T])> {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        if id >= self.num_chunks() {
+    /// Claims the next `run` chunks (fewer at the end): each chunk's index
+    /// and exclusive slice, in index order, or `None` once all chunks are
+    /// taken.
+    pub(crate) fn claim(&self, run: usize) -> Option<impl Iterator<Item = (usize, &'a mut [T])>> {
+        let first = self.next.fetch_add(run, Ordering::Relaxed);
+        if first >= self.num_chunks() {
             return None;
         }
-        let start = id * self.chunk;
-        let end = (start + self.chunk).min(self.len);
-        // SAFETY: `start..end` lies inside the borrowed slice, and the
-        // fetch_add above guarantees this chunk index — hence this element
-        // range — is claimed exactly once, so the returned `&mut` aliases
-        // nothing. Lifetime `'a` is the original borrow's.
-        let slice = unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) };
-        Some((id, slice))
+        let start = first * self.chunk;
+        let end = first
+            .saturating_add(run)
+            .saturating_mul(self.chunk)
+            .min(self.len);
+        // SAFETY: `start..end` lies inside the borrowed slice (`first` is
+        // below `num_chunks`, and `end` is clamped to `len`), and the
+        // fetch_add above hands each index range `first..first + run` out
+        // once, so this element range is claimed exactly once and the
+        // returned `&mut` aliases nothing. Lifetime `'a` is the original
+        // borrow's.
+        let run = unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) };
+        Some((first..).zip(run.chunks_mut(self.chunk)))
     }
 }
 
@@ -412,10 +420,12 @@ mod tests {
         let dispenser = ChunkDispenser::new(&mut items, 32);
         assert_eq!(dispenser.num_chunks(), 4);
         let mut seen = vec![];
-        while let Some((id, chunk)) = dispenser.next() {
-            seen.push((id, chunk.len()));
-            for v in chunk.iter_mut() {
-                *v += 1000;
+        while let Some(run) = dispenser.claim(1) {
+            for (id, chunk) in run {
+                seen.push((id, chunk.len()));
+                for v in chunk.iter_mut() {
+                    *v += 1000;
+                }
             }
         }
         seen.sort_unstable();
@@ -428,7 +438,21 @@ mod tests {
         let mut items: Vec<u32> = vec![];
         let dispenser = ChunkDispenser::new(&mut items, 32);
         assert_eq!(dispenser.num_chunks(), 0);
-        assert!(dispenser.next().is_none());
+        assert!(dispenser.claim(1).is_none());
+        assert!(dispenser.claim(5).is_none());
+    }
+
+    #[test]
+    fn dispenser_runs_are_consecutive_and_end_short() {
+        let mut items: Vec<u32> = (0..100).collect();
+        let dispenser = ChunkDispenser::new(&mut items, 32);
+        let claim = || -> Vec<(usize, usize)> {
+            let run = dispenser.claim(3).expect("chunks remain");
+            run.map(|(id, c)| (id, c.len())).collect()
+        };
+        assert_eq!(claim(), vec![(0, 32), (1, 32), (2, 32)]);
+        assert_eq!(claim(), vec![(3, 4)]);
+        assert!(dispenser.claim(3).is_none());
     }
 
     #[test]
@@ -436,9 +460,11 @@ mod tests {
         let mut items = vec![(); 70];
         let dispenser = ChunkDispenser::new(&mut items, 32);
         assert_eq!(dispenser.num_chunks(), 3);
-        let mut sizes: Vec<usize> = std::iter::from_fn(|| dispenser.next().map(|c| c.1.len())).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![6, 32, 32]);
+        let sizes: Vec<usize> = std::iter::from_fn(|| dispenser.claim(2))
+            .flatten()
+            .map(|(_, c)| c.len())
+            .collect();
+        assert_eq!(sizes, vec![32, 32, 6]);
     }
 
     #[test]
@@ -448,10 +474,12 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    while let Some((id, chunk)) = dispenser.next() {
-                        for v in chunk.iter_mut() {
-                            // A datarace here would be caught by the final sum.
-                            *v += id as u64 + 1;
+                    while let Some(run) = dispenser.claim(3) {
+                        for (id, chunk) in run {
+                            for v in chunk.iter_mut() {
+                                // A datarace here would be caught by the final sum.
+                                *v += id as u64 + 1;
+                            }
                         }
                     }
                 });

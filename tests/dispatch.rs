@@ -10,8 +10,10 @@
 //! must be a pure scheduling change against the one-thread grid: identical
 //! table state, identical per-request results in the caller's order.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use simt::telemetry::{EventKind, TraceConfig, TraceSession};
-use simt::{ChaosGuard, FaultPlan, Grid, LaunchReport};
+use simt::{ChaosGuard, FaultPlan, Grid, LaunchError, LaunchReport, WarpCtx};
 use slab_hash::{BatchBuffer, KeyValue, OpResult, Request, SlabHash, SlabHashConfig};
 
 /// SplitMix64, for distinct well-spread test keys without the bench crate.
@@ -67,6 +69,89 @@ fn pooled_and_scoped_contain_panics_identically() {
     let grid = Grid::new(4);
     contained(&grid); // pooled
     on_busy_pool(&grid, || contained(&grid)); // scoped fallback
+}
+
+/// Starts one launch of `warps` warps running `kernel`, through
+/// `try_launch_warps` or, when `chunked`, through `try_launch` over one
+/// zero-sized item per lane.
+fn try_launch_either(
+    grid: &Grid,
+    chunked: bool,
+    warps: usize,
+    kernel: &(dyn Fn(&mut WarpCtx) + Sync),
+) -> Result<LaunchReport, LaunchError> {
+    if chunked {
+        grid.try_launch(&mut vec![(); warps * 32], |ctx, _| kernel(ctx))
+    } else {
+        grid.try_launch_warps(warps, kernel)
+    }
+}
+
+/// A warp that panics in the middle of a claimed run poisons the launch:
+/// its executor starts no other warp, neither the rest of its run nor a
+/// warp of a later claim; `completed_warps` counts exactly the warps that
+/// finished; and the pooled and scoped routes report the same failure.
+#[test]
+fn a_mid_run_panic_stops_its_run_and_later_claims() {
+    const WARPS: usize = 100_003;
+    for threads in [2, 3] {
+        // Claims take runs of `run` warps; the fault sits in the middle of
+        // the third run.
+        let run = WARPS / (threads * simt::grid::CLAIMS_PER_EXECUTOR);
+        let fault = 2 * run + run / 2;
+        let contained = |grid: &Grid, chunked: bool| {
+            let next_start = AtomicUsize::new(0);
+            let finished = AtomicUsize::new(0);
+            let starts = parking_lot::Mutex::new(Vec::with_capacity(WARPS));
+            let err = try_launch_either(grid, chunked, WARPS, &|ctx| {
+                let order = next_start.fetch_add(1, Ordering::SeqCst);
+                starts
+                    .lock()
+                    .push((order, ctx.warp_id, std::thread::current().id()));
+                if ctx.warp_id == fault {
+                    panic!("warp {fault} down");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+            .expect_err("the fault must fail the launch");
+            assert_eq!(err.warp_id, fault);
+            assert_eq!(
+                err.completed_warps,
+                finished.load(Ordering::SeqCst),
+                "completed_warps must count exactly the warps that finished"
+            );
+            let starts = starts.into_inner();
+            let mut ids: Vec<usize> = starts.iter().map(|&(_, id, _)| id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), starts.len(), "a warp started twice");
+            let (fault_order, _, fault_thread) = *starts
+                .iter()
+                .find(|&&(_, id, _)| id == fault)
+                .expect("the faulting warp started");
+            let later: Vec<usize> = starts
+                .iter()
+                .filter(|&&(order, _, thread)| thread == fault_thread && order > fault_order)
+                .map(|&(_, id, _)| id)
+                .collect();
+            assert!(
+                later.is_empty(),
+                "the faulting executor started warps {later:?} after the panic"
+            );
+            let run_tail = fault + 1..(fault / run + 1) * run;
+            assert!(
+                !ids.iter().any(|id| run_tail.contains(id)),
+                "a warp of the faulting run started after the panic"
+            );
+            (err.warp_id, err.message().map(str::to_owned))
+        };
+        let grid = Grid::new(threads);
+        for chunked in [false, true] {
+            let pooled = contained(&grid, chunked);
+            let scoped = on_busy_pool(&grid, || contained(&grid, chunked));
+            assert_eq!(pooled, scoped, "{threads} threads, chunked: {chunked}");
+        }
+    }
 }
 
 #[test]

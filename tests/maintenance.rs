@@ -400,6 +400,54 @@ fn free_slab_gauge_matches_the_bitmap_scan_after_churn_and_maintain() {
     assert!(t.audit().unwrap().no_leaks());
 }
 
+/// A compacting pass reports its tallies through the launch's merged
+/// counters: `slabs_released` is exactly the allocator's drop,
+/// `elements_kept` exactly the live count, and the counters the report
+/// carries do not depend on how many executors ran the pass.
+#[test]
+fn flush_report_is_exact_and_schedule_independent() {
+    // Built on one executor, so both copies hold the same slabs.
+    let churned = || {
+        let t = SlabHash::<KeyValue, _>::with_allocator(
+            SlabHashConfig::with_buckets(64),
+            SlabAlloc::new(SlabAllocConfig::small(2, 4)),
+        );
+        let grid = Grid::sequential();
+        for round in 0..4u32 {
+            let base = round * 3_000;
+            let mut writes: Vec<Request> =
+                (0..3_000).map(|k| Request::replace(base + k, k)).collect();
+            t.execute_batch(&mut writes, &grid);
+            let mut deletes: Vec<Request> = (0..3_000)
+                .filter(|k| k % 3 != 0)
+                .map(|k| Request::delete(base + k))
+                .collect();
+            t.execute_batch(&mut deletes, &grid);
+        }
+        t
+    };
+    let (parallel, sequential) = (churned(), churned());
+
+    let before = parallel.allocator().allocated_slabs();
+    let report = parallel
+        .maintain(&Grid::new(2))
+        .flushed
+        .expect("no op in flight");
+    let released = before - parallel.allocator().allocated_slabs();
+    assert!(released > 0, "the churn left no surplus slab");
+    assert_eq!(report.slabs_released, released);
+    assert_eq!(report.elements_kept, parallel.len() as u64);
+    assert_eq!(report.elements_kept, 4_000);
+    assert!(parallel.audit().unwrap().no_leaks());
+
+    let reference = sequential
+        .maintain(&Grid::sequential())
+        .flushed
+        .expect("no op in flight");
+    assert_eq!(report.counters, reference.counters);
+    assert_eq!(report, reference);
+}
+
 /// Satellite: the per-table retry budget is a builder option; a tiny budget
 /// surfaces `RetryBudgetExhausted { budget }` with the configured value.
 #[test]

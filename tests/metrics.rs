@@ -253,6 +253,53 @@ fn broker_drop_releases_exporter_socket_and_snapshot_writer() {
 }
 
 #[test]
+fn forced_idle_passes_show_their_pause_in_the_scrape() {
+    // A shed watermark above any headroom makes every idle tick run a
+    // maintenance pass; with no traffic, each pass claims its window and
+    // bills the time it held it.
+    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(32)));
+    let broker = Broker::spawn(
+        Arc::clone(&table),
+        BrokerConfig {
+            write_shed_headroom: u64::MAX,
+            idle_tick: Duration::from_millis(1),
+            ..BrokerConfig::default()
+        },
+    )
+    .with_metrics_addr("127.0.0.1:0")
+    .expect("start exporter");
+    let addr = broker.metrics_addr().expect("exporter bound");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let body = scrape_text(addr).expect("scrape");
+        assert!(
+            body.contains("slab_maint_pause_seconds_bucket{le="),
+            "pause histogram missing:\n{body}"
+        );
+        if sample(&body, "slab_maint_pause_seconds_count").unwrap_or(0.0) >= 1.0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no idle pass billed a pause:\n{body}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A live scrape reads each series at its own instant, so compare the
+    // series once the broker has stopped.
+    let registry = broker.metrics();
+    broker.shutdown();
+    let body = registry.render_prometheus();
+    let idle = sample(&body, "slab_ingress_maintenance_total{reason=\"idle\"}");
+    assert!(idle.unwrap() >= 1.0, "{body}");
+    // Every idle pass claimed a window, so each one billed a pause.
+    let pauses = sample(&body, "slab_maint_pause_seconds_count");
+    assert_eq!(idle, pauses, "{body}");
+    let paused = sample(&body, "slab_maint_pause_seconds_sum").unwrap();
+    assert!(paused > 0.0, "{body}");
+}
+
+#[test]
 fn exporter_serves_the_overloaded_broker_live() {
     // A shed watermark nothing satisfies: writes shed, breaker trips.
     let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(32)));

@@ -1,10 +1,13 @@
-//! Steady-state batches must not touch the heap.
+//! Steady-state batches, and the `maintain` passes between them, must not
+//! touch the heap.
 //!
 //! The reusable [`BatchBuffer`] keeps its request storage across
-//! `reset_results` / `clear`, and the grid's launch path runs on persistent
-//! pool workers. After warm-up, a reset + execute iteration must perform
-//! **zero** heap allocations on any thread — asserted here with a counting
-//! global allocator, so a regression (a fresh `Vec` on the launch path, a
+//! `reset_results` / `clear`, the grid's launch path runs on persistent
+//! pool workers, and a compaction pass reuses each executor's scratch
+//! lists. After warm-up, a reset + execute iteration, and a churn +
+//! `maintain` iteration, must perform **zero** heap allocations on any
+//! thread — asserted here with a counting global allocator, so a
+//! regression (a fresh `Vec` on the launch path or per compacted bucket, a
 //! lazily initialized per-thread structure on a pool worker) fails the test
 //! instead of silently costing an allocation per batch.
 //!
@@ -92,4 +95,66 @@ fn steady_state_batches_never_touch_the_heap() {
         );
     }
     println!("steady_alloc: {TRIALS} trials, 0 allocations per steady-state batch");
+    churn_and_maintain_never_touch_the_heap(&grid);
+}
+
+/// Live keys of the churned table; each churn round replaces `CHURN` fresh
+/// keys and deletes the `CHURN` oldest.
+const LIVE: u32 = 1 << 16;
+const CHURN: u32 = 4096;
+
+/// Fills `batch` with one churn round starting at fresh key `next`.
+fn churn_round(batch: &mut BatchBuffer, next: u32) {
+    batch.clear();
+    for k in next..next + CHURN {
+        batch.push(Request::replace(k, k));
+    }
+    for k in next - LIVE..next - LIVE + CHURN {
+        batch.push(Request::delete(k));
+    }
+}
+
+/// A warm compaction pass reuses each executor's scratch lists: churn
+/// rounds (fresh REPLACEs and DELETEs of live keys) followed by a
+/// compacting `maintain` allocate nothing once every executor has
+/// compacted buckets.
+fn churn_and_maintain_never_touch_the_heap(grid: &Grid) {
+    let t = SlabHash::<KeyValue>::for_expected_elements(LIVE as usize, 0.9, 13);
+    let mut batch = BatchBuffer::with_capacity(2 * CHURN as usize);
+    for k in 0..LIVE {
+        batch.push(Request::replace(k, k));
+    }
+    t.execute_buffer(&mut batch, grid);
+    let mut next = LIVE;
+    let mut iteration = |batch: &mut BatchBuffer| {
+        churn_round(batch, next);
+        t.execute_buffer(batch, grid);
+        next += CHURN;
+        t.maintain(grid).flushed.expect("no op in flight")
+    };
+    // Warm-up: the first passes size each executor's scratch and settle
+    // the allocator's freed slabs into reuse.
+    for _ in 0..4 {
+        iteration(&mut batch);
+    }
+    let mut released = 0;
+    for trial in 0..TRIALS {
+        let before = allocations();
+        let report = iteration(&mut batch);
+        let allocated = allocations() - before;
+        assert!(
+            report.counters.sector_writes > 0,
+            "trial {trial}: the pass rewrote no bucket"
+        );
+        assert_eq!(
+            allocated, 0,
+            "trial {trial}: a churn + maintain iteration touched the heap {allocated} time(s)"
+        );
+        released += report.slabs_released;
+    }
+    assert!(released > 0, "no pass released a slab");
+    println!(
+        "steady_alloc: {TRIALS} trials, 0 allocations per churn + maintain iteration \
+         ({released} slabs released)"
+    );
 }
