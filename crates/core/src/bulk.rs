@@ -25,10 +25,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// requests complete normally. A *panicking* warp unwinds through this
     /// call — use [`SlabHash::try_execute_batch`] to contain it.
     pub fn execute_batch(&self, reqs: &mut [Request], grid: &Grid) -> LaunchReport {
-        grid.launch(reqs, |ctx, chunk| {
-            let mut alloc_state = self.allocator().new_warp_state();
-            self.process_warp(ctx, &mut alloc_state, chunk);
-        })
+        self.try_execute_batch(reqs, grid)
+            .unwrap_or_else(|e| e.resume_unwind())
     }
 
     /// Like [`SlabHash::execute_batch`], but contains warp panics: the

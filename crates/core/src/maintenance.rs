@@ -103,6 +103,16 @@ pub struct MaintenanceReport {
     pub grew: bool,
 }
 
+/// What one [`SlabHash::recover`] call decided and did.
+#[derive(Debug, Clone, Copy)]
+pub struct Recovery {
+    /// Whether the caller should retry the failed operation.
+    pub retry: bool,
+    /// The maintenance pass `recover` ran, so a caller can bill its pause;
+    /// `None` when the policy ran none.
+    pub pass: Option<MaintenanceReport>,
+}
+
 impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// One idempotent self-healing pass:
     ///
@@ -136,28 +146,29 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         }
     }
 
-    /// Policy-driven reaction to a failed operation. Returns `true` if the
-    /// caller should retry the operation, `false` if it should surface the
-    /// error. `round` counts prior recovery attempts for this operation
-    /// (start at 0).
+    /// Policy-driven reaction to a failed operation: whether the caller
+    /// should retry the operation or surface the error, and the
+    /// maintenance pass it ran, if any. `round` counts prior recovery
+    /// attempts for this operation (start at 0).
     pub fn recover(
         &self,
         err: TableError,
         policy: &MaintenancePolicy,
         grid: &Grid,
         round: u32,
-    ) -> bool {
+    ) -> Recovery {
         match policy.mode {
-            PressureMode::Shed => {
+            PressureMode::Shed => Recovery {
                 // Heal for the *next* caller, but don't retry this one.
-                if round == 0 {
-                    self.maintain(grid);
-                }
-                false
-            }
+                retry: false,
+                pass: (round == 0).then(|| self.maintain(grid)),
+            },
             PressureMode::Block => {
                 if round >= policy.max_rounds {
-                    return false;
+                    return Recovery {
+                        retry: false,
+                        pass: None,
+                    };
                 }
                 let report = self.maintain(grid);
                 // Out of slabs and maintenance freed nothing: growth is the
@@ -177,7 +188,10 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 for step in 0..policy.backoff_yields {
                     backoff.wait_attempt(round.saturating_add(step));
                 }
-                true
+                Recovery {
+                    retry: true,
+                    pass: Some(report),
+                }
             }
         }
     }
@@ -361,8 +375,10 @@ mod tests {
         let grid = Grid::default();
         let policy = MaintenancePolicy::shed();
         let err = TableError::RetryBudgetExhausted { budget: 4 };
-        assert!(!t.recover(err, &policy, &grid, 0));
-        assert!(!t.recover(err, &policy, &grid, 1));
+        let first = t.recover(err, &policy, &grid, 0);
+        assert!(!first.retry && first.pass.is_some());
+        let second = t.recover(err, &policy, &grid, 1);
+        assert!(!second.retry && second.pass.is_none());
     }
 
     #[test]
@@ -374,8 +390,11 @@ mod tests {
             ..MaintenancePolicy::block()
         };
         let err = TableError::RetryBudgetExhausted { budget: 4 };
-        assert!(t.recover(err, &policy, &grid, 0));
-        assert!(t.recover(err, &policy, &grid, 1));
-        assert!(!t.recover(err, &policy, &grid, 2));
+        for round in 0..2 {
+            let healed = t.recover(err, &policy, &grid, round);
+            assert!(healed.retry && healed.pass.is_some());
+        }
+        let spent = t.recover(err, &policy, &grid, 2);
+        assert!(!spent.retry && spent.pass.is_none());
     }
 }

@@ -785,10 +785,14 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             // One recovery pass (compact/grow + jittered backoff,
             // per the policy) covers the whole retry cohort.
             let first_err = retry[0].1;
-            let heal_again =
-                self.table
-                    .recover(first_err, &self.cfg.policy, &self.grid, attempt);
-            if !heal_again {
+            let recovery = self
+                .table
+                .recover(first_err, &self.cfg.policy, &self.grid, attempt);
+            if let Some(pass) = &recovery.pass {
+                self.metrics.bill_maintenance(MaintainReason::Recover);
+                self.metrics.bill_pause(pass);
+            }
+            if !recovery.retry {
                 for (env, err) in retry {
                     if is_write(env.req.op) {
                         self.breaker.record(now, false);
@@ -799,7 +803,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                 self.note_breaker();
                 break;
             }
-            self.metrics.bill_maintenance(MaintainReason::Recover);
             self.stats.retried += retry.len() as u64;
             self.metrics.retried.add(retry.len() as u64);
             self.emit("retry", retry.len() as u32);

@@ -249,9 +249,7 @@ impl IngressMetrics {
     }
 
     /// Records the window a compacting pass held; a pass that claimed no
-    /// window paused nothing and records nothing. The passes
-    /// `SlabHash::recover` runs are counted (`reason="recover"`) but not
-    /// timed: their reports stay inside `recover`.
+    /// window paused nothing and records nothing.
     pub(crate) fn bill_pause(&self, report: &MaintenanceReport) {
         if report.flushed.is_some() {
             self.maint_pause_seconds.record(report.pause.as_nanos() as u64);

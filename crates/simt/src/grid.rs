@@ -1,14 +1,21 @@
 //! Kernel launching: scheduling simulated warps over CPU threads.
 //!
-//! A GPU kernel launch creates `ceil(n / 32)` warps that the hardware
-//! scheduler multiplexes over its streaming multiprocessors. We reproduce the
-//! structure directly: work items (one per simulated GPU thread) are split
-//! into warp-sized chunks and a pool of OS threads drains them by bumping a
-//! shared atomic claim counter, one run of warps per bump (see
-//! [`CLAIMS_PER_EXECUTOR`]). Warps that run on different OS threads
-//! execute *genuinely concurrently*, so every inter-warp race in the paper's
-//! lock-free algorithms (CAS retries, allocate-then-link races,
-//! delete/search interleavings) is exercised for real, not emulated.
+//! A GPU kernel launch creates a grid of warps that the hardware
+//! scheduler multiplexes over its streaming multiprocessors, and each
+//! thread finds its work item from its own id. We reproduce the structure
+//! directly. A launch is a number of warps, and a pool of OS threads
+//! drains their ids through one dispatch loop in
+//! [`Grid::try_launch_warps`]: each executor bumps a shared atomic claim
+//! counter, one run of warps per bump (see [`CLAIMS_PER_EXECUTOR`]), so
+//! each warp id reaches at most one kernel call. A launch over work items
+//! ([`Grid::launch`], one item per simulated GPU thread) is a launch of
+//! `ceil(n / 32)` warps in which warp `w` takes the chunk
+//! `items[32w .. 32w + 32]` by its id; FLUSH's [`Grid::launch_warps`]
+//! gives warp `w` bucket `w` the same way. Warps that run on different OS
+//! threads execute *genuinely concurrently*, so every inter-warp race in
+//! the paper's lock-free algorithms (CAS retries, allocate-then-link
+//! races, delete/search interleavings) is exercised for real, not
+//! emulated.
 //!
 //! Executor threads are persistent (see the crate's `pool` module): a
 //! launch wakes the grid's parked workers instead of spawning fresh OS
@@ -27,7 +34,7 @@ use std::time::{Duration, Instant};
 use telemetry::{EventKind, Histograms, SessionHandle, WarpTracer, LAUNCH_WARP};
 
 use crate::counters::PerfCounters;
-use crate::pool::{ChunkDispenser, Pool};
+use crate::pool::Pool;
 use crate::warp::WARP_SIZE;
 
 /// Claims each executor makes, at most, to drain one launch.
@@ -329,9 +336,10 @@ impl Grid {
 
     /// Launches a kernel over `items`, one item per simulated GPU thread.
     ///
-    /// `kernel` is invoked once per warp with the warp's up-to-32 work items;
-    /// the final (partial) warp simply has fewer. This mirrors CUDA's
-    /// `if (tid < n)` guard: inactive lanes exist but carry no work.
+    /// `kernel` is invoked once per warp: warp `w` gets the work items
+    /// `items[32w .. min(32w + 32, n)]`, so the final (partial) warp simply
+    /// has fewer. This mirrors CUDA's `if (tid < n)` guard: inactive lanes
+    /// exist but carry no work.
     ///
     /// A panicking warp is re-raised on the calling thread (after in-flight
     /// warps drain); use [`Grid::try_launch`] to contain it instead.
@@ -358,39 +366,22 @@ impl Grid {
         T: Send,
         F: Fn(&mut WarpCtx, &mut [T]) + Sync,
     {
-        let dispenser = ChunkDispenser::new(items, WARP_SIZE);
-        let warps = dispenser.num_chunks();
-        let run = claim_run(warps, self.executors(warps));
-        let containment = Containment::default();
-        let session = telemetry::current_session();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchBegin { warps: warps as u32 });
-        }
-        // The wall clock starts after launch setup (chunk arithmetic,
-        // session lookup) so `LaunchReport::wall` measures kernel
-        // execution, not host bookkeeping.
-        let start = Instant::now();
-        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |warp_ctx| {
-            let mut completed = 0;
-            'claims: while let Some(chunks) = dispenser.claim(run) {
-                for (warp_id, chunk) in chunks {
-                    if !containment.run_warp(warp_ctx, warp_id, |ctx| kernel(ctx, chunk)) {
-                        break 'claims;
-                    }
-                    completed += 1;
-                }
-            }
-            containment.count_completed(completed);
-        });
-        let wall = start.elapsed();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchEnd { warps: warps as u32 });
-        }
-        containment.into_result(LaunchReport {
-            counters,
-            histograms,
-            wall,
-            warps,
+        let items = WarpChunks {
+            base: items.as_mut_ptr(),
+            len: items.len(),
+        };
+        self.try_launch_warps(items.len.div_ceil(WARP_SIZE), |ctx| {
+            let (first, len) = items.chunk(ctx.warp_id);
+            // SAFETY: the dispatch loop of `try_launch_warps` hands each
+            // warp id in `0..num_warps` to at most one kernel call, and
+            // `ctx.warp_id` holds that id when this call starts. So this
+            // warp's chunk, which lies inside `items` and overlaps no other
+            // warp's, is borrowed by this call alone. `try_launch_warps`
+            // returns only after every kernel call has finished, so the
+            // borrow ends inside the caller's `&mut` borrow of `items`.
+            #[allow(unsafe_code)]
+            let chunk = unsafe { std::slice::from_raw_parts_mut(first, len) };
+            kernel(ctx, chunk);
         })
     }
 
@@ -413,6 +404,10 @@ impl Grid {
     /// Like [`Grid::launch_warps`], but contains warp panics (see
     /// [`Grid::try_launch`]).
     ///
+    /// Every launch runs through this function's dispatch loop, which
+    /// hands each warp id in `0..num_warps` to at most one kernel call:
+    /// exactly one when no warp panics.
+    ///
     /// # Errors
     /// Returns the first warp panic observed.
     pub fn try_launch_warps<F>(&self, num_warps: usize, kernel: F) -> Result<LaunchReport, LaunchError>
@@ -431,8 +426,14 @@ impl Grid {
                 },
             );
         }
-        // As in `try_launch`: time the kernel, not the setup.
+        // The wall clock starts after launch setup (claim sizing, session
+        // lookup) so `LaunchReport::wall` measures kernel execution, not
+        // host bookkeeping.
         let start = Instant::now();
+        // The one dispatch loop. Each `fetch_add` claims the warp ids
+        // `first..first + run`, a range no other claim overlaps, so each
+        // warp id in `0..num_warps` reaches at most one kernel call.
+        // `try_launch` relies on this to hand each warp its own items.
         let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |warp_ctx| {
             let mut completed = 0;
             'claims: loop {
@@ -535,6 +536,33 @@ impl Grid {
     }
 }
 
+/// The items of one [`Grid::try_launch`], shared by its executors. Warp
+/// `w` owns `items[32w .. min(32w + 32, len)]`; the one `unsafe` block in
+/// `try_launch` slices it out.
+struct WarpChunks<T> {
+    base: *mut T,
+    len: usize,
+}
+
+// SAFETY: sharing a `WarpChunks` shares only a pointer and a length. Every
+// element access goes through the `unsafe` block in `Grid::try_launch`,
+// which gives each warp's chunk to one kernel call. `T: Send` because
+// those calls run on other executor threads.
+#[allow(unsafe_code)]
+unsafe impl<T: Send> Sync for WarpChunks<T> {}
+
+impl<T> WarpChunks<T> {
+    /// Warp `warp_id`'s chunk as its first item and length, for a warp id
+    /// below `ceil(len / 32)`.
+    fn chunk(&self, warp_id: usize) -> (*mut T, usize) {
+        let start = warp_id * WARP_SIZE;
+        (
+            self.base.wrapping_add(start),
+            WARP_SIZE.min(self.len - start),
+        )
+    }
+}
+
 /// Shared panic-containment state for one `try_` launch: the poison flag,
 /// the completed-warp count, and the first captured panic.
 ///
@@ -549,10 +577,11 @@ struct Containment {
 }
 
 impl Containment {
-    /// Runs warp `warp_id` on `ctx`, catching a panic. Returns `false`
-    /// when the executor should stop: the launch was already poisoned, so
-    /// the warp did not start, or this warp panicked. The warp counts as
-    /// completed exactly when this returns `true`.
+    /// Runs warp `warp_id` on `ctx`, catching a panic. The kernel finds
+    /// `warp_id` in `ctx.warp_id` (`try_launch` slices its items by it).
+    /// Returns `false` when the executor should stop: the launch was
+    /// already poisoned, so the warp did not start, or this warp panicked.
+    /// The warp counts as completed exactly when this returns `true`.
     fn run_warp(
         &self,
         ctx: &mut WarpCtx,
@@ -620,7 +649,8 @@ mod tests {
     #[test]
     fn partial_final_warp_gets_remainder() {
         let grid = Grid::sequential();
-        let mut items = vec![0u8; 70]; // 2 full warps + 6 lanes
+        // 2 full warps + 6 lanes, of zero-sized items.
+        let mut items = vec![(); 70];
         let sizes = parking_lot::Mutex::new(vec![]);
         grid.launch(&mut items, |_, chunk| sizes.lock().push(chunk.len()));
         let mut sizes = sizes.into_inner();
@@ -822,8 +852,9 @@ mod tests {
         for threads in 1..=3 {
             let grid = Grid::new(threads);
             for warps in RUN_CLAIM_WARPS {
-                // The last warp is partial: three lanes short.
-                let mut items = vec![0u8; warps * WARP_SIZE - 3];
+                // Each item holds its own index; the last warp is partial,
+                // three lanes short.
+                let mut items: Vec<usize> = (0..warps * WARP_SIZE - 3).collect();
                 let report = grid.launch(&mut items, |ctx, chunk| {
                     let expected = if ctx.warp_id + 1 == warps {
                         WARP_SIZE - 3
@@ -831,16 +862,19 @@ mod tests {
                         WARP_SIZE
                     };
                     assert_eq!(chunk.len(), expected, "warp {}", ctx.warp_id);
-                    for item in chunk.iter_mut() {
-                        *item += 1;
+                    assert_eq!(chunk[0], WARP_SIZE * ctx.warp_id, "warp {}", ctx.warp_id);
+                    for (lane, item) in chunk.iter_mut().enumerate() {
+                        // A second visit would find the mark, not the index.
+                        assert_eq!(*item, WARP_SIZE * ctx.warp_id + lane);
+                        *item = usize::MAX;
                     }
                     ctx.counters.ops += 1;
                 });
                 assert_eq!(report.warps, warps, "{threads} threads");
                 assert_eq!(report.counters.ops, warps as u64, "{threads} threads");
                 assert!(
-                    items.iter().all(|&v| v == 1),
-                    "{threads} threads, {warps} warps: an item was visited twice or never"
+                    items.iter().all(|&v| v == usize::MAX),
+                    "{threads} threads, {warps} warps: an item was never visited"
                 );
             }
         }

@@ -38,10 +38,11 @@
 //! assert_eq!(shfl(&lanes, 7), 42);
 //! ```
 
-// `deny`, not `forbid`: the `pool` module opts back in for exactly two
-// audited primitives (lifetime-erased jobs on persistent executors, the
-// lock-free chunk dispenser) — see its module docs for the soundness
-// argument. Everything else in the crate stays in the safe subset.
+// `deny`, not `forbid`: three audited primitives opt back in — the `pool`
+// module's lifetime-erased jobs on persistent executors (see its module
+// docs for the soundness argument), `grid`'s slicing of a launch's items
+// by warp id, and `SlabStorage::prefetch`. Everything else in the crate
+// stays in the safe subset.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

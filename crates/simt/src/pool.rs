@@ -1,20 +1,15 @@
-//! Persistent executor pool and lock-free warp-chunk dispatch.
+//! Persistent executor pool.
 //!
 //! A GPU never pays thread-creation cost per kernel launch: the SMs are
 //! always there, and the hardware scheduler just feeds them blocks. The
 //! original [`Grid`](crate::grid::Grid) implementation spawned and joined a
 //! fresh set of scoped OS threads for *every* launch, which dominated the
-//! host-side cost of small and medium batches. This module supplies the two
-//! pieces that remove that overhead:
-//!
-//! * [`Pool`] — a set of parked worker threads owned by the grid. A launch
-//!   wakes them, they execute the launch's executor closure once each, and
-//!   they park again when the warp queue drains. The launching thread
-//!   participates as an executor itself, so a width-`n` grid keeps `n - 1`
-//!   workers.
-//! * [`ChunkDispenser`] — hands out disjoint runs of warp-sized `&mut`
-//!   chunks of the launch's work items with a single `fetch_add` per run:
-//!   no queue allocation, no lock on the hot path.
+//! host-side cost of small and medium batches. [`Pool`] removes that
+//! overhead: a set of parked worker threads owned by the grid. A launch
+//! wakes them, they execute the launch's executor closure once each, and
+//! they park again when the warp queue drains. The launching thread
+//! participates as an executor itself, so a width-`n` grid keeps `n - 1`
+//! workers.
 //!
 //! # Why this module is allowed `unsafe`
 //!
@@ -30,14 +25,10 @@
 //!
 //! Because the launching thread blocks inside `try_run` for the whole time
 //! any worker can touch the closure, the borrow it erases provably outlives
-//! every use. [`ChunkDispenser`] similarly wraps one `fetch_add` index
-//! scheme behind an API that can never hand the same chunk out twice.
-//! Everything else in the crate builds on these two safe interfaces.
+//! every use.
 #![allow(unsafe_code)]
 
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
@@ -345,149 +336,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Lock-free dispenser of disjoint warp-sized `&mut` chunks.
-///
-/// Replaces the old `Mutex<vec::IntoIter>` warp queue: claiming a run of
-/// warps is one `fetch_add`, and the chunks' bounds come from offset
-/// arithmetic — no per-launch `Vec` of chunks, no lock.
-pub(crate) struct ChunkDispenser<'a, T> {
-    base: *mut T,
-    len: usize,
-    chunk: usize,
-    next: AtomicUsize,
-    _items: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the only way to reach the underlying elements is `claim()`, and
-// the internal `fetch_add` is the sole source of chunk indices, so each
-// disjoint chunk is handed out at most once — concurrent callers can never
-// obtain aliasing `&mut` slices. `T: Send` is required because chunks move
-// to other threads.
-unsafe impl<T: Send> Sync for ChunkDispenser<'_, T> {}
-// SAFETY: same reasoning; the dispenser is just a claim counter over a
-// borrowed slice of `Send` elements.
-unsafe impl<T: Send> Send for ChunkDispenser<'_, T> {}
-
-impl<'a, T> ChunkDispenser<'a, T> {
-    /// Wraps `items` for handout in chunks of at most `chunk` elements.
-    pub(crate) fn new(items: &'a mut [T], chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        Self {
-            base: items.as_mut_ptr(),
-            len: items.len(),
-            chunk,
-            next: AtomicUsize::new(0),
-            _items: PhantomData,
-        }
-    }
-
-    /// Total chunks this dispenser will hand out (zero for an empty slice).
-    pub(crate) fn num_chunks(&self) -> usize {
-        self.len.div_ceil(self.chunk)
-    }
-
-    /// Claims the next `run` chunks (fewer at the end): each chunk's index
-    /// and exclusive slice, in index order, or `None` once all chunks are
-    /// taken.
-    pub(crate) fn claim(&self, run: usize) -> Option<impl Iterator<Item = (usize, &'a mut [T])>> {
-        let first = self.next.fetch_add(run, Ordering::Relaxed);
-        if first >= self.num_chunks() {
-            return None;
-        }
-        let start = first * self.chunk;
-        let end = first
-            .saturating_add(run)
-            .saturating_mul(self.chunk)
-            .min(self.len);
-        // SAFETY: `start..end` lies inside the borrowed slice (`first` is
-        // below `num_chunks`, and `end` is clamped to `len`), and the
-        // fetch_add above hands each index range `first..first + run` out
-        // once, so this element range is claimed exactly once and the
-        // returned `&mut` aliases nothing. Lifetime `'a` is the original
-        // borrow's.
-        let run = unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) };
-        Some((first..).zip(run.chunks_mut(self.chunk)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dispenser_hands_out_every_chunk_once() {
-        let mut items: Vec<u32> = (0..100).collect();
-        let dispenser = ChunkDispenser::new(&mut items, 32);
-        assert_eq!(dispenser.num_chunks(), 4);
-        let mut seen = vec![];
-        while let Some(run) = dispenser.claim(1) {
-            for (id, chunk) in run {
-                seen.push((id, chunk.len()));
-                for v in chunk.iter_mut() {
-                    *v += 1000;
-                }
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 32), (1, 32), (2, 32), (3, 4)]);
-        assert!(items.iter().enumerate().all(|(i, &v)| v == i as u32 + 1000));
-    }
-
-    #[test]
-    fn dispenser_empty_slice_yields_nothing() {
-        let mut items: Vec<u32> = vec![];
-        let dispenser = ChunkDispenser::new(&mut items, 32);
-        assert_eq!(dispenser.num_chunks(), 0);
-        assert!(dispenser.claim(1).is_none());
-        assert!(dispenser.claim(5).is_none());
-    }
-
-    #[test]
-    fn dispenser_runs_are_consecutive_and_end_short() {
-        let mut items: Vec<u32> = (0..100).collect();
-        let dispenser = ChunkDispenser::new(&mut items, 32);
-        let claim = || -> Vec<(usize, usize)> {
-            let run = dispenser.claim(3).expect("chunks remain");
-            run.map(|(id, c)| (id, c.len())).collect()
-        };
-        assert_eq!(claim(), vec![(0, 32), (1, 32), (2, 32)]);
-        assert_eq!(claim(), vec![(3, 4)]);
-        assert!(dispenser.claim(3).is_none());
-    }
-
-    #[test]
-    fn dispenser_handles_zero_sized_items() {
-        let mut items = vec![(); 70];
-        let dispenser = ChunkDispenser::new(&mut items, 32);
-        assert_eq!(dispenser.num_chunks(), 3);
-        let sizes: Vec<usize> = std::iter::from_fn(|| dispenser.claim(2))
-            .flatten()
-            .map(|(_, c)| c.len())
-            .collect();
-        assert_eq!(sizes, vec![32, 32, 6]);
-    }
-
-    #[test]
-    fn dispenser_is_exclusive_across_threads() {
-        let mut items = vec![0u64; 64 * 32];
-        let dispenser = ChunkDispenser::new(&mut items, 32);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    while let Some(run) = dispenser.claim(3) {
-                        for (id, chunk) in run {
-                            for v in chunk.iter_mut() {
-                                // A datarace here would be caught by the final sum.
-                                *v += id as u64 + 1;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let expected: u64 = (1..=64).map(|id| id * 32).sum();
-        assert_eq!(items.iter().sum::<u64>(), expected);
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_runs_job_on_all_executors_and_reuses_workers() {

@@ -201,7 +201,7 @@ fn replace_with_policy(
     let mut round = 0;
     loop {
         match warp.checked_replace(key, value) {
-            Err(e) if table.recover(e, policy, grid, round) => round += 1,
+            Err(e) if table.recover(e, policy, grid, round).retry => round += 1,
             result => return result,
         }
     }

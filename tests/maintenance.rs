@@ -38,7 +38,7 @@ fn insert_healing<A: SlabAllocator>(
             Ok(_) => return,
             Err(e) => {
                 assert!(
-                    t.recover(e, &policy, grid, round),
+                    t.recover(e, &policy, grid, round).retry,
                     "unrecoverable pressure at key {key} after {round} rounds: {e}"
                 );
                 round += 1;

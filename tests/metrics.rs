@@ -300,6 +300,49 @@ fn forced_idle_passes_show_their_pause_in_the_scrape() {
 }
 
 #[test]
+fn recover_passes_show_their_pause_in_the_scrape() {
+    // Every CAS fails, so each REPLACE burns its retry budget and the
+    // block policy runs a `recover` pass between dispatch rounds. No
+    // other operation is in flight, so every pass claims its window.
+    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(32)));
+    let broker = Broker::spawn(
+        Arc::clone(&table),
+        BrokerConfig {
+            policy: MaintenancePolicy::block(),
+            chaos: Some(FaultPlan::seeded(0x4EC0).with_cas_failures(1.0)),
+            ..BrokerConfig::default()
+        },
+    );
+    let registry = broker.metrics();
+    let client = broker.handle();
+    for k in 1..=4u32 {
+        let reply = client.call_with_deadline(Request::replace(k, k), Duration::from_secs(5));
+        assert!(reply.is_err(), "a REPLACE landed with every CAS failing");
+    }
+    drop(client);
+    broker.shutdown();
+    let body = registry.render_prometheus();
+    let passes = |reason: &str| {
+        sample(
+            &body,
+            &format!("slab_ingress_maintenance_total{{reason=\"{reason}\"}}"),
+        )
+        .unwrap_or_else(|| panic!("no {reason} count:\n{body}"))
+    };
+    assert!(passes("recover") >= 1.0, "{body}");
+    // Every pass, `recover`'s included, billed the window it held.
+    let all: f64 = ["idle", "admission", "dispatch", "recover"]
+        .into_iter()
+        .map(passes)
+        .sum();
+    assert_eq!(
+        sample(&body, "slab_maint_pause_seconds_count"),
+        Some(all),
+        "{body}"
+    );
+}
+
+#[test]
 fn exporter_serves_the_overloaded_broker_live() {
     // A shed watermark nothing satisfies: writes shed, breaker trips.
     let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(32)));

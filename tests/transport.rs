@@ -7,8 +7,10 @@
 //! what the wire does — torn frames, stalled writes, abrupt disconnects,
 //! or the server hard-dying mid-load.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -367,6 +369,169 @@ fn kill_and_restart_resumes_goodput_with_typed_errors_in_between() {
     // this client again.
     assert!(metric(&rendered, "slab_transport_connections_accepted_total") >= 2);
     assert_eq!(metric(&rendered, "slab_transport_connections_open"), 0);
+}
+
+/// Set in the environment of the kill -9 drill's server child: the
+/// address it binds.
+const DRILL_ADDR: &str = "SLAB_KILL_DRILL_ADDR";
+/// The line with which the drill's server child reports its address.
+const DRILL_READY: &str = "kill drill server listening on ";
+
+/// The server child of `kill_9_mid_load_then_restart_resumes_goodput`: a
+/// broker behind a `WireServer` on the address in `DRILL_ADDR`, serving
+/// until it is killed. Without `DRILL_ADDR` it returns at once.
+#[test]
+fn kill_drill_server() {
+    let Ok(addr) = std::env::var(DRILL_ADDR) else {
+        return;
+    };
+    let broker = broker();
+    // A restarted child can find the port busy for a moment; retry.
+    let server = loop {
+        match WireServer::bind(addr.as_str(), &broker, WireServerConfig::default()) {
+            Ok(server) => break server,
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    println!("{DRILL_READY}{}", server.local_addr());
+    loop {
+        std::thread::park();
+    }
+}
+
+/// A drill server child process. Dropping it kills the process with
+/// SIGKILL and reaps it, on every exit path of the test.
+struct ServerChild(Child);
+
+impl ServerChild {
+    /// Re-runs this test binary as `kill_drill_server` on `addr` and
+    /// returns once the child reports the address it bound.
+    fn start(addr: &str) -> (Self, SocketAddr) {
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "kill_drill_server", "--nocapture"])
+            .env(DRILL_ADDR, addr)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start the drill server child");
+        let stdout = child.stdout.take().unwrap();
+        let child = Self(child);
+        let bound = BufReader::new(stdout)
+            .lines()
+            .map_while(Result::ok)
+            .find_map(|line| line.strip_prefix(DRILL_READY).map(|a| a.parse().unwrap()))
+            .expect("the drill server child exited before listening");
+        (child, bound)
+    }
+}
+
+impl Drop for ServerChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The kill -9 drill's shared state: phase flags set by the test, counts
+/// summed over its clients.
+#[derive(Default)]
+struct Drill {
+    restarted: AtomicBool,
+    stop: AtomicBool,
+    completed: AtomicU64,
+    completed_after_restart: AtomicU64,
+    transport_errors: AtomicU64,
+    reconnects: AtomicU64,
+}
+
+/// One closed-loop drill client: 90 % SEARCH, 10 % REPLACE over 2^14
+/// keys, a 250 ms budget per call, until `stop` is set (or 10 s pass, so
+/// a failed test cannot leave it running).
+fn drill_client(addr: SocketAddr, c: u64, drill: &Drill) {
+    let mut client = WireClient::new(
+        addr,
+        WireClientConfig {
+            default_deadline: Duration::from_millis(250),
+            seed: 0x59C5_B000 + c,
+            ..WireClientConfig::default()
+        },
+    )
+    .unwrap();
+    let started = Instant::now();
+    let mut i = c << 40;
+    while !drill.stop.load(Ordering::Relaxed) && started.elapsed() < Duration::from_secs(10) {
+        // Read before the call: a reply to a call that began after the
+        // restart can only come from the new server.
+        let after_restart = drill.restarted.load(Ordering::Relaxed);
+        let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let key = 1 + (z >> 50) as u32;
+        let req = if (z >> 32).is_multiple_of(10) {
+            Request::replace(key, i as u32)
+        } else {
+            Request::search(key)
+        };
+        match client.call(req) {
+            Ok(_) if after_restart => {
+                drill
+                    .completed_after_restart
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(_) => {
+                drill.completed.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) if e.is_disconnect() => {
+                drill.transport_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {}
+        }
+        i += 1;
+    }
+    let reconnects = client.stats().reconnects;
+    drill.reconnects.fetch_add(reconnects, Ordering::Relaxed);
+}
+
+/// Waits until `count` reaches `n`, for at most 5 s.
+fn wait_for(count: &AtomicU64, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while count.load(Ordering::Relaxed) < n && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The kill -9 drill: a real server process is SIGKILLed under load from
+/// four reconnecting clients and restarted on the same address. The
+/// clients must see typed transport errors, reconnect, and complete calls
+/// against the new process.
+#[test]
+fn kill_9_mid_load_then_restart_resumes_goodput() {
+    let (server, addr) = ServerChild::start("127.0.0.1:0");
+    let drill = Drill::default();
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let drill = &drill;
+            scope.spawn(move || drill_client(addr, c, drill));
+        }
+        wait_for(&drill.completed, 1_000);
+        drop(server);
+        wait_for(&drill.transport_errors, 4);
+        let (_server, _) = ServerChild::start(&addr.to_string());
+        drill.restarted.store(true, Ordering::Relaxed);
+        wait_for(&drill.completed_after_restart, 1_000);
+        drill.stop.store(true, Ordering::Relaxed);
+    });
+    let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    let (before, after) = (
+        count(&drill.completed),
+        count(&drill.completed_after_restart),
+    );
+    let (errors, reconnects) = (count(&drill.transport_errors), count(&drill.reconnects));
+    let seen = format!(
+        "{before} calls completed before the restart, {after} after, \
+         {errors} transport errors, {reconnects} reconnects"
+    );
+    println!("kill -9 drill: {seen}");
+    assert!(before > 0 && after > 0, "{seen}");
+    assert!(errors > 0, "the kill produced no typed error: {seen}");
+    assert!(reconnects > 0, "no client reconnected: {seen}");
 }
 
 /// The acceptance chaos test: a seeded fault plan of torn frames, stalled
