@@ -298,7 +298,10 @@ impl CuckooHash {
                 return Err(CuckooError::BuildFailed { restarts });
             }
             let size = self.slots.len();
-            self.reset(size, self.config.seed.wrapping_add(restarts as u64 * 0x9e37));
+            self.reset(
+                size,
+                self.config.seed.wrapping_add(restarts as u64 * 0x9e37),
+            );
         }
     }
 
@@ -387,10 +390,13 @@ mod tests {
 
     #[test]
     fn capacity_respects_load_factor() {
-        let t = CuckooHash::new(1000, CuckooConfig {
-            load_factor: 0.5,
-            ..CuckooConfig::default()
-        });
+        let t = CuckooHash::new(
+            1000,
+            CuckooConfig {
+                load_factor: 0.5,
+                ..CuckooConfig::default()
+            },
+        );
         assert_eq!(t.capacity(), 2000);
         assert!((0.49..0.51).contains(&(1000.0 / t.capacity() as f64)));
     }
@@ -516,7 +522,8 @@ mod stash_tests {
     #[test]
     fn stash_lookup_is_one_probe() {
         let mut t = CuckooHash::new(64, CuckooConfig::default());
-        t.bulk_build(&[(1, 10), (2, 20)], &Grid::sequential()).unwrap();
+        t.bulk_build(&[(1, 10), (2, 20)], &Grid::sequential())
+            .unwrap();
         // Force something into the stash manually by occupying the count.
         // (Normal builds at low load leave the stash empty: misses must not
         // pay a stash probe at all.)

@@ -92,7 +92,9 @@ impl MisraHash {
 
     /// Nodes consumed so far (deleted nodes are never reclaimed).
     pub fn nodes_used(&self) -> u32 {
-        self.next_free.load(Ordering::Acquire).min(self.keys.len() as u32)
+        self.next_free
+            .load(Ordering::Acquire)
+            .min(self.keys.len() as u32)
     }
 
     #[inline]
@@ -268,15 +270,9 @@ impl MisraHash {
     }
 
     /// Executes a mixed batch, one operation per simulated thread.
-    pub fn execute_batch(
-        &self,
-        ops: &[MisraOp],
-        grid: &Grid,
-    ) -> (Vec<MisraResult>, LaunchReport) {
-        let mut items: Vec<(MisraOp, MisraResult)> = ops
-            .iter()
-            .map(|&op| (op, MisraResult::NotFound))
-            .collect();
+    pub fn execute_batch(&self, ops: &[MisraOp], grid: &Grid) -> (Vec<MisraResult>, LaunchReport) {
+        let mut items: Vec<(MisraOp, MisraResult)> =
+            ops.iter().map(|&op| (op, MisraResult::NotFound)).collect();
         let report = grid.launch(&mut items, |ctx, chunk| {
             for (op, out) in chunk.iter_mut() {
                 *out = match *op {
@@ -430,7 +426,11 @@ mod tests {
         }
         let mut pc = c();
         t.search(99, &mut pc);
-        assert!(pc.sector_reads >= 100, "long chain: {} reads", pc.sector_reads);
+        assert!(
+            pc.sector_reads >= 100,
+            "long chain: {} reads",
+            pc.sector_reads
+        );
         assert!(pc.divergent_steps >= 100);
         assert_eq!(pc.slab_reads, 0);
     }

@@ -227,7 +227,11 @@ mod tests {
     fn build_and_search_roundtrip() {
         let grid = Grid::new(4);
         let keys = mixed_keys(10_000);
-        let pairs: Vec<(u32, u32)> = keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        let pairs: Vec<(u32, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
         let t = RobinHoodHash::new(pairs.len(), 0.6, 42);
         t.bulk_build(&pairs, &grid).expect("build");
         assert_eq!(t.len(), pairs.len());
@@ -244,7 +248,9 @@ mod tests {
         let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, 1)).collect();
         let t = RobinHoodHash::new(pairs.len(), 0.5, 7);
         t.bulk_build(&pairs, &grid).unwrap();
-        let absent: Vec<u32> = (0..5_000u32).map(|k| k.wrapping_mul(7) | 0x4000_0000).collect();
+        let absent: Vec<u32> = (0..5_000u32)
+            .map(|k| k.wrapping_mul(7) | 0x4000_0000)
+            .collect();
         let present: std::collections::HashSet<u32> = keys.into_iter().collect();
         let (res, _) = t.bulk_search(&absent, &grid);
         for (q, r) in absent.iter().zip(&res) {

@@ -147,13 +147,12 @@ impl StadiumHash {
         let mut pos = self.start(key);
         let step = self.step(key);
         for _ in 0..self.max_probes {
-            if !self.ticket_set(pos, c)
-                && self.claim_ticket(pos, c) {
-                    c.sector_writes += 1;
-                    self.slots[pos].store(pack_pair(key, value), Ordering::Release);
-                    return Ok(());
-                }
-                // Lost the ticket race: fall through and keep probing.
+            if !self.ticket_set(pos, c) && self.claim_ticket(pos, c) {
+                c.sector_writes += 1;
+                self.slots[pos].store(pack_pair(key, value), Ordering::Release);
+                return Ok(());
+            }
+            // Lost the ticket race: fall through and keep probing.
             pos = (pos + step) % size;
         }
         Err(())
@@ -244,7 +243,11 @@ mod tests {
     fn build_and_search_roundtrip() {
         let grid = Grid::new(4);
         let keys = mixed_keys(10_000);
-        let pairs: Vec<(u32, u32)> = keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        let pairs: Vec<(u32, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
         let t = StadiumHash::new(pairs.len(), 0.6, 11);
         t.bulk_build(&pairs, &grid).expect("build");
         assert_eq!(t.len(), pairs.len());

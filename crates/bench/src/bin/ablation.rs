@@ -11,11 +11,11 @@
 //! Flags: `--n <log2>` (default 20), `--csv <dir>`, `--threads N`.
 
 use simt::PerfCounters;
+use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
 use slab_bench::{distinct_keys, mops, paper_model, random_pairs, Args, Measurement, Table};
 use slab_hash::{
     entry::DATA_LANES, EntryLayout, KeyValue, Request, SlabHash, SlabHashConfig, EMPTY_KEY,
 };
-use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
 
 fn main() {
     let args = Args::parse();
@@ -39,9 +39,7 @@ fn main() {
             gfsl_note();
         }
         Some(other) => {
-            eprintln!(
-                "unknown subcommand {other:?}; expected wcws, slabsize, resident or gfsl"
-            );
+            eprintln!("unknown subcommand {other:?}; expected wcws, slabsize, resident or gfsl");
             std::process::exit(2);
         }
     }
@@ -72,9 +70,15 @@ fn gfsl_note() {
     let gfsl = gtx970.estimate(&gfsl_best, u64::MAX).mops();
     let slab = gtx970.estimate(&slab_insert, u64::MAX).mops();
     println!("\n== GFSL (lock-based skip list) analytic bound, GTX 970 model ==");
-    println!("GFSL best-case updates (2 atomics + 2 accesses): {} M ops/s upper bound", mops(gfsl));
+    println!(
+        "GFSL best-case updates (2 atomics + 2 accesses): {} M ops/s upper bound",
+        mops(gfsl)
+    );
     println!("GFSL measured by its authors:                    ~50 M updates/s, ~100 M queries/s");
-    println!("slab hash updates on the same modeled device:    {} M ops/s", mops(slab));
+    println!(
+        "slab hash updates on the same modeled device:    {} M ops/s",
+        mops(slab)
+    );
     println!(
         "(the paper's conclusion holds: even GFSL's lock-cost lower bound cannot reach the \
          lock-free structures' one-atomic-per-update regime)"
@@ -157,13 +161,15 @@ fn slabsize(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     let keys = distinct_keys(n, 0);
     let mut table = Table::new(
         "Elements per slab (fixed beta = 0.7)",
-        &["M", "build sim", "search sim", "slab reads/search", "max util"],
+        &[
+            "M",
+            "build sim",
+            "search sim",
+            "slab reads/search",
+            "max util",
+        ],
     );
-    fn run_layout<L: EntryLayout>(
-        keys: &[u32],
-        grid: &simt::Grid,
-        table: &mut Table,
-    ) {
+    fn run_layout<L: EntryLayout>(keys: &[u32], grid: &simt::Grid, table: &mut Table) {
         let model = paper_model();
         let n = keys.len();
         // Same average slab demand β = 0.7 for every M.
@@ -200,7 +206,12 @@ fn resident(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     let model = paper_model();
     let mut table = Table::new(
         "SlabAlloc resident-block policy (allocation storm)",
-        &["policy", "sim M allocs/s", "CAS failures/alloc", "resident changes"],
+        &[
+            "policy",
+            "sim M allocs/s",
+            "CAS failures/alloc",
+            "resident changes",
+        ],
     );
     for (label, blocks, supers) in [("hashed (paper)", 256u32, 8u32), ("few blocks", 4, 1)] {
         let alloc = SlabAlloc::new(SlabAllocConfig {

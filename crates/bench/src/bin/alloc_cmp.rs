@@ -13,9 +13,9 @@
 //! Flags: `--allocs <n>` (default 1 M), `--csv <dir>`, `--threads N`.
 
 use simt::PerfCounters;
+use slab_alloc::{HallocSim, SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator};
 use slab_bench::{mops, paper_model, random_pairs, Args, Measurement, Table};
 use slab_hash::{KeyValue, SlabHash, SlabHashConfig, EMPTY_KEY};
-use slab_alloc::{HallocSim, SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator};
 
 fn main() {
     let args = Args::parse();
@@ -152,7 +152,12 @@ fn light_comparison(grid: &simt::Grid, csv: Option<&std::path::Path>) {
         let m = Measurement::from_report(&rep, &model, t.device_bytes());
         rates[i] = m.sim_mops;
         table.row(vec![
-            if light { "SlabAlloc-light" } else { "SlabAlloc" }.into(),
+            if light {
+                "SlabAlloc-light"
+            } else {
+                "SlabAlloc"
+            }
+            .into(),
             mops(m.sim_mops),
             format!(
                 "{:.2}",

@@ -22,7 +22,9 @@ fn main() {
     let args = Args::parse();
     let grid = args.grid();
     let model = paper_model();
-    let log_n: u32 = args.value("n").unwrap_or(if args.flag("quick") { 18 } else { 22 });
+    let log_n: u32 = args
+        .value("n")
+        .unwrap_or(if args.flag("quick") { 18 } else { 22 });
     let n = 1usize << log_n;
     let trials: usize = args.value("trials").unwrap_or(1);
     let csv = args.csv_dir();
@@ -76,7 +78,13 @@ fn fig4a(
     let mut table = Table::new(
         "Fig 4a build rate vs memory utilization",
         &[
-            "util", "B(slab)", "slab sim", "slab cpu", "cudpp sim", "cudpp cpu", "bound",
+            "util",
+            "B(slab)",
+            "slab sim",
+            "slab cpu",
+            "cudpp sim",
+            "cudpp cpu",
+            "bound",
             "roofline",
         ],
     );
@@ -180,10 +188,7 @@ fn fig4b(
             acc[3].push(c_none.sim_mops);
             acc[4].push(m_all.cpu_mops);
         }
-        let g: Vec<f64> = acc
-            .iter()
-            .map(|v| geomean(v).unwrap_or(f64::NAN))
-            .collect();
+        let g: Vec<f64> = acc.iter().map(|v| geomean(v).unwrap_or(f64::NAN)).collect();
         slab_peak = slab_peak.max(g[0]).max(g[1]);
         ratios_all.push(g[2] / g[0]);
         ratios_none.push(g[3] / g[1]);

@@ -58,7 +58,14 @@ fn fig5a(
 ) {
     let mut table = Table::new(
         "Fig 5a build rate vs table size (60% utilization)",
-        &["n", "slab sim", "slab cpu", "cudpp sim", "cudpp cpu", "roofline"],
+        &[
+            "n",
+            "slab sim",
+            "slab cpu",
+            "cudpp sim",
+            "cudpp cpu",
+            "roofline",
+        ],
     );
     let mut ratios = Vec::new();
     for &n in sizes {

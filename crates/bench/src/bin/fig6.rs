@@ -20,13 +20,17 @@ fn main() {
     let args = Args::parse();
     let grid = args.grid();
     let model = paper_model();
-    let total: usize = args
-        .value("total")
-        .unwrap_or(if args.flag("quick") { 512 * 1024 } else { 2_000_000 });
+    let total: usize = args.value("total").unwrap_or(if args.flag("quick") {
+        512 * 1024
+    } else {
+        2_000_000
+    });
     let csv = args.csv_dir();
     let batch_sizes = [128 * 1024usize, 64 * 1024, 32 * 1024];
 
-    println!("Figure 6 reproduction: incremental batches to {total} elements, 65 % final utilization");
+    println!(
+        "Figure 6 reproduction: incremental batches to {total} elements, 65 % final utilization"
+    );
     println!("model: {}", model.name);
 
     let mut summary = Table::new(
@@ -63,9 +67,7 @@ fn main() {
         while inserted < total {
             let end = (inserted + batch).min(total);
             let report = slab.bulk_build(&pairs[inserted..end], &grid);
-            slab_sim += model
-                .estimate(&report.counters, slab.device_bytes())
-                .time_s;
+            slab_sim += model.estimate(&report.counters, slab.device_bytes()).time_s;
             slab_cpu += report.wall.as_secs_f64();
             slab_counters.merge(&report.counters);
 
@@ -76,7 +78,9 @@ fn main() {
                     ..CuckooConfig::default()
                 },
             );
-            let (_, crep) = cuckoo.bulk_build(&pairs[..end], &grid).expect("cuckoo build");
+            let (_, crep) = cuckoo
+                .bulk_build(&pairs[..end], &grid)
+                .expect("cuckoo build");
             cudpp_sim += model.estimate(&crep.counters, cuckoo.device_bytes()).time_s;
             cudpp_cpu += crep.wall.as_secs_f64();
 

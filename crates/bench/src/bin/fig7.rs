@@ -31,9 +31,9 @@ fn gammas() -> [Gamma; 3] {
 fn main() {
     let args = Args::parse();
     let grid = args.grid();
-    let total_ops: usize = args
-        .value("ops")
-        .unwrap_or(if args.flag("quick") { 1 << 17 } else { 1 << 20 });
+    let total_ops: usize =
+        args.value("ops")
+            .unwrap_or(if args.flag("quick") { 1 << 17 } else { 1 << 20 });
     let csv = args.csv_dir();
 
     println!("Figure 7 reproduction: {total_ops} concurrent operations per point");
@@ -92,7 +92,8 @@ fn fig7a(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
         let mut cpu_last = 0.0;
         let mut roofline_last = String::new();
         for gamma in gammas() {
-            let w = concurrent_workload(initial, gamma, batch_size, num_batches, 0x7A + util as u64);
+            let w =
+                concurrent_workload(initial, gamma, batch_size, num_batches, 0x7A + util as u64);
             let t = SlabHash::<KeyValue>::for_expected_elements(initial, util, 0x7A7);
             let pairs: Vec<(u32, u32)> = w.initial_keys.iter().map(|&k| (k, k)).collect();
             t.bulk_build(&pairs, grid);
@@ -149,14 +150,13 @@ fn fig7b(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
                 let report = slab.execute_batch(&mut reqs, grid);
                 slab_counters.merge(&report.counters);
             }
-            let slab_mops = model
-                .estimate(&slab_counters, slab.device_bytes())
-                .mops();
+            let slab_mops = model.estimate(&slab_counters, slab.device_bytes()).mops();
 
             // Misra: pre-allocate nodes for every insertion ever (its design).
             let total_inserts = (total_ops as f64 * gamma.insert).ceil() as u32 + 1024;
             let misra = MisraHash::new(buckets, initial as u32 + total_inserts);
-            let init_ops: Vec<MisraOp> = w.initial_keys.iter().map(|&k| MisraOp::Insert(k)).collect();
+            let init_ops: Vec<MisraOp> =
+                w.initial_keys.iter().map(|&k| MisraOp::Insert(k)).collect();
             misra.execute_batch(&init_ops, grid);
             let mut misra_counters = PerfCounters::default();
             for batch in &w.batches {
@@ -173,9 +173,7 @@ fn fig7b(total_ops: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
                 let (_, report) = misra.execute_batch(&ops, grid);
                 misra_counters.merge(&report.counters);
             }
-            let misra_mops = model
-                .estimate(&misra_counters, misra.device_bytes())
-                .mops();
+            let misra_mops = model.estimate(&misra_counters, misra.device_bytes()).mops();
 
             speedups[gi].push(slab_mops / misra_mops);
             cells.push(mops(slab_mops));

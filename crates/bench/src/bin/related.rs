@@ -31,7 +31,10 @@ fn main() {
 
     for util in [0.5f64, 0.85] {
         let mut table = Table::new(
-            format!("All schemes at {:.0}% utilization (M ops/s, sim)", util * 100.0),
+            format!(
+                "All schemes at {:.0}% utilization (M ops/s, sim)",
+                util * 100.0
+            ),
             &["structure", "build", "search-all", "search-none"],
         );
         let pairs = random_pairs(n, 0);

@@ -24,7 +24,7 @@
 pub mod report;
 pub mod workloads;
 
-use simt::{Grid, GpuModel};
+use simt::{GpuModel, Grid};
 use slab_hash::{KeyValue, SlabHash};
 
 pub use report::{geomean, mops, roofline_summary, Args, Measurement, Table};

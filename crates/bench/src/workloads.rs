@@ -173,7 +173,10 @@ pub fn concurrent_workload(
     let total_inserts = inserts_per_batch * num_batches;
     let all_keys = distinct_keys(initial + total_inserts, 0);
     let (initial_keys, fresh_keys) = all_keys.split_at(initial);
-    let miss_keys = distinct_keys((batch_size as f64 * gamma.search_miss).ceil() as usize + 1, 1);
+    let miss_keys = distinct_keys(
+        (batch_size as f64 * gamma.search_miss).ceil() as usize + 1,
+        1,
+    );
 
     let mut live: Vec<u32> = initial_keys.to_vec();
     let mut fresh = fresh_keys.iter().copied();

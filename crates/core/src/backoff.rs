@@ -188,7 +188,10 @@ mod tests {
         for attempt in [0, 5, 63, 64, 1000, u32::MAX] {
             let d = b.delay_attempt(attempt, base, cap);
             assert!(d >= Duration::from_nanos(1), "delay must be nonzero");
-            assert!(d <= cap, "attempt {attempt}: delay {d:?} exceeds cap {cap:?}");
+            assert!(
+                d <= cap,
+                "attempt {attempt}: delay {d:?} exceeds cap {cap:?}"
+            );
         }
         // At high attempt counts the ceiling is exactly the cap, so over
         // many samples the delays must be able to approach it (full jitter

@@ -156,7 +156,10 @@ mod tests {
         assert_eq!(t.len(), n as usize);
         let audit = t.audit().unwrap();
         assert_eq!(audit.live_elements, n as u64);
-        assert!(audit.no_leaks(), "allocate/link race leaked slabs: {audit:?}");
+        assert!(
+            audit.no_leaks(),
+            "allocate/link race leaked slabs: {audit:?}"
+        );
     }
 
     /// A bulk build activates about as many super blocks as its slabs fill

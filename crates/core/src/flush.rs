@@ -142,11 +142,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 chain[slab_i - 1]
             };
             let loc = self.slab_loc(bucket, this_ptr, ctx);
-            loc.storage.clear_slab(loc.slab, EMPTY_KEY, &mut ctx.counters);
-            let elems = live
-                .iter()
-                .skip(slab_i * m)
-                .take(m);
+            loc.storage
+                .clear_slab(loc.slab, EMPTY_KEY, &mut ctx.counters);
+            let elems = live.iter().skip(slab_i * m).take(m);
             for (e, &(k, v)) in elems.enumerate() {
                 let lane = L::key_lane(e);
                 if L::HAS_VALUES {
@@ -172,7 +170,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         // Pass 3: scrub and release the surplus slabs.
         for &freed in &chain[needed_chained..] {
             let loc = self.slab_loc(bucket, freed, ctx);
-            loc.storage.clear_slab(loc.slab, EMPTY_KEY, &mut ctx.counters);
+            loc.storage
+                .clear_slab(loc.slab, EMPTY_KEY, &mut ctx.counters);
             self.allocator().deallocate(freed, ctx);
         }
     }

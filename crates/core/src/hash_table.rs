@@ -240,7 +240,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let loc = self.slab_loc(bucket, ptr, ctx);
         loc.storage.read_slab(loc.slab, &mut ctx.counters)
     }
-
 }
 
 impl<L: EntryLayout, A: SlabAllocator> std::fmt::Debug for SlabHash<L, A> {

@@ -63,7 +63,7 @@ pub use entry::{EntryLayout, KeyOnly, KeyValue, DELETED_KEY, EMPTY_KEY, MAX_KEY}
 pub use error::TableError;
 pub use flush::FlushReport;
 pub use hash_table::{buckets_for_utilization, SlabHash, SlabHashConfig};
-pub use maintenance::{MaintenancePolicy, MaintenanceReport, PressureMode, Recovery};
 pub use hasher::UniversalHash;
+pub use maintenance::{MaintenancePolicy, MaintenanceReport, PressureMode, Recovery};
 pub use ops::{OpKind, OpResult, Request, RETRY_BUDGET};
 pub use stats::{AuditReport, LaneCensus};

@@ -308,10 +308,10 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             let rounds_now = rounds_per_req[src_lane];
             let chain_now = chain_steps[src_lane] + 1;
             let finish = |reqs: &mut [Request],
-                              active: &mut [bool; WARP_SIZE],
-                              ctx: &mut WarpCtx,
-                              retries_now: u32,
-                              result: OpResult| {
+                          active: &mut [bool; WARP_SIZE],
+                          ctx: &mut WarpCtx,
+                          retries_now: u32,
+                          result: OpResult| {
                 ctx.histograms.rounds_per_op.record(rounds_now as u64);
                 ctx.histograms.retries_per_op.record(retries_now as u64);
                 ctx.histograms.chain_slabs.record(chain_now as u64);
@@ -337,9 +337,21 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     let found = ballot_eq(&read_data, src_key) & L::KEY_LANES;
                     if let Some(lane) = ffs(found) {
                         let value = read_data[L::value_lane(lane)];
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Found(value));
+                        finish(
+                            reqs,
+                            &mut active,
+                            ctx,
+                            retries[src_lane],
+                            OpResult::Found(value),
+                        );
                     } else if read_data[ADDRESS_LANE] == EMPTY_PTR {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::NotFound);
+                        finish(
+                            reqs,
+                            &mut active,
+                            ctx,
+                            retries[src_lane],
+                            OpResult::NotFound,
+                        );
                     } else {
                         next = read_data[ADDRESS_LANE];
                     }
@@ -358,7 +370,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         } else {
                             OpResult::FoundAll(values)
                         };
-                        finish(reqs, &mut active, ctx, retries[src_lane],result);
+                        finish(reqs, &mut active, ctx, retries[src_lane], result);
                     } else {
                         next = read_data[ADDRESS_LANE];
                     }
@@ -381,13 +393,19 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             values[src_lane],
                             /* reuse_deleted = */ false,
                         ) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],result);
+                            finish(reqs, &mut active, ctx, retries[src_lane], result);
                         }
                         // CAS lost: retry — re-read the same slab next round.
                     } else if let Err(e) =
                         self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data)
                     {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                        finish(
+                            reqs,
+                            &mut active,
+                            ctx,
+                            retries[src_lane],
+                            OpResult::Failed(e),
+                        );
                     }
                 }
 
@@ -409,12 +427,18 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             values[src_lane],
                             /* reuse_deleted = */ true,
                         ) {
-                            finish(reqs, &mut active, ctx, retries[src_lane],result);
+                            finish(reqs, &mut active, ctx, retries[src_lane], result);
                         }
                     } else if let Err(e) =
                         self.follow_or_allocate(ctx, alloc_state, src_bucket, &mut next, &read_data)
                     {
-                        finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Failed(e));
+                        finish(
+                            reqs,
+                            &mut active,
+                            ctx,
+                            retries[src_lane],
+                            OpResult::Failed(e),
+                        );
                     }
                 }
 
@@ -430,7 +454,13 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                             src_key,
                         ) {
                             if kinds[src_lane] == OpKind::Delete {
-                                finish(reqs, &mut active, ctx, retries[src_lane],OpResult::Deleted(old_value));
+                                finish(
+                                    reqs,
+                                    &mut active,
+                                    ctx,
+                                    retries[src_lane],
+                                    OpResult::Deleted(old_value),
+                                );
                             } else {
                                 deleted_count[src_lane] += 1;
                                 // Re-read this slab: more matches may remain.
@@ -444,7 +474,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         } else {
                             OpResult::DeletedCount(deleted_count[src_lane])
                         };
-                        finish(reqs, &mut active, ctx, retries[src_lane],result);
+                        finish(reqs, &mut active, ctx, retries[src_lane], result);
                     } else {
                         next = read_data[ADDRESS_LANE];
                     }
@@ -561,9 +591,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             let observed_value = read_data[L::value_lane(dest)];
             let expected = pack_pair(observed_key, observed_value);
             let desired = pack_pair(key, value);
-            let old = loc
-                .storage
-                .cas_pair(loc.slab, dest / 2, expected, desired, &mut ctx.counters);
+            let old =
+                loc.storage
+                    .cas_pair(loc.slab, dest / 2, expected, desired, &mut ctx.counters);
             if old == expected {
                 Some(if observed_key == key {
                     OpResult::Replaced(observed_value)
@@ -620,9 +650,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         if L::HAS_VALUES {
             let expected = pack_pair(key, observed_value);
             let desired = pack_pair(DELETED_KEY, observed_value);
-            let old = loc
-                .storage
-                .cas_pair(loc.slab, dest / 2, expected, desired, &mut ctx.counters);
+            let old =
+                loc.storage
+                    .cas_pair(loc.slab, dest / 2, expected, desired, &mut ctx.counters);
             if old == expected {
                 Some(unpack_pair(old).1)
             } else {
@@ -1166,9 +1196,8 @@ mod failure_tests {
     fn injected_cas_storm_burns_the_retry_budget() {
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
         let mut w = WarpDriver::new(&t);
-        let guard = simt::ChaosGuard::plan(
-            simt::FaultPlan::seeded(0x0BAD_CA55).with_cas_failures(1.0),
-        );
+        let guard =
+            simt::ChaosGuard::plan(simt::FaultPlan::seeded(0x0BAD_CA55).with_cas_failures(1.0));
         let err = w
             .checked_replace(1, 2)
             .expect_err("every CAS fails: the op must give up, not livelock");
@@ -1192,9 +1221,8 @@ mod failure_tests {
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
         let mut w = WarpDriver::new(&t);
         w.replace(7, 70);
-        let _guard = simt::ChaosGuard::plan(
-            simt::FaultPlan::seeded(0xD_E1E7E).with_cas_failures(1.0),
-        );
+        let _guard =
+            simt::ChaosGuard::plan(simt::FaultPlan::seeded(0xD_E1E7E).with_cas_failures(1.0));
         assert_eq!(
             w.checked_delete(7),
             Err(TableError::RetryBudgetExhausted {

@@ -135,13 +135,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         ctx.counters.cas_failures += 1;
                         observed = simt::unpack_pair(old).0;
                     } else {
-                        let old = loc.storage.cas_lane(
-                            loc.slab,
-                            lane,
-                            EMPTY_KEY,
-                            key,
-                            &mut ctx.counters,
-                        );
+                        let old =
+                            loc.storage
+                                .cas_lane(loc.slab, lane, EMPTY_KEY, key, &mut ctx.counters);
                         if old == EMPTY_KEY {
                             return OpResult::Inserted;
                         }
@@ -198,8 +194,13 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         .read_lane(loc.slab, L::value_lane(lane), &mut ctx.counters);
                     let expected = simt::pack_pair(key, v);
                     let desired = simt::pack_pair(crate::entry::DELETED_KEY, v);
-                    if loc.storage.cas_pair(loc.slab, lane / 2, expected, desired, &mut ctx.counters)
-                        == expected
+                    if loc.storage.cas_pair(
+                        loc.slab,
+                        lane / 2,
+                        expected,
+                        desired,
+                        &mut ctx.counters,
+                    ) == expected
                     {
                         return OpResult::Deleted(v);
                     }
@@ -269,7 +270,9 @@ mod tests {
         run_batch(&t, &mut reqs);
         let mut dels: Vec<Request> = (0..25).map(Request::delete).collect();
         run_batch(&t, &mut dels);
-        assert!(dels.iter().all(|r| matches!(r.result, OpResult::Deleted(_))));
+        assert!(dels
+            .iter()
+            .all(|r| matches!(r.result, OpResult::Deleted(_))));
         assert_eq!(t.len(), 25);
         let mut miss = [Request::delete(999)];
         run_batch(&t, &mut miss);

@@ -132,9 +132,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
 
     /// Live elements in the whole table (full scan).
     pub fn len(&self) -> usize {
-        (0..self.num_buckets())
-            .map(|b| self.bucket_len(b))
-            .sum()
+        (0..self.num_buckets()).map(|b| self.bucket_len(b)).sum()
     }
 
     /// True when no live element is stored.
@@ -363,7 +361,10 @@ mod tests {
         let live: u64 = a.lanes_by_depth.iter().map(|c| c.live).sum();
         let dead: u64 = a.lanes_by_depth.iter().map(|c| c.tombstones).sum();
         assert_eq!((live, dead), (90, 10));
-        assert_eq!(live + dead + a.empty_lanes(), slabs * u64::from(KeyOnly::ELEMS_PER_SLAB));
+        assert_eq!(
+            live + dead + a.empty_lanes(),
+            slabs * u64::from(KeyOnly::ELEMS_PER_SLAB)
+        );
     }
 
     #[test]

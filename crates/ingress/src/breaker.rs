@@ -299,7 +299,11 @@ mod tests {
     fn transition_counters_see_intra_observation_bounces() {
         let mut b = breaker(Duration::ZERO);
         let now = Instant::now();
-        assert_eq!(b.transitions(), [0, 0, 0], "construction is not a transition");
+        assert_eq!(
+            b.transitions(),
+            [0, 0, 0],
+            "construction is not a transition"
+        );
         for _ in 0..4 {
             b.record(now, false);
         }

@@ -584,7 +584,8 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             m.pool_workers_alive.set(pool.workers_alive as u64);
             m.pool_launches.set(pool.launches);
         }
-        m.breaker_state.set(breaker_state_code(self.breaker.state()));
+        m.breaker_state
+            .set(breaker_state_code(self.breaker.state()));
     }
 
     /// Runs one maintenance pass, counts it against its trigger, and bills
@@ -737,8 +738,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                             self.stats.counters.timed_out += 1;
                             self.metrics.timed_out.inc();
                             let budget = env.budget();
-                            let span =
-                                env.answer(Err(IngressError::DeadlineExceeded { budget }));
+                            let span = env.answer(Err(IngressError::DeadlineExceeded { budget }));
                             self.metrics.bill_span(&span);
                         } else {
                             if write {

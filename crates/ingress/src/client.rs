@@ -83,7 +83,10 @@ impl Ticket {
     /// deadline machinery turns it into a timeout error if the budget runs
     /// out).
     pub fn wait_deadline(&self, deadline: Instant) -> Option<Reply> {
-        match self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        match self
+            .rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
             Ok(reply) => Some(reply),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
             Err(mpsc::RecvTimeoutError::Disconnected) => Some(Reply::gone()),

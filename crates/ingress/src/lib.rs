@@ -80,9 +80,7 @@ mod tests {
     use std::time::Duration;
 
     use slab_alloc::{SlabAlloc, SlabAllocConfig};
-    use slab_hash::{
-        KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig,
-    };
+    use slab_hash::{KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig};
 
     use super::*;
 
@@ -193,7 +191,10 @@ mod tests {
                 other => panic!("unexpected write outcome: {other:?}"),
             }
         }
-        assert!(saw_breaker_open, "breaker never opened under sustained sheds");
+        assert!(
+            saw_breaker_open,
+            "breaker never opened under sustained sheds"
+        );
         // Reads flow even with the breaker open.
         assert_eq!(client.get(0).unwrap(), None);
 
@@ -257,10 +258,11 @@ mod tests {
         let n = 2000u32;
         let mut tickets = Vec::new();
         for k in 0..n {
-            tickets.push(client.submit_blocking(
-                Request::insert(k, k),
-                Duration::from_secs(10),
-            ).unwrap());
+            tickets.push(
+                client
+                    .submit_blocking(Request::insert(k, k), Duration::from_secs(10))
+                    .unwrap(),
+            );
         }
         let mut ok = 0u64;
         for t in tickets {

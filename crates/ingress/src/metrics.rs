@@ -190,10 +190,8 @@ impl IngressMetrics {
                 "slab_alloc_free_slabs",
                 "Allocator free-slab headroom (the write-shed signal)",
             ),
-            alloc_allocated: registry.gauge(
-                "slab_alloc_allocated_slabs",
-                "Slabs currently allocated",
-            ),
+            alloc_allocated: registry
+                .gauge("slab_alloc_allocated_slabs", "Slabs currently allocated"),
             alloc_capacity: registry.gauge(
                 "slab_alloc_capacity_slabs",
                 "Allocator capacity in slabs (grows under pressure)",
@@ -252,7 +250,8 @@ impl IngressMetrics {
     /// window paused nothing and records nothing.
     pub(crate) fn bill_pause(&self, report: &MaintenanceReport) {
         if report.flushed.is_some() {
-            self.maint_pause_seconds.record(report.pause.as_nanos() as u64);
+            self.maint_pause_seconds
+                .record(report.pause.as_nanos() as u64);
         }
     }
 

@@ -132,10 +132,14 @@ impl std::fmt::Display for TransportError {
             TransportError::Connect { attempts, last } => {
                 write!(f, "could not connect after {attempts} attempts ({last:?})")
             }
-            TransportError::ConnectionLost { during: Phase::Send } => {
+            TransportError::ConnectionLost {
+                during: Phase::Send,
+            } => {
                 write!(f, "connection lost while sending the request")
             }
-            TransportError::ConnectionLost { during: Phase::Recv } => {
+            TransportError::ConnectionLost {
+                during: Phase::Recv,
+            } => {
                 write!(f, "connection lost while awaiting the reply")
             }
             TransportError::DeadlineExceeded { budget } => {
@@ -410,7 +414,9 @@ impl WireClient {
             };
             if sent.is_err() {
                 self.poison();
-                return Err(TransportError::ConnectionLost { during: Phase::Send });
+                return Err(TransportError::ConnectionLost {
+                    during: Phase::Send,
+                });
             }
         }
         // Receive, with the socket read timeout tracking the remaining
@@ -476,7 +482,11 @@ impl WireClient {
             }
             let _ = conn.stream.set_read_timeout(Some(remaining));
             match conn.stream.read(&mut chunk) {
-                Ok(0) => return Err(TransportError::ConnectionLost { during: Phase::Recv }),
+                Ok(0) => {
+                    return Err(TransportError::ConnectionLost {
+                        during: Phase::Recv,
+                    })
+                }
                 Ok(n) => conn.carry.extend(&chunk[..n]),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -485,7 +495,11 @@ impl WireClient {
                     return Err(TransportError::DeadlineExceeded { budget });
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(TransportError::ConnectionLost { during: Phase::Recv }),
+                Err(_) => {
+                    return Err(TransportError::ConnectionLost {
+                        during: Phase::Recv,
+                    })
+                }
             }
         }
     }

@@ -17,8 +17,6 @@ mod client;
 mod fault;
 mod server;
 
-pub use client::{
-    ClientStats, OverloadScope, Phase, TransportError, WireClient, WireClientConfig,
-};
+pub use client::{ClientStats, OverloadScope, Phase, TransportError, WireClient, WireClientConfig};
 pub use fault::{FaultAction, FaultInjector, WireFaultPlan, WriteOutcome};
 pub use server::{WireServer, WireServerConfig};

@@ -36,9 +36,7 @@ use simt::telemetry::{Counter, GaugeMetric, MetricsRegistry};
 use crate::broker::Broker;
 use crate::client::{ClientHandle, Ticket};
 use crate::transport::fault::{WireFaultPlan, WriteOutcome};
-use crate::wire::{
-    write_frame, Frame, FrameBuffer, Refusal, RejectReason, ReplyBody, WireReply,
-};
+use crate::wire::{write_frame, Frame, FrameBuffer, Refusal, RejectReason, ReplyBody, WireReply};
 
 /// Tuning for [`WireServer::bind`].
 #[derive(Debug, Clone)]
@@ -168,7 +166,9 @@ impl Shared {
         let now = if delta >= 0 {
             self.inflight.fetch_add(delta as usize, Ordering::Relaxed) + delta as usize
         } else {
-            self.inflight.fetch_sub((-delta) as usize, Ordering::Relaxed) - (-delta) as usize
+            self.inflight
+                .fetch_sub((-delta) as usize, Ordering::Relaxed)
+                - (-delta) as usize
         };
         self.metrics.inflight.set(now as u64);
     }
@@ -372,7 +372,16 @@ fn serve_connection(stream: TcpStream, conn_id: u64, handle: ClientHandle, share
     let writer_inflight = Arc::clone(&conn_inflight);
     let writer = thread::Builder::new()
         .name(format!("slab-wire-write-{conn_id}"))
-        .spawn(move || write_loop(write_side, conn_id, rx, writer_shared, writer_dead, writer_inflight))
+        .spawn(move || {
+            write_loop(
+                write_side,
+                conn_id,
+                rx,
+                writer_shared,
+                writer_dead,
+                writer_inflight,
+            )
+        })
         .expect("spawn wire writer thread");
     read_loop(stream, &handle, &shared, &dead, &conn_inflight, tx);
     // Dropping the sender lets the writer drain in-flight replies and exit.
@@ -463,8 +472,7 @@ fn read_loop(
                 }
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // Idle bookkeeping on the tick.
                 if conn_inflight.load(Ordering::Acquire) == 0

@@ -681,11 +681,7 @@ impl From<WireError> for FrameIoError {
 
 /// Writes one frame to `w` and flushes. `scratch` is reused across calls to
 /// avoid re-allocating the encode buffer.
-pub fn write_frame(
-    w: &mut impl Write,
-    frame: &Frame,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
+pub fn write_frame(w: &mut impl Write, frame: &Frame, scratch: &mut Vec<u8>) -> io::Result<()> {
     scratch.clear();
     encode_frame(frame, scratch);
     w.write_all(scratch)?;
@@ -864,9 +860,7 @@ mod tests {
                     let mut corrupt = buf.clone();
                     corrupt[i] ^= 1 << bit;
                     if let Ok(Some((decoded, _))) = decode_frame(&corrupt) {
-                        panic!(
-                            "flip of byte {i} bit {bit} decoded as {decoded:?} (was {frame:?})"
-                        );
+                        panic!("flip of byte {i} bit {bit} decoded as {decoded:?} (was {frame:?})");
                     }
                 }
             }
@@ -905,10 +899,7 @@ mod tests {
     #[test]
     fn oversized_length_is_rejected_before_buffering() {
         let mut buf = Vec::new();
-        encode_frame(
-            &Frame::Reject(RejectReason::Draining),
-            &mut buf,
-        );
+        encode_frame(&Frame::Reject(RejectReason::Draining), &mut buf);
         buf[4..8].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
         assert!(matches!(
             decode_frame(&buf),
@@ -1011,10 +1002,7 @@ mod tests {
     #[test]
     fn read_frame_distinguishes_clean_eof_from_torn_frame() {
         let mut buf = Vec::new();
-        encode_frame(
-            &Frame::Reject(RejectReason::Draining),
-            &mut buf,
-        );
+        encode_frame(&Frame::Reject(RejectReason::Draining), &mut buf);
         // Clean close at a frame boundary → Ok(None).
         let mut carry = FrameBuffer::new();
         let mut cursor = io::Cursor::new(buf.clone());

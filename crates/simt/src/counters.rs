@@ -136,11 +136,7 @@ impl PerfCounters {
     #[inline]
     pub fn bytes_moved(&self) -> u64 {
         self.slab_reads * 128
-            + (self.sector_reads
-                + self.sector_writes
-                + self.atomics
-                + self.atomic_exchanges)
-                * 32
+            + (self.sector_reads + self.sector_writes + self.atomics + self.atomic_exchanges) * 32
     }
 
     /// Memory transactions of any size.

@@ -242,7 +242,10 @@ impl std::fmt::Debug for LaunchError {
         f.debug_struct("LaunchError")
             .field("warp_id", &self.warp_id)
             .field("completed_warps", &self.completed_warps)
-            .field("message", &self.message().unwrap_or("<non-string panic payload>"))
+            .field(
+                "message",
+                &self.message().unwrap_or("<non-string panic payload>"),
+            )
             .finish()
     }
 }
@@ -410,7 +413,11 @@ impl Grid {
     ///
     /// # Errors
     /// Returns the first warp panic observed.
-    pub fn try_launch_warps<F>(&self, num_warps: usize, kernel: F) -> Result<LaunchReport, LaunchError>
+    pub fn try_launch_warps<F>(
+        &self,
+        num_warps: usize,
+        kernel: F,
+    ) -> Result<LaunchReport, LaunchError>
     where
         F: Fn(&mut WarpCtx) + Sync,
     {
@@ -913,7 +920,9 @@ mod tests {
             wall: Duration::ZERO,
             warps: 3,
         };
-        let err = containment.into_result(report).expect_err("warp 1 panicked");
+        let err = containment
+            .into_result(report)
+            .expect_err("warp 1 panicked");
         assert_eq!((err.warp_id, err.completed_warps), (1, 1));
     }
 

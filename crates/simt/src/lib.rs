@@ -61,7 +61,7 @@ pub use chaos::{disable_chaos, set_chaos, ChaosGuard, FaultPlan};
 pub use counters::PerfCounters;
 pub use epoch::{EpochClock, EpochPin, Quiesced};
 pub use grid::{Grid, LaunchError, LaunchReport, WarpCtx, WarpScratch};
-pub use pool::PoolStats;
 pub use memory::{pack_pair, unpack_pair, SlabStorage, SLAB_BYTES, WORDS_PER_SLAB};
 pub use model::{GpuEstimate, GpuModel, ResourceBreakdown};
+pub use pool::PoolStats;
 pub use warp::{ballot, ballot_eq, ffs, lanes_below, match_any, popc, shfl, Lane, WARP_SIZE};

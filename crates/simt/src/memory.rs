@@ -264,7 +264,13 @@ impl SlabStorage {
     /// Plain (non-RMW) store of a whole pair word. Used by exclusive-phase
     /// kernels such as FLUSH where no concurrent access exists.
     #[inline]
-    pub fn store_pair(&self, slab: usize, pair_idx: usize, value: u64, counters: &mut PerfCounters) {
+    pub fn store_pair(
+        &self,
+        slab: usize,
+        pair_idx: usize,
+        value: u64,
+        counters: &mut PerfCounters,
+    ) {
         counters.sector_writes += 1;
         self.word(slab, pair_idx).store(value, Ordering::Release);
     }

@@ -377,10 +377,10 @@ mod tests {
             hits.load(Ordering::Relaxed)
         };
         assert_eq!(run(3), 4); // launcher + 3 workers
-        // Two workers die: the completion barrier must not wait for them.
+                               // Two workers die: the completion barrier must not wait for them.
         assert_eq!(pool.kill_workers(2), 1);
         assert_eq!(run(3), 2); // launcher + the survivor
-        // The last worker dies: launcher-only execution, never a hang.
+                               // The last worker dies: launcher-only execution, never a hang.
         assert_eq!(pool.kill_workers(5), 0);
         assert_eq!(run(3), 1);
         assert_eq!(run(0), 1);

@@ -319,10 +319,7 @@ mod tests {
                 ballot(&lanes, |v| v == t),
                 scalar::ballot(&lanes, |v| v == t)
             );
-            assert_eq!(
-                ballot(&lanes, |v| v > t),
-                scalar::ballot(&lanes, |v| v > t)
-            );
+            assert_eq!(ballot(&lanes, |v| v > t), scalar::ballot(&lanes, |v| v > t));
             let bools: [bool; WARP_SIZE] = core::array::from_fn(|i| lanes[i] & 1 == 0);
             assert_eq!(ballot(&bools, |b| b), scalar::ballot(&bools, |b| b));
         }

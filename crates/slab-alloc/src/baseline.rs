@@ -186,11 +186,7 @@ impl SlabAllocator for HallocSim {
         HallocState { counter: 0 }
     }
 
-    fn try_allocate(
-        &self,
-        state: &mut HallocState,
-        ctx: &mut WarpCtx,
-    ) -> Result<u32, AllocError> {
+    fn try_allocate(&self, state: &mut HallocState, ctx: &mut WarpCtx) -> Result<u32, AllocError> {
         if simt::chaos::should_fail_alloc() {
             return Err(AllocError::Injected);
         }
@@ -231,9 +227,8 @@ impl SlabAllocator for HallocSim {
                     ) {
                         Ok(_) => {
                             ctx.counters.allocations += 1;
-                            let slab = pool_idx as u32 * self.slabs_per_pool
-                                + (w as u32) * 32
-                                + bit;
+                            let slab =
+                                pool_idx as u32 * self.slabs_per_pool + (w as u32) * 32 + bit;
                             return Ok(slab);
                         }
                         Err(actual) => {
@@ -255,7 +250,8 @@ impl SlabAllocator for HallocSim {
         let unit = ptr % self.slabs_per_pool;
         ctx.counters.atomics += 1;
         ctx.counters.divergent_steps += 1;
-        let prev = pool.words[(unit / 32) as usize].fetch_and(!(1 << (unit % 32)), Ordering::AcqRel);
+        let prev =
+            pool.words[(unit / 32) as usize].fetch_and(!(1 << (unit % 32)), Ordering::AcqRel);
         if prev & (1 << (unit % 32)) != 0 {
             ctx.counters.deallocations += 1;
         } else {
@@ -366,8 +362,7 @@ mod tests {
         let heap = SerialHeapSim::new(8, 0);
         let halloc = HallocSim::new(1, 32, 0);
         let mut ctx = WarpCtx::for_test(0);
-        let _g =
-            simt::ChaosGuard::plan(simt::FaultPlan::seeded(0xFA11).with_alloc_failures(1.0));
+        let _g = simt::ChaosGuard::plan(simt::FaultPlan::seeded(0xFA11).with_alloc_failures(1.0));
         assert_eq!(
             heap.try_allocate(&mut (), &mut ctx),
             Err(AllocError::Injected)
@@ -399,7 +394,9 @@ mod tests {
         let halloc = HallocSim::new(2, 256, 0);
         let mut ctx = WarpCtx::for_test(0);
         let mut st = halloc.new_warp_state();
-        let ptrs: Vec<_> = (0..50).map(|_| halloc.allocate(&mut st, &mut ctx)).collect();
+        let ptrs: Vec<_> = (0..50)
+            .map(|_| halloc.allocate(&mut st, &mut ctx))
+            .collect();
         for p in &ptrs {
             halloc.deallocate(*p, &mut ctx);
         }

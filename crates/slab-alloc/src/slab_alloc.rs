@@ -196,8 +196,7 @@ impl SlabAlloc {
             Gauge::with_direction("slab_alloc.free_headroom", Watermark::Low)
         };
         free_headroom.set(
-            config.initial_active as u64 * config.blocks_per_super as u64
-                * UNITS_PER_BLOCK as u64,
+            config.initial_active as u64 * config.blocks_per_super as u64 * UNITS_PER_BLOCK as u64,
         );
         Self {
             config,
@@ -454,7 +453,8 @@ impl SlabAllocator for SlabAlloc {
     }
 
     fn capacity_slabs(&self) -> u64 {
-        self.config.super_blocks as u64 * self.config.blocks_per_super as u64
+        self.config.super_blocks as u64
+            * self.config.blocks_per_super as u64
             * UNITS_PER_BLOCK as u64
     }
 
@@ -463,7 +463,8 @@ impl SlabAllocator for SlabAlloc {
     /// trait default popcounts every bitmap word through
     /// `allocated_slabs()`, which stays the scan `audit()` trusts.
     fn free_slabs(&self) -> u64 {
-        self.capacity_slabs().saturating_sub(self.outstanding.value())
+        self.capacity_slabs()
+            .saturating_sub(self.outstanding.value())
     }
 
     fn try_grow(&self) -> bool {
@@ -593,9 +594,8 @@ mod tests {
         let mut ctx = WarpCtx::for_test(0);
         let mut st = alloc.new_warp_state();
         {
-            let _g = simt::ChaosGuard::plan(
-                simt::FaultPlan::seeded(0xFA11).with_alloc_failures(1.0),
-            );
+            let _g =
+                simt::ChaosGuard::plan(simt::FaultPlan::seeded(0xFA11).with_alloc_failures(1.0));
             for _ in 0..10 {
                 assert_eq!(
                     alloc.try_allocate(&mut st, &mut ctx),
@@ -750,7 +750,11 @@ mod tests {
         // Headroom recovered past the watermark after growth.
         let snap = &alloc.pressure_gauges()[1];
         assert_eq!(snap.name, "slab_alloc.free_headroom");
-        assert!(snap.value > 64, "headroom {} still at watermark", snap.value);
+        assert!(
+            snap.value > 64,
+            "headroom {} still at watermark",
+            snap.value
+        );
     }
 
     #[test]
@@ -909,7 +913,9 @@ mod probing_tests {
         let alloc = SlabAlloc::new(SlabAllocConfig::small(2, 4));
         let mut ctx_a = WarpCtx::for_test(1);
         let mut st_a = alloc.new_warp_state();
-        let ptrs: Vec<u32> = (0..100).map(|_| alloc.allocate(&mut st_a, &mut ctx_a)).collect();
+        let ptrs: Vec<u32> = (0..100)
+            .map(|_| alloc.allocate(&mut st_a, &mut ctx_a))
+            .collect();
 
         let mut ctx_b = WarpCtx::for_test(9);
         for p in &ptrs {
@@ -926,7 +932,9 @@ mod probing_tests {
         let alloc = SlabAlloc::new(SlabAllocConfig::small(1, 1)); // 1024 units
         let mut ctx = WarpCtx::for_test(0);
         let mut st = alloc.new_warp_state();
-        let first: Vec<u32> = (0..1024).map(|_| alloc.allocate(&mut st, &mut ctx)).collect();
+        let first: Vec<u32> = (0..1024)
+            .map(|_| alloc.allocate(&mut st, &mut ctx))
+            .collect();
         for p in &first[..64] {
             alloc.deallocate(*p, &mut ctx);
         }
@@ -935,7 +943,10 @@ mod probing_tests {
         let mut st2 = alloc.new_warp_state();
         for _ in 0..64 {
             let p = alloc.allocate(&mut st2, &mut ctx2);
-            assert!(first[..64].contains(&p), "reused ptr must come from freed set");
+            assert!(
+                first[..64].contains(&p),
+                "reused ptr must come from freed set"
+            );
         }
     }
 
@@ -952,12 +963,31 @@ mod probing_tests {
     #[test]
     fn config_validation_rejects_nonsense() {
         for bad in [
-            SlabAllocConfig { super_blocks: 0, ..SlabAllocConfig::default() },
-            SlabAllocConfig { super_blocks: 255, initial_active: 255, ..SlabAllocConfig::default() },
-            SlabAllocConfig { initial_active: 0, ..SlabAllocConfig::default() },
-            SlabAllocConfig { initial_active: 33, ..SlabAllocConfig::default() },
-            SlabAllocConfig { blocks_per_super: 0, ..SlabAllocConfig::default() },
-            SlabAllocConfig { resident_threshold: 0, ..SlabAllocConfig::default() },
+            SlabAllocConfig {
+                super_blocks: 0,
+                ..SlabAllocConfig::default()
+            },
+            SlabAllocConfig {
+                super_blocks: 255,
+                initial_active: 255,
+                ..SlabAllocConfig::default()
+            },
+            SlabAllocConfig {
+                initial_active: 0,
+                ..SlabAllocConfig::default()
+            },
+            SlabAllocConfig {
+                initial_active: 33,
+                ..SlabAllocConfig::default()
+            },
+            SlabAllocConfig {
+                blocks_per_super: 0,
+                ..SlabAllocConfig::default()
+            },
+            SlabAllocConfig {
+                resident_threshold: 0,
+                ..SlabAllocConfig::default()
+            },
         ] {
             assert!(
                 std::panic::catch_unwind(|| SlabAlloc::new(bad)).is_err(),

@@ -264,13 +264,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.jsonl");
         let snaps =
-            JsonlSnapshots::start(&path, Arc::clone(&registry), Duration::from_millis(10))
-                .unwrap();
+            JsonlSnapshots::start(&path, Arc::clone(&registry), Duration::from_millis(10)).unwrap();
         std::thread::sleep(Duration::from_millis(40));
         snaps.shutdown();
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();
-        assert!(lines.len() >= 2, "initial + final line at minimum: {lines:?}");
+        assert!(
+            lines.len() >= 2,
+            "initial + final line at minimum: {lines:?}"
+        );
         for line in &lines {
             assert!(line.starts_with("{\"ts_ms\":"), "bad snapshot line: {line}");
             assert!(line.contains("\"ticks_total\""));

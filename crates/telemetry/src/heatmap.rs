@@ -93,7 +93,11 @@ impl Heatmap {
     /// for determinism).
     pub fn top_k(&self, k: usize) -> Vec<HotBucket> {
         let mut sorted = self.rows.clone();
-        sorted.sort_by(|a, b| b.score.cmp(&a.score).then(a.stat.bucket.cmp(&b.stat.bucket)));
+        sorted.sort_by(|a, b| {
+            b.score
+                .cmp(&a.score)
+                .then(a.stat.bucket.cmp(&b.stat.bucket))
+        });
         sorted.truncate(k);
         sorted
     }

@@ -277,7 +277,9 @@ fn escape_help(s: &str) -> String {
 
 /// Escapes a label value: backslash, double quote, newline.
 fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Escapes a string for embedding in JSON output.
@@ -324,7 +326,9 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
 impl MetricsRegistry {
     /// An empty registry with histogram shard count sized to the host.
     pub fn new() -> Self {
-        let shards = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
+        let shards = std::thread::available_parallelism()
+            .map_or(4, |n| n.get())
+            .min(16);
         Self::with_histogram_shards(shards)
     }
 
@@ -362,12 +366,13 @@ impl MetricsRegistry {
             family.kind, kind,
             "metric {name} re-registered with a different kind"
         );
-        if let Some(s) = family
-            .series
-            .iter()
-            .find(|s| s.labels.len() == labels.len()
-                && s.labels.iter().zip(labels.iter()).all(|(a, b)| a.0 == b.0 && a.1 == b.1))
-        {
+        if let Some(s) = family.series.iter().find(|s| {
+            s.labels.len() == labels.len()
+                && s.labels
+                    .iter()
+                    .zip(labels.iter())
+                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
+        }) {
             return s.cell.clone();
         }
         let cell = match kind {
@@ -378,7 +383,10 @@ impl MetricsRegistry {
             }
         };
         family.series.push(Series {
-            labels: labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
             cell: cell.clone(),
         });
         cell
@@ -536,7 +544,10 @@ impl MetricsRegistry {
                 entries.push(entry);
             }
         }
-        format!("{{\"ts_ms\":{ts_ms},\"metrics\":[{}]}}\n", entries.join(","))
+        format!(
+            "{{\"ts_ms\":{ts_ms},\"metrics\":[{}]}}\n",
+            entries.join(",")
+        )
     }
 }
 
@@ -601,7 +612,10 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
         assert_eq!(counts.len(), HISTOGRAM_BUCKETS);
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "not cumulative: {counts:?}");
+        assert!(
+            counts.windows(2).all(|w| w[0] <= w[1]),
+            "not cumulative: {counts:?}"
+        );
         assert_eq!(*counts.last().unwrap(), 7, "+Inf bucket counts everything");
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("lat_count 7"));

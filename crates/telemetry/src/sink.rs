@@ -186,18 +186,18 @@ impl SessionHandle {
     /// any ring (used for `launch_begin` / `launch_end`).
     pub fn emit(&self, warp: u32, kind: EventKind) {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.sink.consume(vec![TraceEvent { seq, warp, kind }]);
+        self.shared
+            .sink
+            .consume(vec![TraceEvent { seq, warp, kind }]);
     }
 }
 
 /// The calling thread's innermost active session, if any.
 pub fn current_session() -> Option<SessionHandle> {
     SESSIONS.with(|s| {
-        s.borrow()
-            .last()
-            .map(|shared| SessionHandle {
-                shared: shared.clone(),
-            })
+        s.borrow().last().map(|shared| SessionHandle {
+            shared: shared.clone(),
+        })
     })
 }
 

@@ -135,7 +135,10 @@ impl RequestSpan {
         let mut prev = self.submitted;
         for (i, mark) in self.marks.iter().enumerate() {
             if let Some(m) = *mark {
-                stage_ns[i] = m.saturating_duration_since(prev).as_nanos().min(u64::MAX as u128) as u64;
+                stage_ns[i] = m
+                    .saturating_duration_since(prev)
+                    .as_nanos()
+                    .min(u64::MAX as u128) as u64;
                 marked[i] = true;
                 prev = m;
             }
@@ -144,8 +147,10 @@ impl RequestSpan {
             id: self.id,
             stage_ns,
             marked,
-            total_ns: end.saturating_duration_since(self.submitted).as_nanos().min(u64::MAX as u128)
-                as u64,
+            total_ns: end
+                .saturating_duration_since(self.submitted)
+                .as_nanos()
+                .min(u64::MAX as u128) as u64,
         }
     }
 }

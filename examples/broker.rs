@@ -34,7 +34,9 @@ fn arg_value(name: &str) -> Option<String> {
 
 fn main() {
     // --- Normal service ----------------------------------------------------
-    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1024)));
+    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(
+        1024,
+    )));
     let broker = Broker::spawn(Arc::clone(&table), BrokerConfig::default());
 
     // Handles are cheap clones; each thread gets its own.
@@ -55,7 +57,10 @@ fn main() {
 
     let client = broker.handle();
     assert_eq!(client.get(2500).unwrap(), Some(7500));
-    println!("4 threads x 1000 upserts landed; table holds {} keys", table.len());
+    println!(
+        "4 threads x 1000 upserts landed; table holds {} keys",
+        table.len()
+    );
 
     // Per-request deadlines: an impossible budget fails fast with a typed
     // timeout, and the write is guaranteed never to have been applied.
@@ -72,7 +77,10 @@ fn main() {
         stats.submitted,
         stats.completed,
         stats.batches,
-        stats.histograms.queue_depth.render("queue depth at dispatch"),
+        stats
+            .histograms
+            .queue_depth
+            .render("queue depth at dispatch"),
     );
 
     // --- Forced overload ---------------------------------------------------
@@ -119,15 +127,21 @@ fn main() {
     // the same text `curl` would fetch.
     if let Some(addr) = overloaded.metrics_addr() {
         let body = simt::telemetry::scrape_text(addr).expect("self-scrape");
-        let interesting = ["slab_ingress_queue_depth", "slab_ingress_shed_total",
-            "slab_ingress_breaker_state", "slab_ingress_breaker_open_total"];
+        let interesting = [
+            "slab_ingress_queue_depth",
+            "slab_ingress_shed_total",
+            "slab_ingress_breaker_state",
+            "slab_ingress_breaker_open_total",
+        ];
         println!("-- scrape of http://{addr}/metrics --");
         for line in body.lines() {
             if interesting.iter().any(|m| line.starts_with(m)) {
                 println!("{line}");
             }
         }
-        let hold: u64 = arg_value("hold-ms").and_then(|v| v.parse().ok()).unwrap_or(0);
+        let hold: u64 = arg_value("hold-ms")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
         if hold > 0 {
             println!("holding exporter open for {hold} ms...");
             std::thread::sleep(Duration::from_millis(hold));

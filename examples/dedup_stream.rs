@@ -61,7 +61,11 @@ fn main() {
 
     // Cross-check against the ground truth.
     let truth: HashSet<u32> = items.iter().copied().collect();
-    assert_eq!(new_items, truth.len(), "unique count must match ground truth");
+    assert_eq!(
+        new_items,
+        truth.len(),
+        "unique count must match ground truth"
+    );
     assert_eq!(table.len(), truth.len());
     println!(
         "verified against std::HashSet: {} unique items, table utilization {:.1} %",

@@ -109,9 +109,7 @@ fn main() {
     let report = graph.flush(&grid);
     println!(
         "flush: released {} of {} slabs, kept {} live entries",
-        report.slabs_released,
-        before,
-        report.elements_kept
+        report.slabs_released, before, report.elements_kept
     );
     graph.audit().expect("graph structure intact after flush");
 

@@ -128,12 +128,22 @@ fn main() {
     );
 
     // --- Work-distribution histograms --------------------------------------
-    println!("\n{}", histograms.rounds_per_op.render("warp rounds per op"));
+    println!(
+        "\n{}",
+        histograms.rounds_per_op.render("warp rounds per op")
+    );
     println!("{}", histograms.retries_per_op.render("CAS retries per op"));
-    println!("{}", histograms.chain_slabs.render("chain slabs traversed per op"));
     println!(
         "{}",
-        histograms.resident_hops.render("allocator resident-block hops")
+        histograms
+            .chain_slabs
+            .render("chain slabs traversed per op")
+    );
+    println!(
+        "{}",
+        histograms
+            .resident_hops
+            .render("allocator resident-block hops")
     );
 
     // --- Contention heatmap -------------------------------------------------
@@ -162,7 +172,9 @@ fn main() {
     let jsonl = out.join("trace.jsonl");
     let chrome = out.join("trace.json");
     trace.write_jsonl(&jsonl).expect("write jsonl");
-    trace.write_chrome_trace(&chrome).expect("write chrome trace");
+    trace
+        .write_chrome_trace(&chrome)
+        .expect("write chrome trace");
     println!("\nwrote {} and {}", jsonl.display(), chrome.display());
 
     println!(
@@ -220,7 +232,9 @@ fn main() {
         },
     );
     if let Some(addr) = &metrics_addr {
-        broker = broker.with_metrics_addr(addr).expect("bind metrics exporter");
+        broker = broker
+            .with_metrics_addr(addr)
+            .expect("bind metrics exporter");
         let bound = broker.metrics_addr().expect("exporter bound");
         println!("\nmetrics exporter live: curl http://{bound}/metrics");
     }
@@ -256,7 +270,10 @@ fn main() {
     );
     println!(
         "{}",
-        ingress.histograms.queue_depth.render("submission queue depth at dispatch")
+        ingress
+            .histograms
+            .queue_depth
+            .render("submission queue depth at dispatch")
     );
     assert!(ingress.shed() > 0, "forced overload must shed writes");
     assert!(ingress.completed > 0, "reads must survive write shedding");

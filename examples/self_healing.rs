@@ -77,10 +77,7 @@ fn main() {
         }
 
         // The resident set must be untouched by 50 generations of churn.
-        let (found, _) = table.bulk_search(
-            &pinned.iter().map(|p| p.0).collect::<Vec<_>>(),
-            &grid,
-        );
+        let (found, _) = table.bulk_search(&pinned.iter().map(|p| p.0).collect::<Vec<_>>(), &grid);
         assert!(
             found.iter().all(|f| f.is_some()),
             "cycle {cycle}: compaction lost a pinned key"
@@ -170,9 +167,7 @@ fn main() {
     for k in 0..15 {
         warp.replace(k, k);
     }
-    let chaos = simt::ChaosGuard::plan(
-        simt::FaultPlan::seeded(0x5E1F).with_alloc_failures(1.0),
-    );
+    let chaos = simt::ChaosGuard::plan(simt::FaultPlan::seeded(0x5E1F).with_alloc_failures(1.0));
     let shed = MaintenancePolicy::shed();
     let mut dropped = 0u32;
     for k in 100_000..100_064 {
@@ -182,7 +177,10 @@ fn main() {
     }
     drop(chaos);
     println!("under an always-fail alloc plan the shed policy dropped {dropped}/64 inserts");
-    assert_eq!(dropped, 64, "every chained insert must shed under alloc faults");
+    assert_eq!(
+        dropped, 64,
+        "every chained insert must shed under alloc faults"
+    );
     tiny.audit().expect("table audits clean after shedding");
 
     println!("\nself-healing demo complete");

@@ -23,14 +23,12 @@ fn dedup(pairs: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
 
 /// A random raw workload: up to `max_pairs` arbitrary pairs (deduplicated,
 /// guaranteed non-empty) plus up to `max_probes` query keys.
-fn workload(
-    rng: &mut StdRng,
-    max_pairs: usize,
-    max_probes: usize,
-) -> (Vec<(u32, u32)>, Vec<u32>) {
+fn workload(rng: &mut StdRng, max_pairs: usize, max_probes: usize) -> (Vec<(u32, u32)>, Vec<u32>) {
     loop {
         let n = rng.gen_range(1..max_pairs);
-        let raw: Vec<(u32, u32)> = (0..n).map(|_| (rng.gen::<u32>(), rng.gen::<u32>())).collect();
+        let raw: Vec<(u32, u32)> = (0..n)
+            .map(|_| (rng.gen::<u32>(), rng.gen::<u32>()))
+            .collect();
         let pairs = dedup(raw);
         if pairs.is_empty() {
             continue; // all keys landed in the sentinel range; redraw
@@ -116,9 +114,21 @@ fn schemes_agree_differentially() {
         let (rs, _) = st.bulk_search(&probes, &grid);
         let (rl, _) = slab.bulk_search(&probes, &grid);
         for i in 0..probes.len() {
-            assert_eq!(rc[i], rr[i], "case {case}: cuckoo vs robin hood @ {}", probes[i]);
-            assert_eq!(rc[i], rs[i], "case {case}: cuckoo vs stadium @ {}", probes[i]);
-            assert_eq!(rc[i], rl[i], "case {case}: cuckoo vs slab hash @ {}", probes[i]);
+            assert_eq!(
+                rc[i], rr[i],
+                "case {case}: cuckoo vs robin hood @ {}",
+                probes[i]
+            );
+            assert_eq!(
+                rc[i], rs[i],
+                "case {case}: cuckoo vs stadium @ {}",
+                probes[i]
+            );
+            assert_eq!(
+                rc[i], rl[i],
+                "case {case}: cuckoo vs slab hash @ {}",
+                probes[i]
+            );
         }
     }
 }

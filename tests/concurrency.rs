@@ -53,7 +53,11 @@ fn key_only_overlapping_replaces_insert_each_key_once() {
     let (_l, _g, grid) = chaotic_grid();
     let table = SlabHash::<KeyOnly>::for_expected_elements(10_000, 0.6, 0x0005_AB5E);
     let mut batches: Vec<Vec<Request>> = (0..4u32)
-        .map(|t| (t * 2_000..t * 2_000 + 4_000).map(|k| Request::replace(k, 0)).collect())
+        .map(|t| {
+            (t * 2_000..t * 2_000 + 4_000)
+                .map(|k| Request::replace(k, 0))
+                .collect()
+        })
         .collect();
     std::thread::scope(|scope| {
         for batch in &mut batches {

@@ -353,7 +353,9 @@ fn assert_schedule_independent(
 fn parallel_batches_match_sequential_results_and_state() {
     for seed in [1u64, 2, 3] {
         let n = 3000;
-        let built: Vec<u32> = (0..n as u64).map(|i| mixed_key(seed * 10_000_000 + i)).collect();
+        let built: Vec<u32> = (0..n as u64)
+            .map(|i| mixed_key(seed * 10_000_000 + i))
+            .collect();
         let pairs: Vec<(u32, u32)> = built.iter().map(|&k| (k, k ^ 7)).collect();
         let batch = deterministic_batch(&built, seed * 77_000_000);
         assert_schedule_independent((256, 0x5EED), &pairs, &batch, &format!("seed {seed}"));
@@ -429,7 +431,8 @@ fn batches_survive_worker_death_between_rounds() {
         }
     }
     assert_eq!(t.len(), n as usize);
-    t.audit().expect("table audits clean after worker-death rounds");
+    t.audit()
+        .expect("table audits clean after worker-death rounds");
 }
 
 #[test]

@@ -63,7 +63,11 @@ fn table_works_over_every_allocator_backend() {
     let data = pairs(5_000);
     let config = SlabHashConfig::with_buckets(64);
 
-    fn exercise<A: slab_alloc::SlabAllocator>(t: &SlabHash<KeyValue, A>, data: &[(u32, u32)], grid: &Grid) {
+    fn exercise<A: slab_alloc::SlabAllocator>(
+        t: &SlabHash<KeyValue, A>,
+        data: &[(u32, u32)],
+        grid: &Grid,
+    ) {
         t.bulk_build(data, grid);
         assert_eq!(t.len(), data.len());
         let keys: Vec<u32> = data.iter().map(|p| p.0).collect();
@@ -75,7 +79,10 @@ fn table_works_over_every_allocator_backend() {
     }
 
     exercise(
-        &SlabHash::<KeyValue, _>::with_allocator(config, SlabAlloc::new(SlabAllocConfig::small(2, 8))),
+        &SlabHash::<KeyValue, _>::with_allocator(
+            config,
+            SlabAlloc::new(SlabAllocConfig::small(2, 8)),
+        ),
         &data,
         &grid,
     );

@@ -316,8 +316,7 @@ fn chaos_churn_heals_under_fault_plan() {
 
     for cycle in 0..20u32 {
         let base = cycle * 500;
-        let mut reqs: Vec<Request> =
-            (0..500).map(|k| Request::replace(base + k, k)).collect();
+        let mut reqs: Vec<Request> = (0..500).map(|k| Request::replace(base + k, k)).collect();
         t.execute_batch(&mut reqs, &grid);
         // Heal every shed request through the policy loop.
         for r in &reqs {
@@ -334,8 +333,7 @@ fn chaos_churn_heals_under_fault_plan() {
         for (i, f) in found.iter().enumerate() {
             assert!(f.is_some(), "cycle {cycle}: key {i} lost after healing");
         }
-        let mut dels: Vec<Request> =
-            keys.iter().map(|&k| Request::delete(k)).collect();
+        let mut dels: Vec<Request> = keys.iter().map(|&k| Request::delete(k)).collect();
         t.execute_batch(&mut dels, &grid);
         t.maintain(&seq);
     }
@@ -391,7 +389,9 @@ fn free_slab_gauge_matches_the_bitmap_scan_after_churn_and_maintain() {
         let deletes = (0..3_000).map(|k| Request::delete(base + k));
         for mut batch in [writes.collect::<Vec<_>>(), deletes.collect()] {
             t.execute_batch(&mut batch, &grid);
-            assert!(batch.iter().all(|r| !matches!(r.result, OpResult::Failed(_))));
+            assert!(batch
+                .iter()
+                .all(|r| !matches!(r.result, OpResult::Failed(_))));
         }
         check("after churn");
         t.maintain(&grid);

@@ -10,7 +10,7 @@ use std::time::Duration;
 use simt::{FaultPlan, Grid};
 use slab_alloc::{SlabAlloc, SlabAllocConfig};
 use slab_hash::{KeyValue, MaintenancePolicy, Request, SlabHash, SlabHashConfig};
-use slab_ingress::{Broker, BrokerConfig, BreakerConfig, Ticket, STAGES};
+use slab_ingress::{BreakerConfig, Broker, BrokerConfig, Ticket, STAGES};
 use telemetry::{scrape_text, MetricsRegistry, MetricsServer, TraceConfig, TraceSession};
 
 /// Extracts the value of the sample whose series (name plus label block)
@@ -202,12 +202,18 @@ fn jsonl_snapshots_capture_broker_lifecycle() {
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 2, "initial + final snapshot at minimum");
     for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "JSONL: {line}");
+        assert!(
+            line.starts_with('{') && line.ends_with('}'),
+            "JSONL: {line}"
+        );
         assert!(line.contains("\"ts_ms\""), "timestamped: {line}");
     }
     // The final line reflects the drained broker.
     assert!(
-        lines.last().unwrap().contains("slab_ingress_submitted_total"),
+        lines
+            .last()
+            .unwrap()
+            .contains("slab_ingress_submitted_total"),
         "final snapshot must carry the broker's counters"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -238,13 +244,18 @@ fn broker_drop_releases_exporter_socket_and_snapshot_writer() {
     drop(broker);
 
     // The listener socket is released: the exact address rebinds.
-    std::net::TcpListener::bind(addr)
-        .expect("exporter port still held after Broker::drop");
+    std::net::TcpListener::bind(addr).expect("exporter port still held after Broker::drop");
     // The snapshot writer has stopped: the file gains no further lines.
-    let lines_after_drop = std::fs::read_to_string(&path).expect("snapshots").lines().count();
+    let lines_after_drop = std::fs::read_to_string(&path)
+        .expect("snapshots")
+        .lines()
+        .count();
     assert!(lines_after_drop >= 1, "snapshots never wrote");
     std::thread::sleep(Duration::from_millis(40));
-    let lines_later = std::fs::read_to_string(&path).expect("snapshots").lines().count();
+    let lines_later = std::fs::read_to_string(&path)
+        .expect("snapshots")
+        .lines()
+        .count();
     assert_eq!(
         lines_after_drop, lines_later,
         "snapshot writer still appending after Broker::drop"
@@ -367,12 +378,20 @@ fn exporter_serves_the_overloaded_broker_live() {
 
     // The acceptance surface: queue depth, shed total, breaker state, and
     // the per-stage latency histogram.
-    assert!(sample(&body, "slab_ingress_queue_depth").is_some(), "{body}");
+    assert!(
+        sample(&body, "slab_ingress_queue_depth").is_some(),
+        "{body}"
+    );
     assert!(sample(&body, "slab_ingress_shed_total").unwrap() > 0.0);
     assert!(sample(&body, "slab_ingress_breaker_state").unwrap() > 0.0);
     assert!(sample(&body, "slab_ingress_breaker_open_total").unwrap() >= 1.0);
     assert!(
-        sample(&body, "slab_ingress_breaker_transitions_total{state=\"open\"}").unwrap() >= 1.0
+        sample(
+            &body,
+            "slab_ingress_breaker_transitions_total{state=\"open\"}"
+        )
+        .unwrap()
+            >= 1.0
     );
     for stage in ["queue_wait", "admission", "dispatch", "execute", "reply"] {
         let label = format!("stage=\"{stage}\"");
@@ -384,15 +403,11 @@ fn exporter_serves_the_overloaded_broker_live() {
         assert_eq!(buckets.last().unwrap().0, "+Inf");
     }
     // Reads completed, so the execute-stage histogram saw traffic.
-    assert!(
-        sample(&body, "slab_ingress_stage_seconds_count{stage=\"execute\"}").unwrap() > 0.0
-    );
+    assert!(sample(&body, "slab_ingress_stage_seconds_count{stage=\"execute\"}").unwrap() > 0.0);
     // Seconds, not nanoseconds: a completed read spends far less than a
     // second executing, so the sum must be well under count * 1s.
-    let exec_sum =
-        sample(&body, "slab_ingress_stage_seconds_sum{stage=\"execute\"}").unwrap();
-    let exec_count =
-        sample(&body, "slab_ingress_stage_seconds_count{stage=\"execute\"}").unwrap();
+    let exec_sum = sample(&body, "slab_ingress_stage_seconds_sum{stage=\"execute\"}").unwrap();
+    let exec_count = sample(&body, "slab_ingress_stage_seconds_count{stage=\"execute\"}").unwrap();
     assert!(exec_sum < exec_count, "unit scale must convert ns -> s");
 
     drop(client);
@@ -418,7 +433,11 @@ fn breaker_trace_run(seed: u64) -> String {
                 cooldown: Duration::ZERO,
                 half_open_probes: 1,
             },
-            chaos: Some(FaultPlan::seeded(seed).with_cas_failures(0.05).with_yields(0.02)),
+            chaos: Some(
+                FaultPlan::seeded(seed)
+                    .with_cas_failures(0.05)
+                    .with_yields(0.02),
+            ),
             ..BrokerConfig::default()
         },
     );
@@ -524,10 +543,22 @@ fn breaker_closes_when_reclaim_relieves_pressure() {
     broker.shutdown();
 
     let body = registry.render_prometheus();
-    let open = sample(&body, "slab_ingress_breaker_transitions_total{state=\"open\"}");
-    let half = sample(&body, "slab_ingress_breaker_transitions_total{state=\"half_open\"}");
-    let closed = sample(&body, "slab_ingress_breaker_transitions_total{state=\"closed\"}");
-    assert!(open.unwrap() >= 1.0, "pressure must trip the breaker:\n{body}");
+    let open = sample(
+        &body,
+        "slab_ingress_breaker_transitions_total{state=\"open\"}",
+    );
+    let half = sample(
+        &body,
+        "slab_ingress_breaker_transitions_total{state=\"half_open\"}",
+    );
+    let closed = sample(
+        &body,
+        "slab_ingress_breaker_transitions_total{state=\"closed\"}",
+    );
+    assert!(
+        open.unwrap() >= 1.0,
+        "pressure must trip the breaker:\n{body}"
+    );
     assert!(half.unwrap() >= 1.0, "zero cooldown must probe:\n{body}");
     assert!(
         closed.unwrap() >= 1.0,

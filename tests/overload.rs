@@ -12,9 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simt::{FaultPlan, Grid, WarpCtx};
-use slab_alloc::{
-    AllocError, SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator, SlabRef,
-};
+use slab_alloc::{AllocError, SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator, SlabRef};
 use slab_hash::{KeyValue, MaintenancePolicy, Request, SlabHash, SlabHashConfig, EMPTY_KEY};
 use slab_ingress::{Broker, BrokerConfig, IngressError};
 
@@ -38,7 +36,11 @@ fn overload_soak_sheds_instead_of_collapsing() {
         default_deadline: DEADLINE,
         policy: MaintenancePolicy::shed(),
         write_shed_headroom: 8,
-        chaos: Some(FaultPlan::seeded(0x50AD).with_cas_failures(0.10).with_yields(0.05)),
+        chaos: Some(
+            FaultPlan::seeded(0x50AD)
+                .with_cas_failures(0.10)
+                .with_yields(0.05),
+        ),
         ..BrokerConfig::default()
     };
     let broker = Broker::spawn(Arc::clone(&table), cfg);
@@ -321,7 +323,11 @@ fn broker_death_resolves_every_outstanding_ticket() {
             Err(_) => resolved_err += 1,
         }
     }
-    assert_eq!(resolved_ok + resolved_err, 256, "every ticket resolves exactly once");
+    assert_eq!(
+        resolved_ok + resolved_err,
+        256,
+        "every ticket resolves exactly once"
+    );
     assert!(
         broker_gone > 0,
         "a dead broker must surface as BrokerGone, not silence"
@@ -347,7 +353,10 @@ fn broker_death_resolves_every_outstanding_ticket() {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(saw_gone, "submissions to a dead broker never surfaced BrokerGone");
+    assert!(
+        saw_gone,
+        "submissions to a dead broker never surfaced BrokerGone"
+    );
 
     // `shutdown()` would (correctly) propagate the broker's panic; drop
     // must absorb it and still release everything without hanging.
@@ -462,7 +471,11 @@ fn pool_worker_death_mid_load_resolves_all_tickets() {
     std::thread::sleep(Duration::from_millis(5));
     grid.debug_kill_pool_workers(usize::MAX);
     let ok = load.join().expect("load thread panicked");
-    assert_eq!(ok, u64::from(total), "pool death must not fail or lose requests");
+    assert_eq!(
+        ok,
+        u64::from(total),
+        "pool death must not fail or lose requests"
+    );
 
     // The broker itself survived: a fresh probe round-trips and shutdown is
     // clean.

@@ -72,7 +72,10 @@ fn round_trip_over_tcp() {
     server.shutdown();
     broker.shutdown();
     let rendered = registry.render_prometheus();
-    assert_eq!(metric(&rendered, "slab_transport_connections_accepted_total"), 1);
+    assert_eq!(
+        metric(&rendered, "slab_transport_connections_accepted_total"),
+        1
+    );
     assert_eq!(metric(&rendered, "slab_transport_connections_open"), 0);
     assert_eq!(metric(&rendered, "slab_transport_inflight"), 0);
     assert!(metric(&rendered, "slab_transport_frames_rx_total") >= 6);
@@ -100,9 +103,8 @@ fn garbage_bytes_get_a_typed_reject_and_fresh_connections_still_work() {
     let mut carry = slab_ingress::wire::FrameBuffer::new();
     carry.extend(&bytes);
     match carry.next_frame() {
-        Ok(Some(slab_ingress::wire::Frame::Reject(
-            slab_ingress::wire::RejectReason::BadFrame,
-        ))) => {}
+        Ok(Some(slab_ingress::wire::Frame::Reject(slab_ingress::wire::RejectReason::BadFrame))) => {
+        }
         other => panic!("garbage got {other:?} instead of a BadFrame reject"),
     }
 
@@ -245,7 +247,11 @@ fn idle_connections_are_closed_and_clients_reconnect_transparently() {
             Err(e) => panic!("unexpected error after idle close: {e:?}"),
         }
     }
-    assert_eq!(value, Some(Some(10)), "service did not resume after idle close");
+    assert_eq!(
+        value,
+        Some(Some(10)),
+        "service did not resume after idle close"
+    );
 
     let registry = broker.metrics();
     server.shutdown();
@@ -679,7 +685,10 @@ fn wire_call_maps_socket_deadline_onto_request_budget() {
     }
     let took = started.elapsed();
     assert!(took >= Duration::from_millis(80), "gave up early: {took:?}");
-    assert!(took < Duration::from_secs(2), "overstayed the budget: {took:?}");
+    assert!(
+        took < Duration::from_secs(2),
+        "overstayed the budget: {took:?}"
+    );
     drop(client);
     swallow.join().unwrap();
 }
