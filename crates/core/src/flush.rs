@@ -54,7 +54,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// `flush_bucket`. `quiet` proves no operation is in flight.
     ///
     /// The pass's tallies come out of the launch's merged counters, which
-    /// executors merge once each, so no bucket touches shared state.
+    /// executors merge once each, so no bucket touches shared state. A
+    /// launch that returns ran every bucket (a warp panic unwinds out of
+    /// `launch_warps`), so only then does the table count as compacted.
     ///
     /// Must not pin the epoch: `quiet` already holds the pin lock.
     pub(crate) fn compact_exclusive(&self, grid: &Grid, _quiet: &Quiesced<'_>) -> FlushReport {
@@ -64,6 +66,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 self.flush_bucket(ctx.warp_id as u32, ctx);
             })
             .counters;
+        self.compacted.set();
         FlushReport {
             slabs_released: counters.deallocations,
             elements_kept: counters.elements_kept,

@@ -15,6 +15,7 @@ use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator, SlabRef, BASE_SLAB};
 
 use crate::entry::{EntryLayout, EMPTY_KEY};
 use crate::hasher::UniversalHash;
+use crate::maintenance::Compacted;
 
 /// Configuration for a [`SlabHash`].
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +117,9 @@ pub struct SlabHash<L: EntryLayout, A: SlabAllocator = SlabAlloc> {
     /// Live-pin count: every operation pins it, and `maintain` compacts
     /// only in a window with no pin live.
     pub(crate) clock: simt::EpochClock,
+    /// Set by a completed compaction pass, cleared by a tombstone or a
+    /// slab link: lets `maintain` skip a pass with nothing to do.
+    pub(crate) compacted: Compacted,
     _layout: PhantomData<fn() -> L>,
 }
 
@@ -166,6 +170,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             hash: UniversalHash::new(config.seed, config.num_buckets),
             retry_budget: config.retry_budget,
             clock: simt::EpochClock::new(),
+            compacted: Compacted::default(),
             _layout: PhantomData,
         }
     }

@@ -19,8 +19,11 @@
 //!    maintenance pass, then surface the failure).
 //!
 //! [`SlabHash::maintain`] bundles 1 + 2 into one idempotent pass that a
-//! background thread (or an inline retry loop) can call at any time.
+//! background thread (or an inline retry loop) can call at any time. It
+//! skips the compaction launch when nothing has dirtied the table since its
+//! last completed pass (DESIGN.md §12).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use simt::Grid;
@@ -31,6 +34,45 @@ use crate::entry::EntryLayout;
 use crate::error::TableError;
 use crate::flush::FlushReport;
 use crate::hash_table::SlabHash;
+
+/// Whether the last compaction pass left nothing for the next one to do.
+///
+/// A pass that completes every bucket leaves each chain tombstone-free and
+/// minimal (DESIGN.md §12). Only two writes undo that: a tombstone, and a
+/// slab linked onto a chain. An INSERT or REPLACE that lands in a slab the
+/// chain already has keeps the chain minimal, and a search writes nothing.
+/// So the flag is set by a completed pass and cleared after every
+/// successful tombstone or link CAS; while it is set, a new pass would read
+/// every slab and write none, and [`SlabHash::maintain`] skips its launch.
+///
+/// Ops clear it while holding an epoch pin, and the pass reads and sets it
+/// inside a quiescent window, which no pin overlaps: the pin lock orders
+/// every clear before the next window, so relaxed accesses suffice.
+/// Aligned to its own 128 B so clearing it never contends with the epoch
+/// clock's pin counter.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Compacted(AtomicBool);
+
+impl Compacted {
+    /// Records a tombstone or a link. Loads first and stores only when set,
+    /// so the steady-state cost is one relaxed load of an unshared line.
+    #[inline]
+    pub(crate) fn clear(&self) {
+        if self.0.load(Ordering::Relaxed) {
+            self.0.store(false, Ordering::Relaxed);
+        }
+    }
+
+    /// Records a pass that completed every bucket.
+    pub(crate) fn set(&self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    fn is_set(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// What a policy-driven caller does when the table reports memory pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +131,9 @@ impl Default for MaintenancePolicy {
 pub struct MaintenanceReport {
     /// The compaction pass. `None` when no quiescent window could be
     /// claimed: an operation was in flight, or another maintainer held the
-    /// window.
+    /// window. A report with `buckets == 0` (and zero counters) is a pass
+    /// that found the table clean since its last completed pass and
+    /// launched nothing.
     pub flushed: Option<FlushReport>,
     /// How long the pass held its quiescent window: new operations waited
     /// at their epoch pin for up to this long. Zero when no window was
@@ -119,7 +163,9 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     /// * **No operation in flight** (no epoch pin live): the paper's
     ///   compacting FLUSH. Every bucket is rebuilt without its tombstones
     ///   and the surplus slabs are freed. New operations wait at their
-    ///   epoch pin until the pass ends.
+    ///   epoch pin until the pass ends. When no tombstone was written and
+    ///   no slab linked since the last completed pass, there is nothing to
+    ///   rebuild, and the pass launches nothing (`buckets == 0`).
     /// * **Otherwise** (an operation holds a pin, or another maintainer
     ///   holds the window): no compaction. The pass never blocks on either.
     ///
@@ -131,7 +177,11 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         let (flushed, pause) = match self.clock.quiesce() {
             Some(quiet) => {
                 let opened = Instant::now();
-                let flushed = self.compact_exclusive(grid, &quiet);
+                let flushed = if self.compacted.is_set() {
+                    FlushReport::default()
+                } else {
+                    self.compact_exclusive(grid, &quiet)
+                };
                 drop(quiet);
                 (Some(flushed), opened.elapsed())
             }
@@ -295,6 +345,58 @@ mod tests {
             let want = (k % 3 != 0).then_some(k + 1);
             assert_eq!(w.search(k), want, "key {k}");
         }
+    }
+
+    /// One `maintain` pass that claims its window; whenever it leaves the
+    /// table marked compacted, the table must be what a pass produces.
+    fn pass(t: &SlabHash<KeyValue>, grid: &Grid) -> FlushReport {
+        let flushed = t.maintain(grid).flushed.expect("no op in flight");
+        if t.compacted.is_set() {
+            let a = t.audit().unwrap();
+            assert_eq!(a.tombstones, 0, "{a:?}");
+            assert!(chains_are_minimal(&a), "{:?}", a.bucket_stats);
+        }
+        flushed
+    }
+
+    #[test]
+    fn maintain_skips_a_pass_until_a_tombstone_or_link_dirties_the_table() {
+        let t = churned_table();
+        let grid = Grid::new(2);
+        let launches = |g: &Grid| g.pool_stats().map_or(0, |p| p.launches);
+        let skipped = FlushReport::default();
+        assert_eq!(pass(&t, &grid).buckets, 4, "a new table's first pass runs");
+        let before = launches(&grid);
+        assert_eq!(pass(&t, &grid), skipped, "nothing dirtied the table");
+        assert_eq!(launches(&grid), before, "a skipped pass launched a kernel");
+
+        // Searches and in-place replaces write no tombstone and link no slab.
+        let mut w = WarpDriver::new(&t);
+        assert_eq!(w.search(1), Some(2));
+        assert_eq!(w.replace(1, 7), Some(2));
+        assert_eq!(pass(&t, &grid), skipped);
+
+        // A DELETE leaves a tombstone: the next pass runs and scrubs it.
+        assert_eq!(w.delete(1), Some(7));
+        let scrub = pass(&t, &grid);
+        assert_eq!(scrub.buckets, 4);
+        assert!(scrub.counters.sector_writes > 0, "{scrub:?}");
+        assert_eq!(pass(&t, &grid), skipped);
+
+        // Fresh INSERTs fill free slots until one links a slab; only the
+        // linking one dirties the table.
+        for k in 1000.. {
+            let slabs = t.total_slabs();
+            w.insert(k, k);
+            if t.total_slabs() == slabs {
+                assert_eq!(pass(&t, &grid), skipped, "key {k} linked nothing");
+                continue;
+            }
+            assert_eq!(pass(&t, &grid).buckets, 4, "key {k} linked a slab");
+            break;
+        }
+        assert_eq!(pass(&t, &grid), skipped);
+        assert_eq!(launches(&grid), before + 2, "exactly two passes launched");
     }
 
     #[test]

@@ -647,29 +647,25 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             return None;
         }
         let loc = self.slab_loc(bucket, ptr, ctx);
-        if L::HAS_VALUES {
+        let deleted = if L::HAS_VALUES {
             let expected = pack_pair(key, observed_value);
             let desired = pack_pair(DELETED_KEY, observed_value);
             let old =
                 loc.storage
                     .cas_pair(loc.slab, dest / 2, expected, desired, &mut ctx.counters);
-            if old == expected {
-                Some(unpack_pair(old).1)
-            } else {
-                ctx.counters.cas_failures += 1;
-                None
-            }
+            (old == expected).then(|| unpack_pair(old).1)
         } else {
             let old = loc
                 .storage
                 .cas_lane(loc.slab, dest, key, DELETED_KEY, &mut ctx.counters);
-            if old == key {
-                Some(key)
-            } else {
-                ctx.counters.cas_failures += 1;
-                None
-            }
+            (old == key).then_some(key)
+        };
+        match deleted {
+            // A tombstone is work for the next compaction pass.
+            Some(_) => self.compacted.clear(),
+            None => ctx.counters.cas_failures += 1,
         }
+        deleted
     }
 
     /// Advances `next` down the list, allocating and linking a fresh slab at
@@ -708,6 +704,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             &mut ctx.counters,
         );
         if old == EMPTY_PTR {
+            // A longer chain may be more than its live elements need.
+            self.compacted.clear();
             *next = new_slab;
         } else {
             // "some other warp has successfully allocated and inserted the

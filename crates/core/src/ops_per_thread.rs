@@ -167,6 +167,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                 &mut ctx.counters,
             );
             if old == EMPTY_PTR {
+                self.compacted.clear();
                 ptr = new_slab;
             } else {
                 ctx.counters.cas_failures += 1;
@@ -202,6 +203,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                         &mut ctx.counters,
                     ) == expected
                     {
+                        self.compacted.clear();
                         return OpResult::Deleted(v);
                     }
                     ctx.counters.cas_failures += 1;
@@ -213,6 +215,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
                     &mut ctx.counters,
                 ) == key
                 {
+                    self.compacted.clear();
                     return OpResult::Deleted(key);
                 } else {
                     ctx.counters.cas_failures += 1;

@@ -7,18 +7,19 @@
 //! running) and has no ticket of its own outstanding runs its request as a
 //! one-envelope cohort on its own thread instead (caller-runs); both entries
 //! run the same cohort body under one lock. A cohort runs the
-//! admission pass (deadlines first, then the circuit breaker, then the
-//! allocator-headroom write shed), executes the surviving requests as one
+//! admission pass (deadlines first, then the allocator-headroom write
+//! shed), executes the surviving requests as one
 //! warp-shaped batch on the persistent executor pool, and routes every
 //! result back over its envelope's reply channel. Under the block policy,
 //! retryable failures are re-dispatched with the table's own recovery pass
 //! between rounds — bounded by [`BrokerConfig::max_dispatch_attempts`] and by
 //! each request's deadline, never by spinning.
 //!
-//! Degradation order under pressure is deliberate: writes are shed first
-//! (they consume slabs; reads do not), reads keep flowing until the queue
-//! itself fills, and every refusal is a typed reply — clients always learn
-//! the fate of their request.
+//! Degradation order under pressure is deliberate: INSERT and REPLACE are
+//! shed first (only they allocate slabs), reads and deletes keep flowing
+//! until the queue itself fills (a DELETE's tombstone is what the next
+//! compaction pass frees), and every refusal is a typed reply — clients
+//! always learn the fate of their request.
 
 use std::any::Any;
 use std::io;
@@ -42,10 +43,9 @@ use slab_hash::{
     TableError,
 };
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::client::{ClientHandle, Reply};
 use crate::error::IngressError;
-use crate::metrics::{breaker_state_code, IngressMetrics, MaintainReason};
+use crate::metrics::{IngressMetrics, MaintainReason};
 use crate::stats::IngressStats;
 
 /// One queued request: the operation, its deadline budget, the channel its
@@ -98,11 +98,10 @@ pub struct BrokerConfig {
     /// Most dispatch rounds one request gets under the block policy
     /// (including the first).
     pub max_dispatch_attempts: u32,
-    /// Writes are shed while the allocator's free-slab gauge is at or below
-    /// this watermark (shed policy only). Reads are unaffected.
+    /// INSERT and REPLACE are shed while the allocator's free-slab gauge is
+    /// at or below this watermark (shed policy only). Reads and deletes are
+    /// unaffected.
     pub write_shed_headroom: u64,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// How long an idle broker sleeps between housekeeping checks.
     pub idle_tick: Duration,
     /// Grid to dispatch on; `None` builds a pooled grid sized to the host.
@@ -123,7 +122,6 @@ impl Default for BrokerConfig {
             policy: MaintenancePolicy::shed(),
             max_dispatch_attempts: 4,
             write_shed_headroom: 16,
-            breaker: BreakerConfig::default(),
             idle_tick: Duration::from_millis(1),
             grid: None,
             chaos: None,
@@ -140,7 +138,6 @@ impl std::fmt::Debug for BrokerConfig {
             .field("policy", &self.policy)
             .field("max_dispatch_attempts", &self.max_dispatch_attempts)
             .field("write_shed_headroom", &self.write_shed_headroom)
-            .field("breaker", &self.breaker)
             .field("idle_tick", &self.idle_tick)
             .field("grid", &self.grid.as_ref().map(|_| "Grid"))
             .field("chaos", &self.chaos)
@@ -331,10 +328,10 @@ impl Drop for Broker {
     }
 }
 
-/// Writes consume slabs; searches only read. The shed and breaker paths key
-/// off this split.
-fn is_write(op: OpKind) -> bool {
-    !matches!(op, OpKind::Search | OpKind::SearchAll)
+/// The ops that may allocate a slab, and so the ones the write shed
+/// refuses. A DELETE only tombstones: it frees slabs once compacted.
+fn allocates(op: OpKind) -> bool {
+    matches!(op, OpKind::Insert | OpKind::Replace)
 }
 
 /// Failures the block policy may re-dispatch after a recovery pass.
@@ -452,10 +449,6 @@ struct BrokerRun<L: EntryLayout, A: SlabAllocator> {
     table: Arc<SlabHash<L, A>>,
     cfg: BrokerConfig,
     grid: Grid,
-    breaker: CircuitBreaker,
-    /// Per-state transition counts already billed into metrics and the
-    /// trace, diffed against [`CircuitBreaker::transitions`].
-    breaker_billed: [u64; 3],
     session: Option<SessionHandle>,
     stats: IngressStats,
     metrics: IngressMetrics,
@@ -522,8 +515,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
         });
         Self {
-            breaker: CircuitBreaker::new(cfg.breaker),
-            breaker_billed: [0; 3],
             batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
             metrics: IngressMetrics::register(registry),
             table,
@@ -566,7 +557,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
     }
 
     /// Refreshes the live gauges: queue depth, allocator pressure, executor
-    /// pool, breaker state. Called once per cohort and idle tick — gauges are
+    /// pool. Called once per cohort and idle tick — gauges are
     /// sampled, not billed, so scrape-time values are at most one idle tick
     /// stale.
     fn refresh_gauges(&self, queued: usize) {
@@ -584,72 +575,29 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             m.pool_workers_alive.set(pool.workers_alive as u64);
             m.pool_launches.set(pool.launches);
         }
-        m.breaker_state
-            .set(breaker_state_code(self.breaker.state()));
     }
 
-    /// Runs one maintenance pass, counts it against its trigger, and bills
-    /// the window it held.
-    fn maintain(&mut self, reason: MaintainReason) {
+    /// Runs one maintenance pass and, if it launched, counts it against its
+    /// trigger and bills the window it held.
+    fn maintain(&self, reason: MaintainReason) {
         let report = self.table.maintain(&self.grid);
-        self.metrics.bill_maintenance(reason);
-        self.metrics.bill_pause(&report);
+        self.metrics.bill_pass(reason, &report);
     }
 
     /// Idle cycles are spent healing: if the allocator is inside the write
     /// shed watermark, run a maintenance pass so capacity recovers while no
-    /// traffic is waiting.
+    /// traffic is waiting. On a table nothing has dirtied since its last
+    /// pass, the pass launches nothing.
     fn idle_housekeeping(&mut self) {
         if self.table.allocator().free_slabs() <= self.cfg.write_shed_headroom {
             self.maintain(MaintainReason::Idle);
         }
     }
 
-    /// Tracks breaker trips and state transitions into counters, metrics,
-    /// and trace events after every point where the breaker may have moved.
-    fn note_breaker(&mut self) {
-        let trips = self.breaker.trips();
-        let billed = self.stats.counters.breaker_open;
-        if trips > billed {
-            self.stats.counters.breaker_open = trips;
-            self.metrics.breaker_open.add(trips - billed);
-            self.emit("breaker_open", (trips - billed) as u32);
-        }
-        // Transitions come from the breaker's own counters, not from
-        // sampling its state: a half-open probe that fails inside one batch
-        // bounces Open -> HalfOpen -> Open between two calls here, and a
-        // state sample would never see the half-open leg.
-        let seen = self.breaker.transitions();
-        for (i, state) in [
-            BreakerState::Closed,
-            BreakerState::HalfOpen,
-            BreakerState::Open,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let delta = seen[i] - self.breaker_billed[i];
-            if delta == 0 {
-                continue;
-            }
-            self.breaker_billed[i] = seen[i];
-            for _ in 0..delta {
-                self.metrics.bill_breaker_transition(state);
-            }
-            match state {
-                BreakerState::HalfOpen => self.emit("breaker_half_open", delta as u32),
-                BreakerState::Closed => self.emit("breaker_close", delta as u32),
-                // The trip itself was already emitted above as
-                // `breaker_open`, depth = new trips.
-                BreakerState::Open => {}
-            }
-        }
-    }
-
     /// Admission, dispatch, bounded retry, and reply routing for one
     /// coalesced batch.
     fn process_batch(&mut self, envelopes: Vec<Envelope>) {
-        // --- Admission pass: deadline, breaker, memory-pressure shed. ---
+        // --- Admission pass: deadline, then memory-pressure shed. ---
         let now = Instant::now();
         let shed_writes = self.cfg.policy.mode == PressureMode::Shed
             && self.table.allocator().free_slabs() <= self.cfg.write_shed_headroom;
@@ -665,35 +613,21 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                 self.metrics.bill_span(&span);
                 continue;
             }
-            if is_write(env.req.op) {
-                if !self.breaker.admit_write(now) {
-                    self.stats.counters.shed += 1;
-                    self.metrics.shed.inc();
-                    let span = env.answer(Err(IngressError::BreakerOpen));
-                    self.metrics.bill_span(&span);
-                    continue;
+            if shed_writes && allocates(env.req.op) {
+                self.stats.counters.shed += 1;
+                self.metrics.shed.inc();
+                if !healed {
+                    self.maintain(MaintainReason::Admission);
+                    healed = true;
                 }
-                if shed_writes {
-                    // Memory-pressure shed is a write failure the breaker
-                    // should learn from: sustained pressure trips it open
-                    // and stops even the admission work.
-                    self.stats.counters.shed += 1;
-                    self.metrics.shed.inc();
-                    self.breaker.record(now, false);
-                    if !healed {
-                        self.maintain(MaintainReason::Admission);
-                        healed = true;
-                    }
-                    let span = env.answer(Err(IngressError::ShedWrite));
-                    self.metrics.bill_span(&span);
-                    continue;
-                }
+                let span = env.answer(Err(IngressError::ShedWrite));
+                self.metrics.bill_span(&span);
+                continue;
             }
             env.span.mark_at(Stage::Admission, now);
             self.batch.push(env.req.clone());
             pending.push(env);
         }
-        self.note_breaker();
 
         // --- Dispatch + bounded retry. ---
         let mut attempt = 0u32;
@@ -721,38 +655,24 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             let now = exec_end;
             let mut retry: Vec<(Envelope, TableError)> = Vec::new();
             for (req, env) in self.batch.requests().iter().zip(pending.drain(..)) {
-                let write = is_write(req.op);
                 match req.result {
                     OpResult::Failed(err) if is_retryable(err) => {
                         let may_retry = self.cfg.policy.mode == PressureMode::Block
                             && attempt + 1 < self.cfg.max_dispatch_attempts
                             && now < env.deadline;
                         if may_retry {
-                            // Breaker verdict waits for the final
-                            // disposition; a retry is not yet a failure.
                             retry.push((env, err));
                         } else if now >= env.deadline {
-                            if write {
-                                self.breaker.record(now, false);
-                            }
                             self.stats.counters.timed_out += 1;
                             self.metrics.timed_out.inc();
                             let budget = env.budget();
                             let span = env.answer(Err(IngressError::DeadlineExceeded { budget }));
                             self.metrics.bill_span(&span);
                         } else {
-                            if write {
-                                self.breaker.record(now, false);
-                            }
                             // Heal once so the *next* batch finds capacity,
-                            // mirroring the shed policy's contract. (Inlined
-                            // rather than via `Self::maintain`: the
-                            // enclosing loop holds a borrow of
-                            // `self.batch`.)
+                            // mirroring the shed policy's contract.
                             if !healed {
-                                let report = self.table.maintain(&self.grid);
-                                self.metrics.bill_maintenance(MaintainReason::Dispatch);
-                                self.metrics.bill_pause(&report);
+                                self.maintain(MaintainReason::Dispatch);
                                 healed = true;
                             }
                             let span = env.answer(Err(IngressError::Table(err)));
@@ -760,16 +680,10 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                         }
                     }
                     OpResult::Failed(err) => {
-                        if write {
-                            self.breaker.record(now, false);
-                        }
                         let span = env.answer(Err(IngressError::Table(err)));
                         self.metrics.bill_span(&span);
                     }
                     ref result => {
-                        if write {
-                            self.breaker.record(now, true);
-                        }
                         self.stats.completed += 1;
                         self.metrics.completed.inc();
                         let span = env.answer(Ok(result.clone()));
@@ -777,7 +691,6 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                     }
                 }
             }
-            self.note_breaker();
             if retry.is_empty() {
                 break;
             }
@@ -789,18 +702,13 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
                 .table
                 .recover(first_err, &self.cfg.policy, &self.grid, attempt);
             if let Some(pass) = &recovery.pass {
-                self.metrics.bill_maintenance(MaintainReason::Recover);
-                self.metrics.bill_pause(pass);
+                self.metrics.bill_pass(MaintainReason::Recover, pass);
             }
             if !recovery.retry {
                 for (env, err) in retry {
-                    if is_write(env.req.op) {
-                        self.breaker.record(now, false);
-                    }
                     let span = env.answer(Err(IngressError::Table(err)));
                     self.metrics.bill_span(&span);
                 }
-                self.note_breaker();
                 break;
             }
             self.stats.retried += retry.len() as u64;

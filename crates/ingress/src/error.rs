@@ -3,8 +3,8 @@
 //! The broker's contract is that every submitted request gets **exactly one
 //! reply**: either the table's [`OpResult`](slab_hash::OpResult) or one of
 //! these errors. Nothing blocks unboundedly and nothing is silently
-//! dropped — overload turns into `QueueFull` / `ShedWrite` / `BreakerOpen`
-//! answers, and slowness turns into `DeadlineExceeded`.
+//! dropped — overload turns into `QueueFull` / `ShedWrite` answers, and
+//! slowness turns into `DeadlineExceeded`.
 
 use std::time::Duration;
 
@@ -31,14 +31,11 @@ pub enum IngressError {
         /// The deadline budget that was exhausted.
         budget: Duration,
     },
-    /// Admission control shed this write under memory pressure (allocator
-    /// free-slab headroom below the configured watermark, shed policy).
-    /// Reads are still served; the write was never applied.
+    /// Admission control shed this INSERT or REPLACE under memory pressure
+    /// (allocator free-slab headroom at or below the configured watermark,
+    /// shed policy). Reads and deletes are still served; the write was
+    /// never applied.
     ShedWrite,
-    /// The circuit breaker is open after sustained write failures; the
-    /// write was refused without touching the table. The breaker half-opens
-    /// after its cooldown and closes again once probe writes succeed.
-    BreakerOpen,
     /// The table itself failed the operation (after the broker's bounded
     /// retries, if the policy blocks). The table is consistent and the
     /// request had no effect.
@@ -49,11 +46,11 @@ pub enum IngressError {
 
 impl IngressError {
     /// True for answers produced by load shedding (queue bounds, memory
-    /// pressure, open breaker) rather than by executing the request.
+    /// pressure) rather than by executing the request.
     pub fn is_shed(&self) -> bool {
         matches!(
             self,
-            IngressError::QueueFull { .. } | IngressError::ShedWrite | IngressError::BreakerOpen
+            IngressError::QueueFull { .. } | IngressError::ShedWrite
         )
     }
 
@@ -74,10 +71,10 @@ impl std::fmt::Display for IngressError {
                 write!(f, "deadline budget ({budget:?}) exceeded")
             }
             IngressError::ShedWrite => {
-                write!(f, "write shed under memory pressure (reads still served)")
-            }
-            IngressError::BreakerOpen => {
-                write!(f, "circuit breaker open after sustained failures")
+                write!(
+                    f,
+                    "write shed under memory pressure (reads and deletes still served)"
+                )
             }
             IngressError::Table(e) => write!(f, "table operation failed: {e}"),
             IngressError::BrokerGone => write!(f, "ingress broker has shut down"),
@@ -102,7 +99,6 @@ mod tests {
     fn classification_helpers() {
         assert!(IngressError::QueueFull { capacity: 4 }.is_shed());
         assert!(IngressError::ShedWrite.is_shed());
-        assert!(IngressError::BreakerOpen.is_shed());
         assert!(!IngressError::BrokerGone.is_shed());
         assert!(IngressError::DeadlineExceeded {
             budget: Duration::from_millis(5)

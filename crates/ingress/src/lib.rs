@@ -16,16 +16,19 @@
 //! * **Deadlines** — every request carries a budget. The broker refuses to
 //!   dispatch expired requests ([`IngressError::DeadlineExceeded`]), so a
 //!   timed-out write was *never applied*.
-//! * **Admission control** — under the shed policy, writes are refused while
-//!   allocator free-slab headroom sits below a watermark
-//!   ([`IngressError::ShedWrite`]); reads keep flowing. Writes cost slabs,
-//!   reads do not — shedding them first is the graceful order.
+//! * **Admission control** — under the shed policy, INSERT and REPLACE are
+//!   refused while allocator free-slab headroom sits at or below a
+//!   watermark ([`IngressError::ShedWrite`]), and the cohort runs one
+//!   maintenance pass. Reads and deletes keep flowing. Only INSERT and
+//!   REPLACE can take a slab; a DELETE's tombstone is what compaction
+//!   frees, so shedding the allocating writes first is the graceful order.
 //! * **Bounded retries** — retryable table failures get re-dispatched after
 //!   the table's own recovery pass (compact, grow, jittered
 //!   backoff), capped by attempts *and* by the deadline.
-//! * **Circuit breaking** — sustained write failures trip a breaker that
-//!   refuses writes outright for a cooldown, then probes its way back
-//!   closed ([`IngressError::BreakerOpen`]).
+//!
+//! Maintenance passes stay bounded without a knob: a pass over a table that
+//! nothing has dirtied since its last one launches nothing
+//! ([`SlabHash::maintain`](slab_hash::SlabHash::maintain)).
 //!
 //! The contract throughout: **exactly one reply per accepted submission**,
 //! and refusals are typed, never silent.
@@ -51,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod breaker;
 mod broker;
 mod client;
 mod error;
@@ -60,7 +62,6 @@ mod stats;
 pub mod transport;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use broker::{Broker, BrokerConfig};
 pub use client::{ClientHandle, Reply, Ticket};
 pub use error::IngressError;
@@ -80,7 +81,9 @@ mod tests {
     use std::time::Duration;
 
     use slab_alloc::{SlabAlloc, SlabAllocConfig};
-    use slab_hash::{KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig};
+    use slab_hash::{
+        KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver,
+    };
 
     use super::*;
 
@@ -167,41 +170,28 @@ mod tests {
     }
 
     #[test]
-    fn sustained_sheds_trip_the_breaker() {
+    fn deletes_execute_while_writes_shed() {
+        let table = small_table();
+        WarpDriver::new(&*table).replace(3, 30);
         let cfg = BrokerConfig {
             write_shed_headroom: u64::MAX,
             policy: MaintenancePolicy::shed(),
-            breaker: BreakerConfig {
-                window: 8,
-                min_samples: 4,
-                trip_ratio: 0.5,
-                cooldown: Duration::from_secs(60),
-                half_open_probes: 2,
-            },
             ..BrokerConfig::default()
         };
-        let broker = Broker::spawn(small_table(), cfg);
+        let broker = Broker::spawn(Arc::clone(&table), cfg);
         let client = broker.handle();
 
-        let mut saw_breaker_open = false;
-        for k in 0..32u32 {
-            match client.call(Request::insert(k, k)) {
-                Err(IngressError::ShedWrite) => {}
-                Err(IngressError::BreakerOpen) => saw_breaker_open = true,
-                other => panic!("unexpected write outcome: {other:?}"),
-            }
-        }
-        assert!(
-            saw_breaker_open,
-            "breaker never opened under sustained sheds"
-        );
-        // Reads flow even with the breaker open.
-        assert_eq!(client.get(0).unwrap(), None);
+        assert_eq!(client.put(4, 40).unwrap_err(), IngressError::ShedWrite);
+        // A DELETE allocates nothing, and its tombstone is what compaction
+        // frees: it runs however low the headroom is.
+        assert_eq!(client.remove(3).unwrap(), Some(30));
+        assert_eq!(client.remove(5).unwrap(), None);
 
         drop(client);
         let stats = broker.shutdown();
-        assert!(stats.breaker_trips() >= 1);
-        assert_eq!(stats.shed(), 32);
+        assert_eq!(stats.shed(), 1);
+        assert_eq!(stats.completed, 2);
+        assert_eq!(table.len(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! takes the registry lock: billing a request is a handful of relaxed
 //! atomic adds. Naming follows Prometheus conventions — `_total` suffixes
 //! on counters, base units (seconds) in histogram names, labels for
-//! low-cardinality dimensions (span stage, breaker state, maintenance
+//! low-cardinality dimensions (span stage, cohort path, maintenance
 //! trigger).
 
 use std::sync::Arc;
@@ -17,9 +17,7 @@ use simt::telemetry::{
 use simt::PerfCounters;
 use slab_hash::MaintenanceReport;
 
-use crate::breaker::BreakerState;
-
-/// Why the broker ran a maintenance pass (the label on
+/// Why the broker asked for a maintenance pass (the label on
 /// `slab_ingress_maintenance_total`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MaintainReason {
@@ -40,15 +38,6 @@ const MAINTAIN_REASONS: [(&str, MaintainReason); 4] = [
     ("recover", MaintainReason::Recover),
 ];
 
-/// Encodes a breaker state as the `slab_ingress_breaker_state` gauge value.
-pub(crate) fn breaker_state_code(state: BreakerState) -> u64 {
-    match state {
-        BreakerState::Closed => 0,
-        BreakerState::HalfOpen => 1,
-        BreakerState::Open => 2,
-    }
-}
-
 /// Pre-registered handles for every metric the broker bills.
 #[derive(Debug)]
 pub(crate) struct IngressMetrics {
@@ -56,7 +45,7 @@ pub(crate) struct IngressMetrics {
     pub submitted: Counter,
     /// Requests answered with a table result.
     pub completed: Counter,
-    /// Requests refused by admission control (shed/breaker/queue pressure).
+    /// Requests refused by admission control (memory-pressure write shed).
     pub shed: Counter,
     /// Requests answered with a deadline timeout.
     pub timed_out: Counter,
@@ -66,19 +55,13 @@ pub(crate) struct IngressMetrics {
     pub batches: Counter,
     /// Cohorts run, labeled by entry: `path="inline"|"queued"`.
     pub cohorts: [Counter; 2],
-    /// Breaker trips (transitions into Open).
-    pub breaker_open: Counter,
-    /// Breaker state transitions, labeled `state="open|half_open|closed"`.
-    pub breaker_transitions: [Counter; 3],
-    /// Maintenance passes, labeled by trigger.
+    /// Maintenance passes that launched compaction, labeled by trigger.
     maintenance: [Counter; 4],
     /// How long each compacting pass held its quiescent window; recorded
     /// in nanoseconds, exported in seconds.
     maint_pause_seconds: HistogramMetric,
     /// Live submission-queue depth.
     pub queue_depth: GaugeMetric,
-    /// Breaker state as a code: 0 closed, 1 half-open, 2 open.
-    pub breaker_state: GaugeMetric,
     /// Allocator free-slab headroom.
     pub alloc_free: GaugeMetric,
     /// Allocator slabs currently allocated.
@@ -117,13 +100,6 @@ impl IngressMetrics {
                 1e-9,
             )
         });
-        let breaker_transitions = ["open", "half_open", "closed"].map(|state| {
-            registry.counter_with(
-                "slab_ingress_breaker_transitions_total",
-                "Circuit-breaker state transitions",
-                &[("state", state)],
-            )
-        });
         // Indexed by `CohortPath`.
         let cohorts = ["inline", "queued"].map(|path| {
             registry.counter_with(
@@ -135,7 +111,7 @@ impl IngressMetrics {
         let maintenance = MAINTAIN_REASONS.map(|(reason, _)| {
             registry.counter_with(
                 "slab_ingress_maintenance_total",
-                "Maintenance passes the broker triggered, by trigger",
+                "Compacting maintenance passes the broker triggered, by trigger",
                 &[("reason", reason)],
             )
         });
@@ -165,11 +141,6 @@ impl IngressMetrics {
                 "Coalesced batches dispatched onto the grid",
             ),
             cohorts,
-            breaker_open: registry.counter(
-                "slab_ingress_breaker_open_total",
-                "Circuit-breaker trips (sustained-failure episodes)",
-            ),
-            breaker_transitions,
             maintenance,
             maint_pause_seconds: registry.histogram_with(
                 "slab_maint_pause_seconds",
@@ -181,10 +152,6 @@ impl IngressMetrics {
             queue_depth: registry.gauge(
                 "slab_ingress_queue_depth",
                 "Requests sitting in the bounded submission queue right now",
-            ),
-            breaker_state: registry.gauge(
-                "slab_ingress_breaker_state",
-                "Circuit-breaker state: 0 closed, 1 half-open, 2 open",
             ),
             alloc_free: registry.gauge(
                 "slab_alloc_free_slabs",
@@ -241,28 +208,15 @@ impl IngressMetrics {
         self.table_allocations.add(counters.allocations);
     }
 
-    /// Counts one maintenance pass against its trigger.
-    pub(crate) fn bill_maintenance(&self, reason: MaintainReason) {
-        self.maintenance[reason as usize].inc();
-    }
-
-    /// Records the window a compacting pass held; a pass that claimed no
-    /// window paused nothing and records nothing.
-    pub(crate) fn bill_pause(&self, report: &MaintenanceReport) {
-        if report.flushed.is_some() {
+    /// Counts a pass that launched compaction against its trigger and
+    /// records the window it held. A pass that claimed no window, or found
+    /// nothing dirtied since the last completed one, launched nothing and
+    /// bills nothing.
+    pub(crate) fn bill_pass(&self, reason: MaintainReason, report: &MaintenanceReport) {
+        if report.flushed.is_some_and(|f| f.buckets > 0) {
+            self.maintenance[reason as usize].inc();
             self.maint_pause_seconds
                 .record(report.pause.as_nanos() as u64);
         }
-    }
-
-    /// Counts one breaker transition into `state` (also refreshed as the
-    /// state gauge by the broker loop).
-    pub(crate) fn bill_breaker_transition(&self, state: BreakerState) {
-        let idx = match state {
-            BreakerState::Open => 0,
-            BreakerState::HalfOpen => 1,
-            BreakerState::Closed => 2,
-        };
-        self.breaker_transitions[idx].inc();
     }
 }

@@ -8,7 +8,7 @@ use simt::PerfCounters;
 #[derive(Debug, Clone, Default)]
 pub struct IngressStats {
     /// Merged kernel counters from every dispatched batch, plus the
-    /// broker-billed `shed` / `timed_out` / `breaker_open` fields.
+    /// broker-billed `shed` / `timed_out` fields.
     pub counters: PerfCounters,
     /// Merged launch histograms; `queue_depth` carries the submission-queue
     /// depth sampled at each batch dispatch.
@@ -37,10 +37,5 @@ impl IngressStats {
     /// Requests that missed their deadline (mirror of `counters.timed_out`).
     pub fn timed_out(&self) -> u64 {
         self.counters.timed_out
-    }
-
-    /// Circuit-breaker open transitions (mirror of `counters.breaker_open`).
-    pub fn breaker_trips(&self) -> u64 {
-        self.counters.breaker_open
     }
 }

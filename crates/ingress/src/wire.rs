@@ -400,6 +400,9 @@ fn decode_op_result(r: &mut Reader<'_>) -> Result<OpResult, WireError> {
     })
 }
 
+// Ingress error tag 4 is retired (it named the circuit breaker's refusal,
+// which no longer exists) and decodes as `UnknownTag`; the remaining numbers
+// never move, so `VERSION` stays put.
 fn encode_ingress_error(buf: &mut Vec<u8>, e: IngressError) {
     match e {
         IngressError::EmptyRequest => buf.push(0),
@@ -412,7 +415,6 @@ fn encode_ingress_error(buf: &mut Vec<u8>, e: IngressError) {
             put_u64(buf, duration_to_ns(budget));
         }
         IngressError::ShedWrite => buf.push(3),
-        IngressError::BreakerOpen => buf.push(4),
         IngressError::Table(te) => {
             buf.push(5);
             encode_table_error(buf, te);
@@ -431,7 +433,6 @@ fn decode_ingress_error(r: &mut Reader<'_>) -> Result<IngressError, WireError> {
             budget: Duration::from_nanos(r.u64()?),
         },
         3 => IngressError::ShedWrite,
-        4 => IngressError::BreakerOpen,
         5 => IngressError::Table(decode_table_error(r)?),
         6 => IngressError::BrokerGone,
         t => return Err(WireError::UnknownTag(t)),
@@ -778,7 +779,6 @@ mod tests {
                 budget: Duration::from_millis(100),
             },
             IngressError::ShedWrite,
-            IngressError::BreakerOpen,
             IngressError::Table(TableError::RetryBudgetExhausted { budget: 8 }),
             IngressError::BrokerGone,
         ];
@@ -981,6 +981,26 @@ mod tests {
         let crc = frame_crc(VERSION, KIND_REPLY, len, &buf[HEADER_LEN..]);
         buf[8..12].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(decode_frame(&buf), Err(WireError::UnknownTag(3)));
+    }
+
+    #[test]
+    fn retired_ingress_error_tag_decodes_as_unknown_tag() {
+        let mut buf = Vec::new();
+        encode_frame(
+            &Frame::Reply(WireReply {
+                req_id: 5,
+                body: ReplyBody::Ingress(IngressError::ShedWrite),
+            }),
+            &mut buf,
+        );
+        // Patch the error tag (after the 8-byte req_id and the body tag) to
+        // the circuit breaker's retired tag 4, and re-checksum.
+        assert_eq!(buf[HEADER_LEN + 9], 3);
+        buf[HEADER_LEN + 9] = 4;
+        let len = (buf.len() - HEADER_LEN) as u32;
+        let crc = frame_crc(VERSION, KIND_REPLY, len, &buf[HEADER_LEN..]);
+        buf[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_frame(&buf), Err(WireError::UnknownTag(4)));
     }
 
     #[test]

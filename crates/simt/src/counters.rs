@@ -58,15 +58,12 @@ pub struct PerfCounters {
     /// nonzero count means a reclamation bug upstream).
     pub double_frees: u64,
     /// Requests refused by admission control (queue bounds, memory-pressure
-    /// write shedding, open circuit breaker) instead of executed. Billed by
-    /// the ingress broker, not by kernels.
+    /// write shedding) instead of executed. Billed by the ingress broker,
+    /// not by kernels.
     pub shed: u64,
     /// Requests that exceeded their deadline budget before completing and
     /// were answered with a timeout error. Billed by the ingress broker.
     pub timed_out: u64,
-    /// Circuit-breaker transitions into the open state (each one is a
-    /// sustained-failure episode, not a single failed request).
-    pub breaker_open: u64,
     /// Always 0: nothing in the workspace reads a per-slab tag vector any
     /// more (DESIGN.md §16). Kept because the benchmark's
     /// `slab.tag_reads_per_op` reads it.
@@ -104,7 +101,6 @@ impl PerfCounters {
             double_frees,
             shed,
             timed_out,
-            breaker_open,
             tag_reads,
             elements_kept,
         } = *other;
@@ -126,7 +122,6 @@ impl PerfCounters {
         self.double_frees += double_frees;
         self.shed += shed;
         self.timed_out += timed_out;
-        self.breaker_open += breaker_open;
         self.tag_reads += tag_reads;
         self.elements_kept += elements_kept;
     }
@@ -211,7 +206,6 @@ mod tests {
             double_frees: 16,
             shed: 17,
             timed_out: 18,
-            breaker_open: 19,
             tag_reads: 20,
             elements_kept: 21,
         };
@@ -239,7 +233,6 @@ mod tests {
             double_frees: 32,
             shed: 34,
             timed_out: 36,
-            breaker_open: 38,
             tag_reads: 40,
             elements_kept: 42,
         };

@@ -53,14 +53,13 @@ pub enum EventKind {
         /// Resident-block hops needed before a free slot was claimed.
         hops: u32,
     },
-    /// An ingress-broker admission decision or state transition.
+    /// An ingress-broker cohort event.
     Ingress {
-        /// Action tag (`"dispatch"`, `"shed_write"`, `"timeout"`,
-        /// `"breaker_open"`, `"breaker_half_open"`, `"breaker_close"`,
-        /// `"retry"`, …).
+        /// `"dispatch"` when a cohort starts, or `"retry"` when the block
+        /// policy re-dispatches a cohort's retryable failures.
         action: &'static str,
-        /// Submission-queue depth (queued + drained) observed when the
-        /// event fired.
+        /// For `"dispatch"`, the cohort's envelopes plus the queue behind
+        /// them; for `"retry"`, the requests re-dispatched.
         depth: u32,
     },
 }

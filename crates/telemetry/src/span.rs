@@ -36,8 +36,8 @@ pub enum Stage {
     /// Sitting in the bounded submission queue, waiting for the broker to
     /// drain it into a batch.
     QueueWait = 0,
-    /// The admission pass: deadline check, circuit breaker, memory-pressure
-    /// write shed.
+    /// The admission pass: deadline check, then the memory-pressure write
+    /// shed.
     Admission = 1,
     /// Admitted and batched, waiting for the executor-pool dispatch to
     /// begin (includes any earlier failed attempts when retried).

@@ -2,9 +2,8 @@
 //!
 //! Spawns a broker over a table, drives it from several client threads,
 //! then deliberately overloads it to show the graceful-degradation
-//! machinery: bounded queues, per-request deadlines, memory-pressure write
-//! shedding, and the circuit breaker — every refusal a typed reply, never a
-//! hang.
+//! machinery: bounded queues, per-request deadlines, and memory-pressure
+//! write shedding — every refusal a typed reply, never a hang.
 //!
 //! Run with: `cargo run --release --example broker`
 //!
@@ -85,8 +84,10 @@ fn main() {
 
     // --- Forced overload ---------------------------------------------------
     // A shed watermark nothing satisfies simulates an allocator that cannot
-    // keep up: the broker sheds writes (typed, immediately), keeps serving
-    // reads, and trips the breaker once the failure rate is sustained.
+    // keep up: the broker sheds writes (typed, immediately) and keeps
+    // serving reads. Every shedding cohort and idle tick asks for a
+    // maintenance pass, but only the first has work: nothing it sheds can
+    // dirty the table.
     let mut overloaded = Broker::spawn(
         Arc::clone(&table),
         BrokerConfig {
@@ -104,21 +105,17 @@ fn main() {
         println!("metrics exporter live: curl http://{bound}/metrics");
     }
     let client = overloaded.handle();
-    let (mut shed, mut breaker_open, mut reads_ok) = (0u32, 0u32, 0u32);
+    let (mut shed, mut reads_ok) = (0u32, 0u32);
     for k in 0..256u32 {
         match client.call(Request::replace(k, 0)) {
             Err(IngressError::ShedWrite) => shed += 1,
-            Err(IngressError::BreakerOpen) => breaker_open += 1,
             other => panic!("write under forced pressure: {other:?}"),
         }
         if client.get(k).unwrap() == Some(k * 3) {
             reads_ok += 1;
         }
     }
-    println!(
-        "forced overload: {shed} writes shed, {breaker_open} refused by the open breaker, \
-         {reads_ok}/256 reads still served"
-    );
+    println!("forced overload: {shed} writes shed, {reads_ok}/256 reads still served");
     assert_eq!(reads_ok, 256, "reads must keep flowing while writes shed");
 
     drop(client);
@@ -130,8 +127,7 @@ fn main() {
         let interesting = [
             "slab_ingress_queue_depth",
             "slab_ingress_shed_total",
-            "slab_ingress_breaker_state",
-            "slab_ingress_breaker_open_total",
+            "slab_ingress_maintenance_total",
         ];
         println!("-- scrape of http://{addr}/metrics --");
         for line in body.lines() {
@@ -150,9 +146,8 @@ fn main() {
 
     let stats = overloaded.shutdown();
     println!(
-        "overload stats: {} shed, {} breaker trips — and the table is untouched: {} keys",
+        "overload stats: {} shed — and the table is untouched: {} keys",
         stats.shed(),
-        stats.breaker_trips(),
         table.len(),
     );
 }

@@ -9,8 +9,8 @@
 //!
 //! Pass `--metrics <addr>` to serve the ingress epilogue's live metrics
 //! plane as Prometheus text while it runs — then
-//! `curl http://<addr>/metrics` for queue depth, shed totals, breaker
-//! state, and the per-stage latency histograms.
+//! `curl http://<addr>/metrics` for queue depth, shed totals, maintenance
+//! passes, and the per-stage latency histograms.
 
 use std::path::PathBuf;
 
@@ -222,7 +222,7 @@ fn main() {
     // emit ingress events into the reconciled trace). A deliberately
     // overloaded broker — a shed watermark nothing can satisfy — shows the
     // overload counters and the queue-depth histogram the ingress layer
-    // bills: writes shed, the breaker trips, reads still complete.
+    // bills: writes shed, reads still complete.
     let service = std::sync::Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64)));
     let mut broker = slab_ingress::Broker::spawn(
         std::sync::Arc::clone(&service),
@@ -252,7 +252,7 @@ fn main() {
         println!("-- scrape excerpt of http://{addr}/metrics --");
         for line in body.lines().filter(|l| {
             l.starts_with("slab_ingress_shed_total")
-                || l.starts_with("slab_ingress_breaker_state")
+                || l.starts_with("slab_ingress_maintenance_total")
                 || l.starts_with("slab_ingress_stage_seconds_count")
         }) {
             println!("{line}");
@@ -261,12 +261,11 @@ fn main() {
     let ingress = broker.shutdown();
     println!(
         "\ningress under forced overload: {} submitted, {} completed (reads), \
-         {} shed, {} timed out, {} breaker trips",
+         {} shed, {} timed out",
         ingress.submitted,
         ingress.completed,
         ingress.shed(),
         ingress.timed_out(),
-        ingress.breaker_trips(),
     );
     println!(
         "{}",

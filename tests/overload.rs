@@ -44,6 +44,7 @@ fn overload_soak_sheds_instead_of_collapsing() {
         ..BrokerConfig::default()
     };
     let broker = Broker::spawn(Arc::clone(&table), cfg);
+    let passes = launched_passes(&broker);
 
     let threads = 4u64;
     let per_thread = 8000u64;
@@ -143,6 +144,7 @@ fn overload_soak_sheds_instead_of_collapsing() {
     assert!(probe.elapsed() < LATENCY_BOUND);
     drop(after);
 
+    let [admission, idle] = passes.map(|c| c.get());
     let stats = broker.shutdown();
     // +1 for the liveness probe above.
     assert_eq!(
@@ -157,13 +159,58 @@ fn overload_soak_sheds_instead_of_collapsing() {
     println!(
         "soak: {attempted} attempted, {queue_full} queue-full retries, {ok} ok, {shed} shed, \
          {timed_out} timed out, worst {worst:?}, \
-         broker stats: {} submitted / {} completed / {} shed / {} timed out / {} trips",
+         broker stats: {} submitted / {} completed / {} shed / {} timed out, \
+         launched passes: {admission} admission / {idle} idle",
         stats.submitted,
         stats.completed,
         stats.shed(),
         stats.timed_out(),
-        stats.breaker_trips()
     );
+}
+
+/// The broker's counts of maintenance passes that launched compaction,
+/// triggered by a shedding cohort and by idle housekeeping.
+fn launched_passes(broker: &Broker) -> [telemetry::Counter; 2] {
+    ["admission", "idle"].map(|reason| {
+        broker
+            .metrics()
+            .counter_with("slab_ingress_maintenance_total", "", &[("reason", reason)])
+    })
+}
+
+#[test]
+fn an_idle_broker_over_a_full_table_launches_no_pass_storm() {
+    // One 1024-slab block that cannot grow, 32 buckets, and only fresh
+    // keys: once the heap crosses the shed watermark nothing can free a
+    // slab, so every shed cohort and every 1 ms idle tick asks for a pass.
+    let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
+        SlabHashConfig::with_buckets(32),
+        SlabAlloc::new(SlabAllocConfig::small(1, 1)),
+    ));
+    let cfg = BrokerConfig {
+        policy: MaintenancePolicy::shed(),
+        write_shed_headroom: 8,
+        idle_tick: Duration::from_millis(1),
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::spawn(Arc::clone(&table), cfg);
+    let passes = launched_passes(&broker);
+    let client = broker.handle();
+    let shed = (1..=32_000u32).find(|&k| client.put(k, k) == Err(IngressError::ShedWrite));
+    assert!(shed.is_some(), "the heap must cross the shed watermark");
+
+    // Nothing links a slab or writes a tombstone while the broker idles,
+    // so after the pass that made the table clean, no pass has work.
+    let total = || passes.iter().map(|c| c.get()).sum::<u64>();
+    let before = total();
+    std::thread::sleep(Duration::from_millis(200));
+    let idled = total() - before;
+    assert!(
+        idled <= 2,
+        "{idled} passes launched over an idle, clean table"
+    );
+    drop(client);
+    broker.shutdown();
 }
 
 #[test]
