@@ -3,7 +3,7 @@
 //! Every bounded-retry path in the table used to respond to a lost CAS the
 //! same way: re-read immediately (a hot spin), or burn a fixed number of
 //! `yield_now` calls. Under a CAS storm — many warps hammering one hot
-//! bucket, or an ingress broker re-dispatching a shed batch — synchronized
+//! bucket, or ingress clients resubmitting into a full queue — synchronized
 //! hot retries make the contention *worse*: every competitor re-collides on
 //! the same cache line in the same instant. The classic fix (e.g. Ethernet,
 //! `crossbeam::Backoff`) is exponential backoff with *full jitter*: each

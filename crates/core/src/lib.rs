@@ -64,6 +64,6 @@ pub use error::TableError;
 pub use flush::FlushReport;
 pub use hash_table::{buckets_for_utilization, SlabHash, SlabHashConfig};
 pub use hasher::UniversalHash;
-pub use maintenance::{MaintenancePolicy, MaintenanceReport, PressureMode, Recovery};
+pub use maintenance::MaintenanceReport;
 pub use ops::{OpKind, OpResult, Request, RETRY_BUDGET};
 pub use stats::{AuditReport, LaneCensus};

@@ -1,10 +1,9 @@
-//! Self-healing under memory pressure: compaction, allocator growth, and
-//! backpressure.
+//! Self-healing under memory pressure: compaction and allocator growth.
 //!
 //! The paper's CUDA implementation sizes its allocator for the peak working
 //! set and aborts when it runs out. A long-lived table with churn (inserts
 //! followed by deletes) can instead stay on bounded memory indefinitely if
-//! three mechanisms cooperate:
+//! two mechanisms cooperate, and callers keep to one rule:
 //!
 //! 1. **Compaction.** When no operation is in flight, [`SlabHash::maintain`]
 //!    runs the paper's compacting FLUSH: every bucket is rebuilt without
@@ -13,15 +12,16 @@
 //!    and a later pass catches up (see `flush.rs` and DESIGN.md §10).
 //! 2. **Allocator growth** (`SlabAllocator::try_grow`) activates reserve
 //!    super blocks when the free-slab gauge sinks below its watermark.
-//! 3. **Backpressure** ([`MaintenancePolicy`]) decides what a caller does
-//!    when an operation fails with `OutOfSlabs` or `RetryBudgetExhausted`:
-//!    block (compact + grow + retry with bounded backoff) or shed (run one
-//!    maintenance pass, then surface the failure).
+//! 3. **The caller's rule.** An operation that fails with `OutOfSlabs` or
+//!    `RetryBudgetExhausted` left the table consistent and had no effect.
+//!    The caller runs [`SlabHash::maintain`] and decides for itself whether
+//!    to retry or surface the failure. The ingress broker surfaces it, as a
+//!    typed reply, after one pass per cohort.
 //!
 //! [`SlabHash::maintain`] bundles 1 + 2 into one idempotent pass that a
-//! background thread (or an inline retry loop) can call at any time. It
-//! skips the compaction launch when nothing has dirtied the table since its
-//! last completed pass (DESIGN.md §12).
+//! background thread (or a caller's own retry loop) can call at any time.
+//! It skips the compaction launch when nothing has dirtied the table since
+//! its last completed pass (DESIGN.md §12).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -29,9 +29,7 @@ use std::time::{Duration, Instant};
 use simt::Grid;
 use slab_alloc::SlabAllocator;
 
-use crate::backoff::Backoff;
 use crate::entry::EntryLayout;
-use crate::error::TableError;
 use crate::flush::FlushReport;
 use crate::hash_table::SlabHash;
 
@@ -74,58 +72,6 @@ impl Compacted {
     }
 }
 
-/// What a policy-driven caller does when the table reports memory pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PressureMode {
-    /// Compact, grow, and retry (with bounded backoff) until the operation
-    /// succeeds or [`MaintenancePolicy::max_rounds`] is exhausted.
-    Block,
-    /// Run one maintenance pass, then surface the failure to the caller
-    /// (load shedding: the caller decides what to drop).
-    Shed,
-}
-
-/// How a caller reacts to `OutOfSlabs` / `RetryBudgetExhausted`: the
-/// ingress broker applies it to each failed retry cohort, and a direct
-/// caller passes it to [`SlabHash::recover`] in its own retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaintenancePolicy {
-    /// Block (retry until healed) or shed (fail fast after one heal pass).
-    pub mode: PressureMode,
-    /// Maximum recovery rounds before a blocked operation gives up anyway.
-    pub max_rounds: u32,
-    /// Jittered backoff waits between recovery rounds (see
-    /// [`Backoff`]), so racing warps can make the progress
-    /// the retry depends on without re-colliding in lockstep.
-    pub backoff_yields: u32,
-}
-
-impl MaintenancePolicy {
-    /// Block under pressure: compact + grow + retry, up to 8 rounds.
-    pub fn block() -> Self {
-        Self {
-            mode: PressureMode::Block,
-            max_rounds: 8,
-            backoff_yields: 4,
-        }
-    }
-
-    /// Shed under pressure: one maintenance pass, then fail fast.
-    pub fn shed() -> Self {
-        Self {
-            mode: PressureMode::Shed,
-            max_rounds: 1,
-            backoff_yields: 0,
-        }
-    }
-}
-
-impl Default for MaintenancePolicy {
-    fn default() -> Self {
-        Self::block()
-    }
-}
-
 /// What one [`SlabHash::maintain`] pass accomplished.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintenanceReport {
@@ -145,16 +91,6 @@ pub struct MaintenanceReport {
     pub reclaimed: u64,
     /// Whether the allocator activated reserve capacity this pass.
     pub grew: bool,
-}
-
-/// What one [`SlabHash::recover`] call decided and did.
-#[derive(Debug, Clone, Copy)]
-pub struct Recovery {
-    /// Whether the caller should retry the failed operation.
-    pub retry: bool,
-    /// The maintenance pass `recover` ran, so a caller can bill its pause;
-    /// `None` when the policy ran none.
-    pub pass: Option<MaintenanceReport>,
 }
 
 impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
@@ -195,56 +131,6 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
             grew,
         }
     }
-
-    /// Policy-driven reaction to a failed operation: whether the caller
-    /// should retry the operation or surface the error, and the
-    /// maintenance pass it ran, if any. `round` counts prior recovery
-    /// attempts for this operation (start at 0).
-    pub fn recover(
-        &self,
-        err: TableError,
-        policy: &MaintenancePolicy,
-        grid: &Grid,
-        round: u32,
-    ) -> Recovery {
-        match policy.mode {
-            PressureMode::Shed => Recovery {
-                // Heal for the *next* caller, but don't retry this one.
-                retry: false,
-                pass: (round == 0).then(|| self.maintain(grid)),
-            },
-            PressureMode::Block => {
-                if round >= policy.max_rounds {
-                    return Recovery {
-                        retry: false,
-                        pass: None,
-                    };
-                }
-                let report = self.maintain(grid);
-                // Out of slabs and maintenance freed nothing: growth is the
-                // only way forward, so insist on it even above the gauge
-                // threshold.
-                if matches!(err, TableError::OutOfSlabs(_))
-                    && report.flushed.map_or(0, |f| f.slabs_released) == 0
-                    && !report.grew
-                {
-                    self.allocator().try_grow();
-                }
-                // Jittered exponential backoff, scaled by how many recovery
-                // rounds this operation has already burned: competitors
-                // retrying the same drained allocator decorrelate instead of
-                // re-colliding the instant maintenance frees capacity.
-                let mut backoff = Backoff::new(0xB0FF ^ u64::from(round));
-                for step in 0..policy.backoff_yields {
-                    backoff.wait_attempt(round.saturating_add(step));
-                }
-                Recovery {
-                    retry: true,
-                    pass: Some(report),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,15 +151,6 @@ mod tests {
         a.bucket_stats
             .iter()
             .all(|b| b.chain_slabs == b.live.div_ceil(m).max(1))
-    }
-
-    #[test]
-    fn policy_defaults() {
-        let p = MaintenancePolicy::default();
-        assert_eq!(p.mode, PressureMode::Block);
-        assert_eq!(p.max_rounds, 8);
-        let s = MaintenancePolicy::shed();
-        assert_eq!(s.mode, PressureMode::Shed);
     }
 
     #[test]
@@ -469,34 +346,5 @@ mod tests {
         let live: u64 = a.lanes_by_depth.iter().map(|c| c.live).sum();
         assert_eq!(live, 800);
         assert!(a.no_leaks());
-    }
-
-    #[test]
-    fn shed_heals_once_but_never_retries() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(8));
-        let grid = Grid::default();
-        let policy = MaintenancePolicy::shed();
-        let err = TableError::RetryBudgetExhausted { budget: 4 };
-        let first = t.recover(err, &policy, &grid, 0);
-        assert!(!first.retry && first.pass.is_some());
-        let second = t.recover(err, &policy, &grid, 1);
-        assert!(!second.retry && second.pass.is_none());
-    }
-
-    #[test]
-    fn block_retries_until_max_rounds() {
-        let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(8));
-        let grid = Grid::default();
-        let policy = MaintenancePolicy {
-            max_rounds: 2,
-            ..MaintenancePolicy::block()
-        };
-        let err = TableError::RetryBudgetExhausted { budget: 4 };
-        for round in 0..2 {
-            let healed = t.recover(err, &policy, &grid, round);
-            assert!(healed.retry && healed.pass.is_some());
-        }
-        let spent = t.recover(err, &policy, &grid, 2);
-        assert!(!spent.retry && spent.pass.is_none());
     }
 }

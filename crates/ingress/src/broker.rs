@@ -1,5 +1,5 @@
-//! The broker task: coalescing, admission control, dispatch, bounded
-//! retry, and reply routing.
+//! The broker task: coalescing, admission control, dispatch, and reply
+//! routing.
 //!
 //! One broker thread owns the receive side of the bounded submission queue.
 //! Each cycle it drains up to [`BrokerConfig::max_batch`] envelopes as one
@@ -10,10 +10,11 @@
 //! admission pass (deadlines first, then the allocator-headroom write
 //! shed), executes the surviving requests as one
 //! warp-shaped batch on the persistent executor pool, and routes every
-//! result back over its envelope's reply channel. Under the block policy,
-//! retryable failures are re-dispatched with the table's own recovery pass
-//! between rounds — bounded by [`BrokerConfig::max_dispatch_attempts`] and by
-//! each request's deadline, never by spinning.
+//! result back over its envelope's reply channel. Every request is
+//! dispatched once: a retryable table failure (`OutOfSlabs`,
+//! `RetryBudgetExhausted`) runs one maintenance pass for the cohort and is
+//! answered as a typed error, so a client that resends finds the healed
+//! table.
 //!
 //! Degradation order under pressure is deliberate: INSERT and REPLACE are
 //! shed first (only they allocate slabs), reads and deletes keep flowing
@@ -38,10 +39,7 @@ use simt::telemetry::{
 };
 use simt::{ChaosGuard, FaultPlan, Grid};
 use slab_alloc::SlabAllocator;
-use slab_hash::{
-    BatchBuffer, EntryLayout, MaintenancePolicy, OpKind, OpResult, PressureMode, Request, SlabHash,
-    TableError,
-};
+use slab_hash::{BatchBuffer, EntryLayout, OpKind, OpResult, Request, SlabHash, TableError};
 
 use crate::client::{ClientHandle, Reply};
 use crate::error::IngressError;
@@ -92,15 +90,8 @@ pub struct BrokerConfig {
     pub max_batch: usize,
     /// Deadline budget for requests submitted without an explicit one.
     pub default_deadline: Duration,
-    /// Reaction to retryable table failures: block (bounded re-dispatch)
-    /// or shed (one heal pass, fail fast).
-    pub policy: MaintenancePolicy,
-    /// Most dispatch rounds one request gets under the block policy
-    /// (including the first).
-    pub max_dispatch_attempts: u32,
     /// INSERT and REPLACE are shed while the allocator's free-slab gauge is
-    /// at or below this watermark (shed policy only). Reads and deletes are
-    /// unaffected.
+    /// at or below this watermark. Reads and deletes are unaffected.
     pub write_shed_headroom: u64,
     /// How long an idle broker sleeps between housekeeping checks.
     pub idle_tick: Duration,
@@ -119,8 +110,6 @@ impl Default for BrokerConfig {
             queue_capacity: 4096,
             max_batch: 1024,
             default_deadline: Duration::from_millis(100),
-            policy: MaintenancePolicy::shed(),
-            max_dispatch_attempts: 4,
             write_shed_headroom: 16,
             idle_tick: Duration::from_millis(1),
             grid: None,
@@ -135,8 +124,6 @@ impl std::fmt::Debug for BrokerConfig {
             .field("queue_capacity", &self.queue_capacity)
             .field("max_batch", &self.max_batch)
             .field("default_deadline", &self.default_deadline)
-            .field("policy", &self.policy)
-            .field("max_dispatch_attempts", &self.max_dispatch_attempts)
             .field("write_shed_headroom", &self.write_shed_headroom)
             .field("idle_tick", &self.idle_tick)
             .field("grid", &self.grid.as_ref().map(|_| "Grid"))
@@ -334,7 +321,8 @@ fn allocates(op: OpKind) -> bool {
     matches!(op, OpKind::Insert | OpKind::Replace)
 }
 
-/// Failures the block policy may re-dispatch after a recovery pass.
+/// Failures that a maintenance pass may cure: the table stayed consistent
+/// and the request had no effect, so a resend can land.
 fn is_retryable(err: TableError) -> bool {
     matches!(
         err,
@@ -594,13 +582,11 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
         }
     }
 
-    /// Admission, dispatch, bounded retry, and reply routing for one
-    /// coalesced batch.
+    /// Admission, one dispatch, and reply routing for one coalesced batch.
     fn process_batch(&mut self, envelopes: Vec<Envelope>) {
         // --- Admission pass: deadline, then memory-pressure shed. ---
         let now = Instant::now();
-        let shed_writes = self.cfg.policy.mode == PressureMode::Shed
-            && self.table.allocator().free_slabs() <= self.cfg.write_shed_headroom;
+        let shed_writes = self.table.allocator().free_slabs() <= self.cfg.write_shed_headroom;
         let mut healed = false;
         let mut pending: Vec<Envelope> = Vec::with_capacity(envelopes.len());
         self.batch.clear();
@@ -629,99 +615,52 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             pending.push(env);
         }
 
-        // --- Dispatch + bounded retry. ---
-        let mut attempt = 0u32;
-        while !pending.is_empty() {
-            // Two shared timestamps bracket the launch: dispatch (batch
-            // assembly + scheduling since admission) ends where execute
-            // begins. Retry rounds re-mark both, so marks stay monotone and
-            // a retried request's stages absorb every round it lived
-            // through.
-            let exec_start = Instant::now();
-            for env in &mut pending {
-                env.span.mark_at(Stage::Dispatch, exec_start);
-            }
-            let report = self.table.execute_buffer(&mut self.batch, &self.grid);
-            let exec_end = Instant::now();
-            for env in &mut pending {
-                env.span.mark_at(Stage::Execute, exec_end);
-            }
-            self.stats.batches += 1;
-            self.metrics.batches.inc();
-            self.stats.counters.merge(&report.counters);
-            self.stats.histograms.merge(&report.histograms);
-            self.metrics.bill_batch(&report.counters);
+        // --- One dispatch. ---
+        if pending.is_empty() {
+            return;
+        }
+        // Two shared timestamps bracket the launch: dispatch (batch
+        // assembly + scheduling since admission) ends where execute begins.
+        let exec_start = Instant::now();
+        for env in &mut pending {
+            env.span.mark_at(Stage::Dispatch, exec_start);
+        }
+        let report = self.table.execute_buffer(&mut self.batch, &self.grid);
+        let now = Instant::now();
+        for env in &mut pending {
+            env.span.mark_at(Stage::Execute, now);
+        }
+        self.stats.batches += 1;
+        self.metrics.batches.inc();
+        self.stats.counters.merge(&report.counters);
+        self.stats.histograms.merge(&report.histograms);
+        self.metrics.bill_batch(&report.counters);
 
-            let now = exec_end;
-            let mut retry: Vec<(Envelope, TableError)> = Vec::new();
-            for (req, env) in self.batch.requests().iter().zip(pending.drain(..)) {
-                match req.result {
-                    OpResult::Failed(err) if is_retryable(err) => {
-                        let may_retry = self.cfg.policy.mode == PressureMode::Block
-                            && attempt + 1 < self.cfg.max_dispatch_attempts
-                            && now < env.deadline;
-                        if may_retry {
-                            retry.push((env, err));
-                        } else if now >= env.deadline {
-                            self.stats.counters.timed_out += 1;
-                            self.metrics.timed_out.inc();
-                            let budget = env.budget();
-                            let span = env.answer(Err(IngressError::DeadlineExceeded { budget }));
-                            self.metrics.bill_span(&span);
-                        } else {
-                            // Heal once so the *next* batch finds capacity,
-                            // mirroring the shed policy's contract.
-                            if !healed {
-                                self.maintain(MaintainReason::Dispatch);
-                                healed = true;
-                            }
-                            let span = env.answer(Err(IngressError::Table(err)));
-                            self.metrics.bill_span(&span);
-                        }
-                    }
-                    OpResult::Failed(err) => {
-                        let span = env.answer(Err(IngressError::Table(err)));
-                        self.metrics.bill_span(&span);
-                    }
-                    ref result => {
-                        self.stats.completed += 1;
-                        self.metrics.completed.inc();
-                        let span = env.answer(Ok(result.clone()));
-                        self.metrics.bill_span(&span);
-                    }
+        for (req, env) in self.batch.requests().iter().zip(pending) {
+            let reply = match req.result {
+                OpResult::Failed(err) if is_retryable(err) && now >= env.deadline => {
+                    self.stats.counters.timed_out += 1;
+                    self.metrics.timed_out.inc();
+                    Err(IngressError::DeadlineExceeded {
+                        budget: env.budget(),
+                    })
                 }
-            }
-            if retry.is_empty() {
-                break;
-            }
-
-            // One recovery pass (compact/grow + jittered backoff,
-            // per the policy) covers the whole retry cohort.
-            let first_err = retry[0].1;
-            let recovery = self
-                .table
-                .recover(first_err, &self.cfg.policy, &self.grid, attempt);
-            if let Some(pass) = &recovery.pass {
-                self.metrics.bill_pass(MaintainReason::Recover, pass);
-            }
-            if !recovery.retry {
-                for (env, err) in retry {
-                    let span = env.answer(Err(IngressError::Table(err)));
-                    self.metrics.bill_span(&span);
+                OpResult::Failed(err) => {
+                    // Heal once so the client's resend finds capacity.
+                    if is_retryable(err) && !healed {
+                        self.maintain(MaintainReason::Dispatch);
+                        healed = true;
+                    }
+                    Err(IngressError::Table(err))
                 }
-                break;
-            }
-            self.stats.retried += retry.len() as u64;
-            self.metrics.retried.add(retry.len() as u64);
-            self.emit("retry", retry.len() as u32);
-            self.batch.clear();
-            for (env, _) in retry {
-                let mut req = env.req.clone();
-                req.reset();
-                self.batch.push(req);
-                pending.push(env);
-            }
-            attempt += 1;
+                ref result => {
+                    self.stats.completed += 1;
+                    self.metrics.completed.inc();
+                    Ok(result.clone())
+                }
+            };
+            let span = env.answer(reply);
+            self.metrics.bill_span(&span);
         }
     }
 }

@@ -218,8 +218,8 @@ impl ClientHandle {
     /// When this handle has no ticket outstanding and the broker is idle
     /// (nothing queued, no cohort running), the request runs on the calling
     /// thread and the returned ticket is already answered. That run is the
-    /// broker's own cohort body, whose admission and retry rules stop at the
-    /// request's deadline. A busy broker is never waited for, and a full
+    /// broker's own cohort body: one admission pass, which refuses an
+    /// expired request, and one dispatch. A busy broker is never waited for, and a full
     /// queue is still [`IngressError::QueueFull`] at once.
     pub fn submit(&self, req: Request) -> Result<Ticket, IngressError> {
         self.submit_with_deadline(req, self.default_deadline)

@@ -32,13 +32,14 @@ pub enum IngressError {
         budget: Duration,
     },
     /// Admission control shed this INSERT or REPLACE under memory pressure
-    /// (allocator free-slab headroom at or below the configured watermark,
-    /// shed policy). Reads and deletes are still served; the write was
-    /// never applied.
+    /// (allocator free-slab headroom at or below the configured watermark).
+    /// Reads and deletes are still served; the write was never applied.
+    /// The cohort ran one maintenance pass, so a resend may land.
     ShedWrite,
-    /// The table itself failed the operation (after the broker's bounded
-    /// retries, if the policy blocks). The table is consistent and the
-    /// request had no effect.
+    /// The table itself failed the operation, which was dispatched once.
+    /// The table is consistent and the request had no effect. For
+    /// `OutOfSlabs` and `RetryBudgetExhausted` the cohort ran one
+    /// maintenance pass first, so a resend may land.
     Table(TableError),
     /// The broker has shut down (or died); no further replies will come.
     BrokerGone,

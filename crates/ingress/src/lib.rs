@@ -16,15 +16,16 @@
 //! * **Deadlines** — every request carries a budget. The broker refuses to
 //!   dispatch expired requests ([`IngressError::DeadlineExceeded`]), so a
 //!   timed-out write was *never applied*.
-//! * **Admission control** — under the shed policy, INSERT and REPLACE are
-//!   refused while allocator free-slab headroom sits at or below a
+//! * **Admission control** — INSERT and REPLACE are refused while allocator free-slab headroom sits at or below a
 //!   watermark ([`IngressError::ShedWrite`]), and the cohort runs one
 //!   maintenance pass. Reads and deletes keep flowing. Only INSERT and
 //!   REPLACE can take a slab; a DELETE's tombstone is what compaction
 //!   frees, so shedding the allocating writes first is the graceful order.
-//! * **Bounded retries** — retryable table failures get re-dispatched after
-//!   the table's own recovery pass (compact, grow, jittered
-//!   backoff), capped by attempts *and* by the deadline.
+//! * **One dispatch** — a request that fails with a retryable table error
+//!   (`OutOfSlabs`, `RetryBudgetExhausted`) is answered
+//!   [`IngressError::Table`] after the cohort runs one maintenance pass.
+//!   The broker never re-dispatches; a client that wants the write resends
+//!   it to the healed table.
 //!
 //! Maintenance passes stay bounded without a knob: a pass over a table that
 //! nothing has dirtied since its last one launches nothing
@@ -81,9 +82,7 @@ mod tests {
     use std::time::Duration;
 
     use slab_alloc::{SlabAlloc, SlabAllocConfig};
-    use slab_hash::{
-        KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver,
-    };
+    use slab_hash::{KeyValue, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver};
 
     use super::*;
 
@@ -148,7 +147,6 @@ mod tests {
         // Headroom nobody can satisfy: every write sheds, deterministically.
         let cfg = BrokerConfig {
             write_shed_headroom: u64::MAX,
-            policy: MaintenancePolicy::shed(),
             ..BrokerConfig::default()
         };
         let broker = Broker::spawn(Arc::clone(&table), cfg);
@@ -175,7 +173,6 @@ mod tests {
         WarpDriver::new(&*table).replace(3, 30);
         let cfg = BrokerConfig {
             write_shed_headroom: u64::MAX,
-            policy: MaintenancePolicy::shed(),
             ..BrokerConfig::default()
         };
         let broker = Broker::spawn(Arc::clone(&table), cfg);
@@ -228,43 +225,35 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_retries_through_a_tiny_allocator() {
-        // An allocator small enough that bulk inserts exhaust it; the block
-        // policy must heal (compact/grow) and retry rather than error out.
-        let alloc = SlabAlloc::new(SlabAllocConfig::small(4, 32));
+    fn inserts_land_through_allocator_growth_on_the_default_config() {
+        // One active super block of 1024 slabs holds about 15k keys: the
+        // inserts below land only if the allocator grows under them.
+        let alloc = SlabAlloc::new(SlabAllocConfig {
+            initial_active: 1,
+            ..SlabAllocConfig::small(4, 1)
+        });
         let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
             SlabHashConfig::with_buckets(8),
             alloc,
         ));
-        let cfg = BrokerConfig {
-            policy: MaintenancePolicy::block(),
-            max_dispatch_attempts: 8,
-            default_deadline: Duration::from_secs(10),
-            write_shed_headroom: 0,
-            ..BrokerConfig::default()
-        };
-        let broker = Broker::spawn(Arc::clone(&table), cfg);
+        let broker = Broker::spawn(Arc::clone(&table), BrokerConfig::default());
         let client = broker.handle();
-        let n = 2000u32;
-        let mut tickets = Vec::new();
-        for k in 0..n {
-            tickets.push(
+        let n = 20_000u32;
+        let tickets: Vec<_> = (0..n)
+            .map(|k| {
                 client
                     .submit_blocking(Request::insert(k, k), Duration::from_secs(10))
-                    .unwrap(),
-            );
-        }
-        let mut ok = 0u64;
-        for t in tickets {
-            if t.wait().result.is_ok() {
-                ok += 1;
-            }
-        }
-        assert_eq!(ok, u64::from(n), "block policy should land every insert");
+                    .unwrap()
+            })
+            .collect();
+        let ok = tickets.into_iter().map(Ticket::wait);
+        let ok = ok.filter(|r| r.result.is_ok());
+        assert_eq!(ok.count(), n as usize, "every insert lands");
         assert_eq!(table.len(), n as usize);
+        assert!(table.allocator().active_super_blocks() > 1);
         drop(client);
         let stats = broker.shutdown();
-        assert_eq!(stats.completed, u64::from(n));
+        assert_eq!((stats.completed, stats.shed()), (u64::from(n), 0));
     }
 
     #[test]

@@ -25,17 +25,14 @@ pub(crate) enum MaintainReason {
     Idle = 0,
     /// Healing triggered by the admission pass shedding a write.
     Admission = 1,
-    /// Healing after a non-retryable failure in the dispatch loop.
+    /// Healing after a retryable table failure in the cohort's dispatch.
     Dispatch = 2,
-    /// The table's own policy-driven recovery between dispatch rounds.
-    Recover = 3,
 }
 
-const MAINTAIN_REASONS: [(&str, MaintainReason); 4] = [
+const MAINTAIN_REASONS: [(&str, MaintainReason); 3] = [
     ("idle", MaintainReason::Idle),
     ("admission", MaintainReason::Admission),
     ("dispatch", MaintainReason::Dispatch),
-    ("recover", MaintainReason::Recover),
 ];
 
 /// Pre-registered handles for every metric the broker bills.
@@ -49,14 +46,12 @@ pub(crate) struct IngressMetrics {
     pub shed: Counter,
     /// Requests answered with a deadline timeout.
     pub timed_out: Counter,
-    /// Requests re-dispatched after a retryable failure.
-    pub retried: Counter,
     /// Batches dispatched onto the grid.
     pub batches: Counter,
     /// Cohorts run, labeled by entry: `path="inline"|"queued"`.
     pub cohorts: [Counter; 2],
     /// Maintenance passes that launched compaction, labeled by trigger.
-    maintenance: [Counter; 4],
+    maintenance: [Counter; 3],
     /// How long each compacting pass held its quiescent window; recorded
     /// in nanoseconds, exported in seconds.
     maint_pause_seconds: HistogramMetric,
@@ -131,10 +126,6 @@ impl IngressMetrics {
             timed_out: registry.counter(
                 "slab_ingress_timed_out_total",
                 "Requests that exceeded their deadline budget",
-            ),
-            retried: registry.counter(
-                "slab_ingress_retried_total",
-                "Requests re-dispatched after a retryable failure",
             ),
             batches: registry.counter(
                 "slab_ingress_batches_total",

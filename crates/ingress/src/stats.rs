@@ -18,7 +18,9 @@ pub struct IngressStats {
     /// Requests answered with a table result (success or not-found — the
     /// request executed).
     pub completed: u64,
-    /// Requests re-dispatched at least once after a retryable failure.
+    /// Always 0: the broker dispatches each request once and answers a
+    /// retryable failure as a typed error, so nothing is re-dispatched.
+    /// Kept because the benchmark reports it.
     pub retried: u64,
     /// Batches dispatched onto the grid.
     pub batches: u64,

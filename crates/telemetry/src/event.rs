@@ -55,11 +55,9 @@ pub enum EventKind {
     },
     /// An ingress-broker cohort event.
     Ingress {
-        /// `"dispatch"` when a cohort starts, or `"retry"` when the block
-        /// policy re-dispatches a cohort's retryable failures.
+        /// Always `"dispatch"`: a cohort started.
         action: &'static str,
-        /// For `"dispatch"`, the cohort's envelopes plus the queue behind
-        /// them; for `"retry"`, the requests re-dispatched.
+        /// The cohort's envelopes plus the queue behind them.
         depth: u32,
     },
 }

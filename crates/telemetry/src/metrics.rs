@@ -118,20 +118,21 @@ impl HistShard {
 ///
 /// Bucket semantics match [`LogHistogram`](crate::LogHistogram): bucket 0
 /// counts exact zeros, bucket `i ≥ 1` counts values in `[2^(i−1), 2^i − 1]`,
-/// and the last bucket is the catch-all. `unit_scale` converts recorded
-/// integers into the exported unit at render time (e.g. record nanoseconds,
-/// export seconds with `unit_scale = 1e-9`).
+/// and the last bucket is the catch-all. Recorded integers are divided by
+/// `per_unit`, the whole number of recorded units per exported unit, at
+/// render time (e.g. record nanoseconds, export seconds with
+/// `per_unit = 1_000_000_000`).
 #[derive(Debug, Clone)]
 pub struct HistogramMetric {
     shards: Arc<Vec<HistShard>>,
-    unit_scale: f64,
+    per_unit: u64,
 }
 
 impl HistogramMetric {
-    fn new(shards: usize, unit_scale: f64) -> Self {
+    fn new(shards: usize, per_unit: u64) -> Self {
         Self {
             shards: Arc::new((0..shards.max(1)).map(|_| HistShard::new()).collect()),
-            unit_scale,
+            per_unit,
         }
     }
 
@@ -159,13 +160,13 @@ impl HistogramMetric {
             count: buckets.iter().sum(),
             buckets,
             sum,
-            unit_scale: self.unit_scale,
+            per_unit: self.per_unit,
         }
     }
 
-    /// The recorded-unit → exported-unit factor.
-    pub fn unit_scale(&self) -> f64 {
-        self.unit_scale
+    /// Recorded units per exported unit.
+    pub fn per_unit(&self) -> u64 {
+        self.per_unit
     }
 }
 
@@ -176,11 +177,11 @@ pub struct HistogramSnapshot {
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Total samples.
     pub count: u64,
-    /// Sum of raw recorded values (multiply by `unit_scale` for the
-    /// exported unit).
+    /// Sum of raw recorded values (divide by `per_unit` for the exported
+    /// unit).
     pub sum: u64,
-    /// The recorded-unit → exported-unit factor.
-    pub unit_scale: f64,
+    /// Recorded units per exported unit.
+    pub per_unit: u64,
 }
 
 impl HistogramSnapshot {
@@ -192,8 +193,17 @@ impl HistogramSnapshot {
         } else if i == 0 {
             Some(0.0)
         } else {
-            Some(((1u128 << i) - 1) as f64 * self.unit_scale)
+            Some(self.exported((1u64 << i) - 1))
         }
+    }
+
+    /// `raw` recorded units in the exported unit. Both operands are exact
+    /// below 2^53 and the division rounds once, so a value whose decimal
+    /// has at most 15 significant digits prints exactly (`4095` ns is
+    /// `0.000004095`, where multiplying by `1e-9` gives
+    /// `0.0000040950000000000004`).
+    pub fn exported(&self, raw: u64) -> f64 {
+        raw as f64 / self.per_unit as f64
     }
 }
 
@@ -347,7 +357,7 @@ impl MetricsRegistry {
         help: &str,
         kind: MetricKind,
         labels: &[(&str, &str)],
-        hist_scale: f64,
+        per_unit: u64,
     ) -> Cell {
         let mut inner = self.inner.lock();
         let family = match inner.families.iter().position(|f| f.name == name) {
@@ -379,7 +389,7 @@ impl MetricsRegistry {
             MetricKind::Counter => Cell::Counter(Counter::new()),
             MetricKind::Gauge => Cell::Gauge(GaugeMetric::new()),
             MetricKind::Histogram => {
-                Cell::Histogram(HistogramMetric::new(self.hist_shards, hist_scale))
+                Cell::Histogram(HistogramMetric::new(self.hist_shards, per_unit))
             }
         };
         family.series.push(Series {
@@ -399,7 +409,7 @@ impl MetricsRegistry {
 
     /// Registers (or finds) a counter with labels.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, help, MetricKind::Counter, labels, 1.0) {
+        match self.register(name, help, MetricKind::Counter, labels, 1) {
             Cell::Counter(c) => c,
             _ => unreachable!("registry returned mismatched cell"),
         }
@@ -412,7 +422,7 @@ impl MetricsRegistry {
 
     /// Registers (or finds) a gauge with labels.
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeMetric {
-        match self.register(name, help, MetricKind::Gauge, labels, 1.0) {
+        match self.register(name, help, MetricKind::Gauge, labels, 1) {
             Cell::Gauge(g) => g,
             _ => unreachable!("registry returned mismatched cell"),
         }
@@ -425,7 +435,8 @@ impl MetricsRegistry {
 
     /// Registers (or finds) a histogram with labels and a unit scale
     /// (recorded integer × scale = exported value; e.g. record nanoseconds
-    /// and pass `1e-9` to export seconds).
+    /// and pass `1e-9` to export seconds). The scale must be `1/n` for a
+    /// whole `n`, which exports divide by exactly.
     pub fn histogram_with(
         &self,
         name: &str,
@@ -433,12 +444,20 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         unit_scale: f64,
     ) -> HistogramMetric {
-        match self.register(name, help, MetricKind::Histogram, labels, unit_scale) {
+        // Bounds divide by the whole count of recorded units per exported
+        // unit: `1.0 / 1e-9` is 999999999.9999999, so round it.
+        let per_unit = (1.0 / unit_scale).round();
+        assert!(
+            per_unit >= 1.0 && (per_unit * unit_scale - 1.0).abs() < 1e-9,
+            "histogram {name}: unit scale {unit_scale} is not 1/n for a whole n"
+        );
+        let per_unit = per_unit as u64;
+        match self.register(name, help, MetricKind::Histogram, labels, per_unit) {
             Cell::Histogram(h) => {
                 // The first registration fixes the scale; sharing a series
                 // under two different units would render nonsense.
                 assert!(
-                    (h.unit_scale() - unit_scale).abs() < f64::EPSILON,
+                    h.per_unit() == per_unit,
                     "histogram {name} re-registered with a different unit scale"
                 );
                 h
@@ -495,7 +514,7 @@ impl MetricsRegistry {
                         out.push_str(&format!(
                             "{name}_sum{} {}\n",
                             label_block(&series.labels, None),
-                            snap.sum as f64 * snap.unit_scale
+                            snap.exported(snap.sum)
                         ));
                         out.push_str(&format!(
                             "{name}_count{} {}\n",
@@ -537,7 +556,7 @@ impl MetricsRegistry {
                         format!(
                             "{head},\"count\":{},\"sum\":{}}}",
                             snap.count,
-                            snap.sum as f64 * snap.unit_scale
+                            snap.exported(snap.sum)
                         )
                     }
                 };
@@ -628,10 +647,34 @@ mod tests {
         h.record(1_000_000_000); // 1s in ns
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
-        assert!((snap.sum as f64 * snap.unit_scale - 1.0).abs() < 1e-12);
+        assert_eq!(snap.exported(snap.sum), 1.0);
         // Bucket 1's bound is 1 ns = 1e-9 s.
-        assert!((snap.upper_bound(1).unwrap() - 1e-9).abs() < 1e-18);
+        assert_eq!(snap.upper_bound(1), Some(1e-9));
         assert!(snap.upper_bound(HISTOGRAM_BUCKETS - 1).is_none());
+    }
+
+    #[test]
+    fn seconds_bounds_print_whole_nanoseconds_exactly() {
+        let reg = MetricsRegistry::with_histogram_shards(1);
+        reg.histogram_with("dur_seconds", "d", &[], 1e-9)
+            .record(4095);
+        let text = reg.render_prometheus();
+        let bounds: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split("le=\"").nth(1)?.split('"').next())
+            .filter(|&le| le != "+Inf")
+            .collect();
+        assert_eq!(bounds.len(), HISTOGRAM_BUCKETS - 1);
+        for (i, le) in bounds.iter().enumerate() {
+            let (whole, frac) = le.split_once('.').unwrap_or((le, ""));
+            assert!(frac.len() <= 9, "bucket {i}: le=\"{le}\"");
+            // Read as decimal digits, the label is (2^i - 1) ns exactly.
+            let ns = whole.parse::<u64>().unwrap() * 1_000_000_000
+                + format!("{frac:0<9}").parse::<u64>().unwrap();
+            let want = if i == 0 { 0 } else { (1u64 << i) - 1 };
+            assert_eq!(ns, want, "bucket {i}: le=\"{le}\"");
+        }
+        assert!(text.contains("dur_seconds_sum 0.000004095\n"), "{text}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum Stage {
     /// shed.
     Admission = 1,
     /// Admitted and batched, waiting for the executor-pool dispatch to
-    /// begin (includes any earlier failed attempts when retried).
+    /// begin.
     Dispatch = 2,
     /// Executing as part of a warp-shaped batch on the pool.
     Execute = 3,

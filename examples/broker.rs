@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use slab_hash::{KeyValue, MaintenancePolicy, Request, SlabHash, SlabHashConfig};
+use slab_hash::{KeyValue, Request, SlabHash, SlabHashConfig};
 use slab_ingress::{Broker, BrokerConfig, IngressError};
 
 /// Minimal flag scan (the examples avoid depending on the bench crate's
@@ -92,7 +92,6 @@ fn main() {
         Arc::clone(&table),
         BrokerConfig {
             write_shed_headroom: u64::MAX,
-            policy: MaintenancePolicy::shed(),
             ..BrokerConfig::default()
         },
     );

@@ -7,16 +7,14 @@
 //!    freeing the surplus slabs;
 //! 2. the allocator's free-headroom watermark activates reserve super
 //!    blocks *before* pressure turns into `OutOfSlabs`;
-//! 3. a `MaintenancePolicy` turns residual failures into heal-and-retry
-//!    (block) or heal-and-report (shed) in the caller's retry loop.
+//! 3. a residual `OutOfSlabs` or `RetryBudgetExhausted` is the caller's to
+//!    handle: run `maintain`, then retry or report, as the caller decides.
 //!
 //! Run with: `cargo run --release --example self_healing`
 
 use simt::Grid;
 use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
-use slab_hash::{
-    KeyValue, MaintenancePolicy, SlabHash, SlabHashConfig, TableError, WarpDriver, EMPTY_KEY,
-};
+use slab_hash::{KeyValue, SlabHash, SlabHashConfig, TableError, WarpDriver, EMPTY_KEY};
 
 fn main() {
     // One active super block = 1024 slabs. The 50-cycle churn below chains
@@ -139,26 +137,24 @@ fn main() {
     assert_eq!(audit.live_elements, pinned.len() as u64);
     assert!(audit.no_leaks());
 
-    // --- Backpressure policies on a retry loop ------------------------------
-    // `recover` is the call the ingress broker makes for a failed retry
-    // cohort: block = compact/grow/retry, shed = one heal pass, then the
-    // caller decides what to drop.
+    // --- The caller's heal-and-retry loop ------------------------------------
+    // A failed write left the table consistent and had no effect: the
+    // caller runs `maintain` and retries, up to a bound of its choosing.
     let maint_grid = Grid::sequential();
     let map = SlabHash::<KeyValue>::for_expected_elements(10_000, 0.6, 0x0005_ABA4);
-    let block = MaintenancePolicy::block();
     let mut writer = WarpDriver::new(&map);
     for k in 0..5_000 {
-        replace_with_policy(&map, &mut writer, &block, &maint_grid, k, k * 2)
-            .expect("block policy heals transient pressure");
+        replace_healing(&map, &mut writer, &maint_grid, k, k * 2)
+            .expect("maintain heals transient pressure");
     }
     println!(
-        "\npolicy demo: {} keys through a blocking retry loop",
+        "\nretry demo: {} keys through a maintain-and-retry loop",
         map.len(),
     );
     assert_eq!(map.len(), 5_000);
 
-    // Failed operations stay structured even when healing is exhausted: an
-    // injected always-fail allocation plan makes the shed path surface
+    // Failed operations stay structured even when healing cannot help: an
+    // injected always-fail allocation plan makes every round surface
     // `OutOfSlabs` while the table stays consistent and auditable. One
     // bucket whose base slab is full forces every further insert to
     // allocate a chained slab.
@@ -168,39 +164,39 @@ fn main() {
         warp.replace(k, k);
     }
     let chaos = simt::ChaosGuard::plan(simt::FaultPlan::seeded(0x5E1F).with_alloc_failures(1.0));
-    let shed = MaintenancePolicy::shed();
     let mut dropped = 0u32;
     for k in 100_000..100_064 {
-        if replace_with_policy(&tiny, &mut warp, &shed, &maint_grid, k, 0).is_err() {
+        if replace_healing(&tiny, &mut warp, &maint_grid, k, 0).is_err() {
             dropped += 1;
         }
     }
     drop(chaos);
-    println!("under an always-fail alloc plan the shed policy dropped {dropped}/64 inserts");
+    println!("under an always-fail alloc plan the retry loop dropped {dropped}/64 inserts");
     assert_eq!(
         dropped, 64,
-        "every chained insert must shed under alloc faults"
+        "every chained insert must fail under alloc faults"
     );
-    tiny.audit().expect("table audits clean after shedding");
+    tiny.audit().expect("table audits clean after dropping");
 
     println!("\nself-healing demo complete");
 }
 
-/// REPLACE(key, value) that heals under `policy` when the table reports
-/// memory pressure, retrying for as long as `recover` says to.
-fn replace_with_policy(
+/// REPLACE(key, value) that answers memory pressure with a `maintain` pass
+/// and a retry, at most 8 rounds, then reports the last failure.
+fn replace_healing(
     table: &SlabHash<KeyValue>,
     warp: &mut WarpDriver<'_, KeyValue>,
-    policy: &MaintenancePolicy,
     grid: &Grid,
     key: u32,
     value: u32,
 ) -> Result<Option<u32>, TableError> {
-    let mut round = 0;
-    loop {
-        match warp.checked_replace(key, value) {
-            Err(e) if table.recover(e, policy, grid, round).retry => round += 1,
-            result => return result,
+    let mut result = warp.checked_replace(key, value);
+    for _ in 1..8 {
+        if result.is_ok() {
+            break;
         }
+        table.maintain(grid);
+        result = warp.checked_replace(key, value);
     }
+    result
 }

@@ -2,7 +2,7 @@
 //! on an undersized allocator survives indefinitely because compaction
 //! (the quiescent rewrite) + allocator growth keep returning dead slabs;
 //! the rewrite races live searchers without hiding a single live key; and
-//! fault-injected churn healed by the policy loop leaves the table
+//! fault-injected churn healed by a caller's maintain-and-retry loop leaves the table
 //! auditable.
 //!
 //! Tests that activate a fault plan serialize behind a mutex: the plan
@@ -16,14 +16,15 @@ use std::time::Duration;
 use simt::{ChaosGuard, FaultPlan, Grid, WarpCtx};
 use slab_alloc::{SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator};
 use slab_hash::{
-    BatchBuffer, KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig,
-    TableError, WarpDriver, EMPTY_KEY,
+    BatchBuffer, KeyValue, OpResult, Request, SlabHash, SlabHashConfig, TableError, WarpDriver,
+    EMPTY_KEY,
 };
 
 static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-/// Insert with the block policy's heal-and-retry loop; panics only when the
-/// policy itself gives up (which the soak treats as a lost table).
+/// Insert with the caller's own heal-and-retry loop: on a retryable
+/// failure, run one `maintain` pass and retry, at most 8 rounds; panics
+/// when the rounds run out (which the soak treats as a lost table).
 fn insert_healing<A: SlabAllocator>(
     t: &SlabHash<KeyValue, A>,
     w: &mut WarpDriver<'_, KeyValue, A>,
@@ -31,20 +32,17 @@ fn insert_healing<A: SlabAllocator>(
     key: u32,
     value: u32,
 ) {
-    let policy = MaintenancePolicy::block();
-    let mut round = 0;
-    loop {
+    let mut last = None;
+    for _ in 0..8 {
         match w.checked_replace(key, value) {
             Ok(_) => return,
             Err(e) => {
-                assert!(
-                    t.recover(e, &policy, grid, round).retry,
-                    "unrecoverable pressure at key {key} after {round} rounds: {e}"
-                );
-                round += 1;
+                t.maintain(grid);
+                last = Some(e);
             }
         }
     }
+    panic!("unrecoverable pressure at key {key} after 8 rounds: {last:?}");
 }
 
 /// ≥100 insert → delete → `maintain` cycles on an allocator an order of
@@ -296,7 +294,7 @@ fn compaction_race_trial(seed: u64) {
 }
 
 /// Satellite: chaos-grid churn — yields, spurious CAS losses, and injected
-/// allocation failures over a concurrent grid, healed by the policy loop.
+/// allocation failures over a concurrent grid, healed by the caller's loop.
 #[test]
 fn chaos_churn_heals_under_fault_plan() {
     let _l = CHAOS_LOCK.lock();
@@ -318,7 +316,7 @@ fn chaos_churn_heals_under_fault_plan() {
         let base = cycle * 500;
         let mut reqs: Vec<Request> = (0..500).map(|k| Request::replace(base + k, k)).collect();
         t.execute_batch(&mut reqs, &grid);
-        // Heal every shed request through the policy loop.
+        // Heal every failed request through the maintain-and-retry loop.
         for r in &reqs {
             match &r.result {
                 OpResult::Inserted | OpResult::Replaced(_) => {}

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use simt::{FaultPlan, Grid};
-use slab_alloc::{SlabAlloc, SlabAllocConfig};
-use slab_hash::{KeyValue, MaintenancePolicy, Request, SlabHash, SlabHashConfig};
+use slab_alloc::{AllocError, SlabAlloc, SlabAllocConfig};
+use slab_hash::{KeyValue, OpResult, Request, SlabHash, SlabHashConfig, TableError};
 use slab_ingress::{Broker, BrokerConfig, IngressError, Ticket, STAGES};
 use telemetry::{scrape_text, MetricsRegistry, MetricsServer, TraceConfig, TraceSession};
 
@@ -313,16 +313,15 @@ fn forced_idle_passes_show_their_pause_in_the_scrape() {
 }
 
 #[test]
-fn recover_passes_show_their_pause_in_the_scrape() {
-    // Every CAS fails, so each REPLACE burns its retry budget and the
-    // block policy runs a `recover` pass between dispatch rounds. No
-    // other operation is in flight, so every pass claims its window; the
-    // first launches, and the rest find nothing dirtied.
+fn dispatch_passes_show_their_pause_in_the_scrape() {
+    // Every CAS fails, so each REPLACE burns its retry budget and its
+    // cohort runs a `dispatch` pass before answering. No other operation
+    // is in flight, so every pass claims its window; the first launches,
+    // and the rest find nothing dirtied.
     let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(32)));
     let broker = Broker::spawn(
         Arc::clone(&table),
         BrokerConfig {
-            policy: MaintenancePolicy::block(),
             chaos: Some(FaultPlan::seeded(0x4EC0).with_cas_failures(1.0)),
             ..BrokerConfig::default()
         },
@@ -343,9 +342,9 @@ fn recover_passes_show_their_pause_in_the_scrape() {
         )
         .unwrap_or_else(|| panic!("no {reason} count:\n{body}"))
     };
-    assert!(passes("recover") >= 1.0, "{body}");
-    // Every pass, `recover`'s included, billed the window it held.
-    let all: f64 = ["idle", "admission", "dispatch", "recover"]
+    assert!(passes("dispatch") >= 1.0, "{body}");
+    // Every pass, `dispatch`'s included, billed the window it held.
+    let all: f64 = ["idle", "admission", "dispatch"]
         .into_iter()
         .map(passes)
         .sum();
@@ -364,7 +363,6 @@ fn exporter_serves_the_overloaded_broker_live() {
         Arc::clone(&table),
         BrokerConfig {
             write_shed_headroom: u64::MAX,
-            policy: MaintenancePolicy::shed(),
             ..BrokerConfig::default()
         },
     )
@@ -411,10 +409,10 @@ fn exporter_serves_the_overloaded_broker_live() {
     broker.shutdown();
 }
 
-/// One serialized run of a block-policy broker under a fixed allocation
-/// fault plan on the sequential grid; returns the ingress-event lines of
-/// the trace.
-fn retry_trace_run(seed: u64) -> String {
+/// One serialized run of a default-config broker under a fixed allocation
+/// fault plan on the sequential grid; returns every call's reply and the
+/// ingress-event lines of the trace.
+fn shed_trace_run(seed: u64) -> (Vec<Result<OpResult, IngressError>>, String) {
     // Two buckets, so chains must grow and every link is an allocation the
     // plan may fail.
     let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2)));
@@ -422,7 +420,6 @@ fn retry_trace_run(seed: u64) -> String {
     let broker = Broker::spawn(
         Arc::clone(&table),
         BrokerConfig {
-            policy: MaintenancePolicy::block(),
             grid: Some(Grid::sequential()),
             // No idle ticks: the broker thread never takes the lock, so
             // every serial call runs inline on this thread and draws from
@@ -433,31 +430,39 @@ fn retry_trace_run(seed: u64) -> String {
         },
     );
     let client = broker.handle();
-    // Strictly serialized calls: one envelope per batch, so the event
-    // stream depends only on the request sequence and the chaos seed.
-    for k in 1..=256u32 {
-        let _ = client.call_with_deadline(Request::replace(k, k), Duration::from_secs(5));
-    }
+    // Strictly serialized calls: one envelope per batch, so the replies
+    // and the event stream depend only on the request sequence and the
+    // chaos seed.
+    let replies = (1..=256u32)
+        .map(|k| client.call_with_deadline(Request::replace(k, k), Duration::from_secs(5)))
+        .collect();
     drop(client);
     broker.shutdown();
     let trace = session.finish();
-    trace
+    let events = trace
         .to_jsonl()
         .lines()
         .filter(|l| l.contains("ingress"))
         .collect::<Vec<_>>()
-        .join("\n")
+        .join("\n");
+    (replies, events)
 }
 
 #[test]
-fn retries_replay_byte_identically_under_chaos() {
-    let a = retry_trace_run(0xB0B);
-    let b = retry_trace_run(0xB0B);
+fn shed_replies_replay_byte_identically_under_chaos() {
+    let (replies, events) = shed_trace_run(0xB0B);
+    let injected = Err(IngressError::Table(TableError::OutOfSlabs(
+        AllocError::Injected,
+    )));
     assert!(
-        a.contains("\"action\":\"retry\""),
-        "failed links must be re-dispatched:\n{a}"
+        replies.contains(&injected),
+        "failed links must answer a typed error: {replies:?}"
     );
-    assert_eq!(a, b, "ingress event stream must replay byte-identically");
+    assert_eq!(
+        shed_trace_run(0xB0B),
+        (replies, events),
+        "replies and the ingress event stream must replay byte-identically"
+    );
 }
 
 #[test]
@@ -475,7 +480,6 @@ fn deletes_through_the_broker_relieve_write_pressure() {
     let broker = Broker::spawn(
         Arc::clone(&table),
         BrokerConfig {
-            policy: MaintenancePolicy::shed(),
             write_shed_headroom: 990,
             ..BrokerConfig::default()
         },

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use simt::{FaultPlan, Grid, WarpCtx};
 use slab_alloc::{AllocError, SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator, SlabRef};
-use slab_hash::{KeyValue, MaintenancePolicy, Request, SlabHash, SlabHashConfig, EMPTY_KEY};
+use slab_hash::{KeyValue, Request, SlabHash, SlabHashConfig, TableError, EMPTY_KEY};
 use slab_ingress::{Broker, BrokerConfig, IngressError};
 
 const DEADLINE: Duration = Duration::from_millis(50);
@@ -24,7 +24,7 @@ const LATENCY_BOUND: Duration = Duration::from_secs(5);
 
 #[test]
 fn overload_soak_sheds_instead_of_collapsing() {
-    // A table that *will* run out: one block of 1024 slabs, shed policy,
+    // A table that *will* run out: one block of 1024 slabs,
     // and 24k distinct keys written (about 1600 slabs' worth).
     let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
         SlabHashConfig::with_buckets(32),
@@ -34,7 +34,6 @@ fn overload_soak_sheds_instead_of_collapsing() {
         queue_capacity: 256,
         max_batch: 128,
         default_deadline: DEADLINE,
-        policy: MaintenancePolicy::shed(),
         write_shed_headroom: 8,
         chaos: Some(
             FaultPlan::seeded(0x50AD)
@@ -188,7 +187,6 @@ fn an_idle_broker_over_a_full_table_launches_no_pass_storm() {
         SlabAlloc::new(SlabAllocConfig::small(1, 1)),
     ));
     let cfg = BrokerConfig {
-        policy: MaintenancePolicy::shed(),
         write_shed_headroom: 8,
         idle_tick: Duration::from_millis(1),
         ..BrokerConfig::default()
@@ -215,49 +213,57 @@ fn an_idle_broker_over_a_full_table_launches_no_pass_storm() {
 
 #[test]
 fn brief_pressure_recovers_to_full_service() {
-    // Block policy over a fixed 64-slab heap with no growth: churn cycles
-    // allocate far more slabs than exist, so the broker's heal-and-retry
-    // loop (compaction between dispatch rounds) is the
-    // only reason the writes land. `stats.retried > 0` proves the retry
-    // path actually ran; every op succeeding proves it converges. The idle
-    // tick outlasts the run, so idle housekeeping never heals the heap
-    // behind the retry path's back while the client thread is descheduled.
+    // The default config over a fixed 64-slab heap with no growth: churn
+    // cycles allocate far more slabs than exist, so the heal pass that a
+    // shedding cohort runs (compaction of the deleted keys' tombstones) is
+    // the only reason the writes land. The client resends each typed
+    // refusal. The idle tick outlasts the run, so idle housekeeping never
+    // heals the heap behind the shed path's back while the client thread
+    // is descheduled.
     let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
         SlabHashConfig::with_buckets(4),
         SerialHeapSim::new(64, EMPTY_KEY),
     ));
     let cfg = BrokerConfig {
-        policy: MaintenancePolicy::block(),
-        max_dispatch_attempts: 8,
-        default_deadline: Duration::from_secs(30),
-        write_shed_headroom: 0,
         idle_tick: Duration::from_secs(60),
         ..BrokerConfig::default()
     };
     let broker = Broker::spawn(Arc::clone(&table), cfg);
     let client = broker.handle();
+    // At most 8 sends per key: the first, then one per retryable refusal.
+    let call = |req: Request| {
+        let mut last = None;
+        for _ in 0..8 {
+            match client.call_with_deadline(req.clone(), Duration::from_secs(30)) {
+                Err(
+                    e @ (IngressError::ShedWrite
+                    | IngressError::Table(
+                        TableError::OutOfSlabs(_) | TableError::RetryBudgetExhausted { .. },
+                    )),
+                ) => last = Some(e),
+                reply => return reply,
+            }
+        }
+        panic!("{req:?} refused 8 times, last {last:?}");
+    };
     let per_cycle = 100u32;
     for cycle in 0..20u32 {
         let base = 1 + cycle * per_cycle;
         for k in base..base + per_cycle {
-            client
-                .call_with_deadline(Request::replace(k, k ^ 0xA5A5), Duration::from_secs(30))
-                .expect("block policy must land every insert");
+            call(Request::replace(k, k ^ 0xA5A5)).expect("every write lands");
         }
         for k in (base..base + per_cycle).step_by(29) {
             assert_eq!(client.get(k).unwrap(), Some(k ^ 0xA5A5));
         }
         for k in base..base + per_cycle {
-            client
-                .call_with_deadline(Request::delete(k), Duration::from_secs(30))
-                .expect("delete under pressure");
+            call(Request::delete(k)).expect("delete under pressure");
         }
     }
     drop(client);
     let stats = broker.shutdown();
     assert!(
-        stats.retried > 0,
-        "churn past heap capacity should need retries"
+        stats.shed() > 0,
+        "churn past heap capacity should shed and heal"
     );
     assert_eq!(table.len(), 0);
 }
