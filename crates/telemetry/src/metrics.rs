@@ -199,9 +199,9 @@ impl HistogramSnapshot {
 
     /// `raw` recorded units in the exported unit. Both operands are exact
     /// below 2^53 and the division rounds once, so a value whose decimal
-    /// has at most 15 significant digits prints exactly (`4095` ns is
-    /// `0.000004095`, where multiplying by `1e-9` gives
-    /// `0.0000040950000000000004`).
+    /// has at most 15 significant digits prints exactly (3 ns is
+    /// `0.000000003`, where multiplying by `1e-9` gives
+    /// `0.0000000030000000000000004`).
     pub fn exported(&self, raw: u64) -> f64 {
         raw as f64 / self.per_unit as f64
     }

@@ -181,8 +181,8 @@ fn main() {
     println!("\nself-healing demo complete");
 }
 
-/// REPLACE(key, value) that answers memory pressure with a `maintain` pass
-/// and a retry, at most 8 rounds, then reports the last failure.
+/// REPLACE(key, value) that answers a failed attempt with a `maintain`
+/// pass and a retry, 8 attempts in all, then reports the last failure.
 fn replace_healing(
     table: &SlabHash<KeyValue>,
     warp: &mut WarpDriver<'_, KeyValue>,

@@ -2,8 +2,8 @@
 //! on an undersized allocator survives indefinitely because compaction
 //! (the quiescent rewrite) + allocator growth keep returning dead slabs;
 //! the rewrite races live searchers without hiding a single live key; and
-//! fault-injected churn healed by a caller's maintain-and-retry loop leaves the table
-//! auditable.
+//! fault-injected churn healed by a caller's maintain-and-retry loop
+//! leaves the table auditable.
 //!
 //! Tests that activate a fault plan serialize behind a mutex: the plan
 //! epoch is process-global, so a concurrent guard would reseed this
@@ -22,9 +22,9 @@ use slab_hash::{
 
 static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-/// Insert with the caller's own heal-and-retry loop: on a retryable
-/// failure, run one `maintain` pass and retry, at most 8 rounds; panics
-/// when the rounds run out (which the soak treats as a lost table).
+/// Insert with the caller's own heal-and-retry loop: after a failed
+/// attempt, run one `maintain` pass and retry, 8 attempts in all; panics
+/// when they run out (which the soak treats as a lost table).
 fn insert_healing<A: SlabAllocator>(
     t: &SlabHash<KeyValue, A>,
     w: &mut WarpDriver<'_, KeyValue, A>,
@@ -32,17 +32,17 @@ fn insert_healing<A: SlabAllocator>(
     key: u32,
     value: u32,
 ) {
-    let mut last = None;
-    for _ in 0..8 {
-        match w.checked_replace(key, value) {
-            Ok(_) => return,
-            Err(e) => {
-                t.maintain(grid);
-                last = Some(e);
-            }
+    let mut result = w.checked_replace(key, value);
+    for _ in 1..8 {
+        if result.is_ok() {
+            break;
         }
+        t.maintain(grid);
+        result = w.checked_replace(key, value);
     }
-    panic!("unrecoverable pressure at key {key} after 8 rounds: {last:?}");
+    if let Err(e) = result {
+        panic!("unrecoverable pressure at key {key} after 8 rounds: {e}");
+    }
 }
 
 /// ≥100 insert → delete → `maintain` cycles on an allocator an order of

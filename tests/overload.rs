@@ -24,7 +24,7 @@ const LATENCY_BOUND: Duration = Duration::from_secs(5);
 
 #[test]
 fn overload_soak_sheds_instead_of_collapsing() {
-    // A table that *will* run out: one block of 1024 slabs,
+    // A table that *will* run out: one block of 1024 slabs, shed policy,
     // and 24k distinct keys written (about 1600 slabs' worth).
     let table = Arc::new(SlabHash::<KeyValue, _>::with_allocator(
         SlabHashConfig::with_buckets(32),
