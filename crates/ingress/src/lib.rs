@@ -16,8 +16,9 @@
 //! * **Deadlines** — every request carries a budget. The broker refuses to
 //!   dispatch expired requests ([`IngressError::DeadlineExceeded`]), so a
 //!   timed-out write was *never applied*.
-//! * **Admission control** — INSERT and REPLACE are refused while allocator free-slab headroom sits at or below a
-//!   watermark ([`IngressError::ShedWrite`]), and the cohort runs one
+//! * **Admission control** — INSERT and REPLACE are refused while
+//!   allocator free-slab headroom sits at or below a watermark
+//!   ([`IngressError::ShedWrite`]), and the cohort runs one
 //!   maintenance pass. Reads and deletes keep flowing. Only INSERT and
 //!   REPLACE can take a slab; a DELETE's tombstone is what compaction
 //!   frees, so shedding the allocating writes first is the graceful order.
@@ -246,9 +247,12 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let ok = tickets.into_iter().map(Ticket::wait);
-        let ok = ok.filter(|r| r.result.is_ok());
-        assert_eq!(ok.count(), n as usize, "every insert lands");
+        let landed = tickets
+            .into_iter()
+            .map(Ticket::wait)
+            .filter(|r| r.result.is_ok())
+            .count();
+        assert_eq!(landed, n as usize, "every insert lands");
         assert_eq!(table.len(), n as usize);
         assert!(table.allocator().active_super_blocks() > 1);
         drop(client);
